@@ -3,7 +3,8 @@ Hilbert and Chow weights
 ========================
 
 S_X(u, c) is a maximum over monomial bases of the degree-u coordinate
-ring; the greedy matroid algorithm finds it exactly.  The normalized
+ring; the standard monomials of the initial ideal in the c-weighted
+order attain it exactly.  The normalized
 sequence s_u converges to the Chow weight, and the printed margin checks
 the weight inequality that feeds every truncation bound downstream.
 """

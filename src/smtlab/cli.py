@@ -20,7 +20,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Dict, List, Tuple
 
-from .errors import CertificationError, DegenerateInputError, ValidationError
+from .errors import SmtlabError
 from .exact_algebra import WeightVector
 from .nevanlinna import build_profile, fmt_residual
 from .position_geometry import distributive_constant
@@ -300,10 +300,7 @@ def main(argv: List[str] | None = None) -> int:
             scenario = replace(scenario, seed=args.seed)
         payload, rows, code = _HANDLERS[args.command](scenario, args)
         _emit(payload, rows, args)
-    except (ValidationError, DegenerateInputError, CertificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SmtlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

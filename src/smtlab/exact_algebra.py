@@ -1,9 +1,11 @@
-"""Homogeneous polynomials over Q(i) with a fixed grevlex order.
+"""Homogeneous polynomials over Q(i) and their monomial orders.
 
-The graded reverse lexicographic order is the only monomial order used in
-this package; every routine that needs "the" leading term, a deterministic
-tiebreak, or a canonical listing of monomials goes through
-:func:`grevlex_key`.
+A monomial order is a sort key on exponent tuples: ascending keys give
+ascending monomials.  The graded reverse lexicographic order
+(:func:`grevlex_key`) is the default; every routine that needs "the"
+leading term, a deterministic tiebreak, or a canonical listing of
+monomials uses it unless handed another key.  :func:`weighted_key` builds
+the c-weighted order whose initial ideal carries the Hilbert weight.
 """
 
 from __future__ import annotations
@@ -60,6 +62,25 @@ def grevlex_key(m: Sequence[int]):
     comparison of the negated reversed exponents.
     """
     return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def weighted_key(c: WeightVector) -> Callable:
+    """Sort key for the c-weighted order used by the Hilbert weight.
+
+    Monomials compare by degree, then a larger c-weight is *smaller*, then
+    by the reversed exponent tuple (the reverse of grevlex within a degree).
+    Inside one degree this is a term order, and its standard monomials are
+    exactly the greedy choice "largest c-weight first, grevlex-largest on
+    ties".  The denominators of c are cleared once, so keys compare
+    integers; a positive rescaling of c gives the same order.
+    """
+    scale = math.lcm(*(e.denominator for e in c))
+    w = tuple(int(e * scale) for e in c)
+
+    def key(m: Sequence[int]):
+        return (sum(m), -sum(a * b for a, b in zip(w, m)), tuple(reversed(m)))
+
+    return key
 
 
 def monomial_count(num_vars: int, degree: int) -> int:
@@ -137,18 +158,19 @@ class HomogPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading_monomial(self) -> Monomial:
+    def leading_monomial(self, key: Callable = grevlex_key) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        return max(self.terms, key=key)
 
-    def leading_coefficient(self) -> GaussianRational:
-        return self.terms[self.leading_monomial()]
+    def leading_coefficient(self,
+                            key: Callable = grevlex_key) -> GaussianRational:
+        return self.terms[self.leading_monomial(key)]
 
-    def monic(self) -> "HomogPoly":
+    def monic(self, key: Callable = grevlex_key) -> "HomogPoly":
         if self.is_zero():
             return self
-        lc = self.leading_coefficient()
+        lc = self.leading_coefficient(key)
         return HomogPoly(self.num_vars, self.degree,
                          {m: c / lc for m, c in self.terms.items()})
 

@@ -1,22 +1,27 @@
 """Groebner bases, Hilbert functions, and projective dimension/degree.
 
-Buchberger's algorithm over the Gaussian rationals in graded reverse
-lexicographic order, with the Hilbert function of the leading-term ideal
-driving dimension, degree, and emptiness.  Dimensions follow the projective
-convention: the empty variety reports -1.
+Buchberger's algorithm over the Gaussian rationals in a monomial order
+given as a sort key: graded reverse lexicographic by default, with the
+Hilbert function of the grevlex leading-term ideal driving dimension and
+degree.  The c-weighted order of :func:`~smtlab.exact_algebra.weighted_key`
+gives the initial ideal in_c(I) whose standard monomials carry the Hilbert
+weight.  Dimensions follow the projective convention: the empty variety
+reports -1.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from .errors import BudgetExceededError, ValidationError
 from .exact_algebra import (
     HomogPoly,
     Monomial,
+    WeightVector,
     grevlex_key,
     monomial_count,
-    monomials_of_degree,
+    weighted_key,
 )
 
 DEFAULT_REDUCTION_BUDGET = 10 ** 6
@@ -55,15 +60,22 @@ class _Budget:
 
 
 def _reduce_full(p: HomogPoly, basis: Sequence[HomogPoly],
-                 budget: Optional[_Budget] = None) -> HomogPoly:
-    """Fully reduce p: no term of the result is divisible by any basis LT."""
+                 budget: Optional[_Budget] = None,
+                 key: Callable = grevlex_key) -> HomogPoly:
+    """Fully reduce p: no term of the result is divisible by any basis LT.
+
+    Leading terms are taken in the order given by ``key``.
+    """
     if p.is_zero() or not basis:
         return p
-    leads = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis]
+    leads = []
+    for g in basis:
+        lm = g.leading_monomial(key)
+        leads.append((lm, g.terms[lm], g))
     result_terms: Dict[Monomial, object] = {}
     work = dict(p.terms)
     while work:
-        mono = max(work, key=grevlex_key)
+        mono = max(work, key=key)
         coeff = work.pop(mono)
         hit = None
         for lm, lc, g in leads:
@@ -81,73 +93,81 @@ def _reduce_full(p: HomogPoly, basis: Sequence[HomogPoly],
         for gm, gc in g.terms.items():
             if gm == lm:
                 continue  # cancels the popped term exactly
-            key = gm.mul(quot)
-            cur = work.get(key)
+            shifted = gm.mul(quot)
+            cur = work.get(shifted)
             new = (cur - factor * gc) if cur is not None else -(factor * gc)
             if new.is_zero():
-                work.pop(key, None)
+                work.pop(shifted, None)
             else:
-                work[key] = new
+                work[shifted] = new
     return HomogPoly(p.num_vars, p.degree, result_terms)
 
 
-def _s_poly(f: HomogPoly, g: HomogPoly) -> HomogPoly:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
+def _s_poly(f: HomogPoly, g: HomogPoly,
+            key: Callable = grevlex_key) -> HomogPoly:
+    lf, lg = f.leading_monomial(key), g.leading_monomial(key)
     l = lf.lcm(lg)
-    a = f.mul_monomial(l.quotient(lf)).scale(1 / f.leading_coefficient())
-    b = g.mul_monomial(l.quotient(lg)).scale(1 / g.leading_coefficient())
+    a = f.mul_monomial(l.quotient(lf)).scale(1 / f.terms[lf])
+    b = g.mul_monomial(l.quotient(lg)).scale(1 / g.terms[lg])
     return a - b
 
 
 def groebner_basis(ideal: Ideal,
-                   budget: int = DEFAULT_REDUCTION_BUDGET) -> List[HomogPoly]:
-    """Reduced Groebner basis in grevlex order.
+                   budget: int = DEFAULT_REDUCTION_BUDGET,
+                   key: Callable = grevlex_key) -> List[HomogPoly]:
+    """Reduced Groebner basis in the monomial order given by ``key``.
 
+    ``key`` is a sort key on exponent tuples (ascending keys, ascending
+    monomials) that is a term order within each degree; grevlex by default.
     Pairs are processed by increasing lcm degree (normal strategy) and the
     coprime-leading-term criterion prunes trivial pairs.  Every S-polynomial
-    of the result reduces to zero, which the tests re-check.
+    of the result reduces to zero, which the tests re-check.  The result is
+    sorted by leading monomial, largest first.
     """
     meter = _Budget(budget)
+
+    def lead_key(h: HomogPoly):
+        return key(h.leading_monomial(key))
+
     basis: List[HomogPoly] = []
-    for g in sorted(ideal.generators,
-                    key=lambda h: (h.degree, grevlex_key(h.leading_monomial()))):
-        r = _reduce_full(g, basis, meter)
+    for g in sorted(ideal.generators, key=lambda h: (h.degree, lead_key(h))):
+        r = _reduce_full(g, basis, meter, key)
         if not r.is_zero():
-            basis.append(r.monic())
+            basis.append(r.monic(key))
     if not basis:
         return []
 
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         pairs.sort(key=lambda ij: sum(
-            basis[ij[0]].leading_monomial().lcm(
-                basis[ij[1]].leading_monomial())))
+            basis[ij[0]].leading_monomial(key).lcm(
+                basis[ij[1]].leading_monomial(key))))
         i, j = pairs.pop(0)
         fi, fj = basis[i], basis[j]
-        li, lj = fi.leading_monomial(), fj.leading_monomial()
+        li, lj = fi.leading_monomial(key), fj.leading_monomial(key)
         if li.lcm(lj) == li.mul(lj):
             continue  # coprime leading terms; S-poly reduces to zero
-        r = _reduce_full(_s_poly(fi, fj), basis, meter)
+        r = _reduce_full(_s_poly(fi, fj, key), basis, meter, key)
         if r.is_zero():
             continue
-        basis.append(r.monic())
+        basis.append(r.monic(key))
         k = len(basis) - 1
         pairs.extend((i2, k) for i2 in range(k))
 
     # minimalize, then inter-reduce
     minimal: List[HomogPoly] = []
-    for g in sorted(basis, key=lambda h: grevlex_key(h.leading_monomial())):
-        lm = g.leading_monomial()
-        if any(h.leading_monomial().divides(lm) for h in minimal):
+    for g in sorted(basis, key=lead_key):
+        lm = g.leading_monomial(key)
+        if any(h.leading_monomial(key).divides(lm) for h in minimal):
             continue
         minimal = [h for h in minimal
-                   if not lm.divides(h.leading_monomial())]
+                   if not lm.divides(h.leading_monomial(key))]
         minimal.append(g)
     reduced = []
     for k, g in enumerate(minimal):
         others = minimal[:k] + minimal[k + 1:]
-        reduced.append(_reduce_full(g, others, meter).monic())
-    reduced.sort(key=lambda h: grevlex_key(h.leading_monomial()), reverse=True)
+        reduced.append(_reduce_full(g, others, meter, key).monic(key))
+    reduced.sort(key=lead_key, reverse=True)
     return reduced
 
 
@@ -209,13 +229,6 @@ def _count_standard(num_vars: int, u: int, gens: FrozenSet[Monomial],
     return out
 
 
-def count_standard_monomials_direct(num_vars: int, u: int,
-                                    leading: Sequence[Monomial]) -> int:
-    """Direct enumeration; quadratic-ish, kept as the cross-check path."""
-    return sum(1 for m in monomials_of_degree(num_vars, u)
-               if not any(g.divides(m) for g in leading))
-
-
 class Variety:
     """Projective variety (or scheme) cut out by a homogeneous ideal."""
 
@@ -224,6 +237,7 @@ class Variety:
         self._budget = budget
         self._basis: Optional[List[HomogPoly]] = None
         self._leading: Optional[FrozenSet[Monomial]] = None
+        self._weighted_leading: Dict[Tuple, FrozenSet[Monomial]] = {}
         self._hilbert_memo: Dict = {}
         self._hilbert_cache: Dict[int, int] = {}
         self._dim_degree: Optional[Tuple[int, int]] = None
@@ -243,6 +257,19 @@ class Variety:
             self._leading = _minimalize(
                 g.leading_monomial() for g in self._basis)
         return self._basis
+
+    def weighted_leading(self, c: WeightVector) -> FrozenSet[Monomial]:
+        """Minimal generators of in_c(I), the initial ideal in the order of
+        :func:`~smtlab.exact_algebra.weighted_key`; cached per weight
+        vector."""
+        got = self._weighted_leading.get(c.entries)
+        if got is None:
+            key = weighted_key(c)
+            got = _minimalize(
+                g.leading_monomial(key)
+                for g in groebner_basis(self.ideal, self._budget, key))
+            self._weighted_leading[c.entries] = got
+        return got
 
     def hilbert_function(self, u: int) -> int:
         if u < 0:
@@ -267,10 +294,6 @@ class Variety:
     @property
     def degree(self) -> int:
         return self.dim_degree()[1]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.dim == -1
 
 
 def variety_dim_degree(X: Variety, u_cap: int = 60) -> Tuple[int, int]:

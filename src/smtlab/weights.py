@@ -1,11 +1,14 @@
 """Hilbert weights, Chow weight estimation, and their inequality checks.
 
 S_X(u, c) maximizes the total weight of a monomial set whose residues span
-degree u modulo the ideal.  Independent subsets of residues form a matroid,
-so a greedy sweep in weight order is exact; ties break by grevlex for
-determinism.  The Chow weight e_X(c) is realized as the Mumford limit of
-(k+1) delta S_X(u, c) / (u H_X(u)) and always carries an extrapolation
-error bound, which downstream checks treat as their tolerance.
+degree u modulo the ideal.  By Groebner degeneration it is the total
+c-weight of the degree-u standard monomials of the initial ideal in_c(I),
+taken in the order that prefers larger c-weight and breaks ties by grevlex
+(:func:`~smtlab.exact_algebra.weighted_key`): those monomials are the
+greedy maximum-weight basis of the residue matroid.  The Chow weight e_X(c)
+is realized as the Mumford limit of (k+1) delta S_X(u, c) / (u H_X(u)) and
+always carries an extrapolation error bound, which downstream checks treat
+as their tolerance.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from typing import List, Sequence, Tuple
 
 from .errors import CertificationError, ValidationError
 from .exact_algebra import (
-    ExactEchelon,
+    HomogPoly,
     Monomial,
     WeightVector,
-    grevlex_key,
     monomials_of_degree,
+    weighted_key,
 )
 from .groebner import Variety, normal_form
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
-from .exact_algebra import HomogPoly
 
 
 @dataclass(frozen=True)
@@ -44,33 +46,30 @@ class ChowEstimate:
 
 
 def hilbert_weight(X: Variety, u: int, c: WeightVector) -> HilbertWeightResult:
-    """Exact S_X(u, c) with the greedy basis that achieves it."""
+    """Exact S_X(u, c) with a basis that achieves it.
+
+    The basis is the set of degree-u monomials that no minimal generator of
+    in_c(I) divides, listed by decreasing c-weight, grevlex-largest first on
+    ties.  Its size must equal the grevlex Hilbert function H_X(u); a
+    mismatch raises :class:`CertificationError`.
+    """
     if u < 1:
         raise ValidationError("Hilbert weight needs u >= 1")
     if len(c) != X.num_vars:
         raise ValidationError(
             f"weight vector has {len(c)} entries, ambient needs {X.num_vars}")
-    basis = X.groebner
+    leading = X.weighted_leading(c)
+    standard = [m for m in monomials_of_degree(X.num_vars, u)
+                if not any(g.divides(m) for g in leading)]
     target = X.hilbert_function(u)
-    candidates = sorted(monomials_of_degree(X.num_vars, u),
-                        key=lambda m: (c.dot(m), grevlex_key(m)),
-                        reverse=True)
-    chosen: List[Monomial] = []
-    value = Fraction(0)
-    echelon = ExactEchelon()
-    for m in candidates:
-        if len(chosen) == target:
-            break
-        residue = normal_form(HomogPoly.monomial(X.num_vars, m), basis)
-        if residue.is_zero():
-            continue
-        if echelon.insert(dict(residue.terms)):
-            chosen.append(m)
-            value += c.dot(m)
-    if len(chosen) != target:
+    if len(standard) != target:
         raise CertificationError(
-            f"greedy selected {len(chosen)} monomials, H_X({u}) = {target}")
-    return HilbertWeightResult(value, tuple(chosen), u, c)
+            f"in_c(I) has {len(standard)} standard monomials of degree {u}, "
+            f"H_X({u}) = {target}")
+    standard.sort(key=weighted_key(c))
+    # the total weight is c dotted with the sum of the exponent vectors
+    value = c.dot([sum(column) for column in zip(*standard)])
+    return HilbertWeightResult(value, tuple(standard), u, c)
 
 
 def _ladder(start: int, u_max: int) -> List[int]:

@@ -164,13 +164,13 @@ def test_criterion_04_hilbert_weight_greedy_exact():
         c = WeightVector([Fraction(rng.randint(0, 9), rng.randint(1, 4))
                           for _ in range(3)])
         for u in (2, 3):
-            greedy = hilbert_weight(X, u, c).value
+            weight = hilbert_weight(X, u, c).value
             brute = brute_force_weight(X, u, c, cache)
-            assert greedy == brute
+            assert weight == brute
             checked += 1
     elapsed = time.perf_counter() - t0
     ok = checked == 50 and elapsed < 10.0
-    report(4, ok, f"{checked} greedy/brute agreements, exact "
+    report(4, ok, f"{checked} initial-ideal/brute agreements, exact "
                   f"({elapsed:.2f}s)")
 
 

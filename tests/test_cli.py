@@ -218,3 +218,26 @@ def test_strict_jensen_flag_threads(capsys):
                          "--format", "csv", "--strict-jensen")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_budget_exhaustion_exits_one(tmp_path, monkeypatch, capsys):
+    from functools import partial
+
+    from smtlab import scenario as scenario_mod
+    from smtlab.groebner import Variety
+    data = json.loads(Path(CONIC).read_text())
+    data.update(
+        ambient_N=3,
+        variety_generators=["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"],
+        curve={"components": ["poly: 1", "poly: z", "poly: z^2", "poly: z^3"],
+               "domain_R": "inf"},
+        hypersurfaces=[{"degree": 1, "coefficients": {"x0": "1", "x3": "1"}}])
+    path = tmp_path / "twisted_cubic.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(scenario_mod, "Variety", partial(Variety, budget=1))
+    code, out, err = run(capsys, "weights", "--scenario", str(path),
+                         "--max-u", "6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+    assert len(err.splitlines()) == 1

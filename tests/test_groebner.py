@@ -1,20 +1,26 @@
 """Groebner engine against hand reductions and rank-based Hilbert oracles."""
 
+from fractions import Fraction
+
 import pytest
 
 from smtlab.errors import BudgetExceededError
 from smtlab.exact_algebra import (
     HomogPoly,
     Monomial,
+    WeightVector,
     monomial_count,
     monomials_of_degree,
     parse_homog_poly,
     rank_of_vectors,
+    weighted_key,
 )
 from smtlab.groebner import (
     Ideal,
     Variety,
-    count_standard_monomials_direct,
+    _count_standard,
+    _reduce_full,
+    _s_poly,
     groebner_basis,
     intersection_dim,
     normal_form,
@@ -28,6 +34,10 @@ def ideal(num_vars, *texts):
 
 CONIC = ideal(3, "x0*x2 - x1^2")
 TWISTED_CUBIC = ideal(4, "x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
+CI23 = ideal(4, "2*x0^2 - 3*x1^2 + x2*x3",
+             "x1^3 + 4*x0*x2^2 - x3^3 + 2*x0*x1*x3")
+WEIGHTS = [WeightVector([0, 0, 0, 0]), WeightVector([1, 2, 3, 4]),
+           WeightVector([4, 0, 0, 1]), WeightVector([Fraction(1, 2), 3, 0, 3])]
 
 
 def hilbert_rank_oracle(idl, u):
@@ -66,7 +76,6 @@ def test_linear_elimination():
 
 
 def test_buchberger_criterion_on_result():
-    from smtlab.groebner import _s_poly
     gb = groebner_basis(TWISTED_CUBIC)
     assert len(gb) >= 3
     for i in range(len(gb)):
@@ -74,6 +83,50 @@ def test_buchberger_criterion_on_result():
             assert normal_form(_s_poly(gb[i], gb[j]), gb).is_zero()
     for g in TWISTED_CUBIC.generators:
         assert normal_form(g, gb).is_zero()
+
+
+def test_weighted_basis_buchberger_criterion():
+    for idl in (TWISTED_CUBIC, CI23):
+        for c in WEIGHTS:
+            key = weighted_key(c)
+            gb = groebner_basis(idl, key=key)
+            for i in range(len(gb)):
+                for j in range(i):
+                    assert _reduce_full(_s_poly(gb[i], gb[j], key), gb,
+                                        key=key).is_zero()
+            for g in idl.generators:
+                assert _reduce_full(g, gb, key=key).is_zero()
+
+
+def test_weighted_initial_ideal_hilbert_function():
+    # a flat degeneration keeps the Hilbert function of grevlex
+    for idl in (TWISTED_CUBIC, CI23):
+        X = Variety(idl)
+        for c in WEIGHTS:
+            leading = X.weighted_leading(c)
+            memo = {}
+            for u in range(13):
+                assert (_count_standard(4, u, leading, memo)
+                        == X.hilbert_function(u)), (c, u)
+
+
+def test_grevlex_leading_terms_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x0:4")
+    cases = [
+        ("x0*x2 - x1**2",),
+        ("x0*x2 - x1**2", "x0*x3 - x1*x2", "x1*x3 - x2**2"),
+        ("2*x0**2 - 3*x1**2 + x2*x3",
+         "x1**3 + 4*x0*x2**2 - x3**3 + 2*x0*x1*x3"),
+    ]
+    for texts in cases:
+        n = 3 if len(texts) == 1 else 4
+        ours = groebner_basis(ideal(n, *(t.replace("**", "^") for t in texts)))
+        theirs = sympy.groebner([sympy.sympify(t) for t in texts], *x[:n],
+                                order="grevlex")
+        want = sorted(sympy.Poly(g, *x[:n]).monoms(order="grevlex")[0]
+                      for g in theirs.exprs)
+        assert sorted(g.leading_monomial() for g in ours) == want
 
 
 def test_budget_error():
@@ -140,8 +193,9 @@ def test_recursion_matches_direct_count():
     X.groebner
     leads = sorted(X._leading)
     for u in range(7):
-        assert (X.hilbert_function(u)
-                == count_standard_monomials_direct(4, u, leads))
+        direct = sum(1 for m in monomials_of_degree(4, u)
+                     if not any(g.divides(m) for g in leads))
+        assert X.hilbert_function(u) == direct
 
 
 # -- dimension and degree ------------------------------------------------------

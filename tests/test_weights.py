@@ -8,8 +8,11 @@ import pytest
 
 from smtlab.errors import ValidationError
 from smtlab.exact_algebra import (
+    ExactEchelon,
     HomogPoly,
+    Monomial,
     WeightVector,
+    grevlex_key,
     monomials_of_degree,
     parse_homog_poly,
     rank_of_vectors,
@@ -60,6 +63,42 @@ def brute_force_weight(X, u, c, nf_cache):
     return best
 
 
+def greedy_weight(X, u, c):
+    """The matroid greedy sweep: largest c-weight first, grevlex-largest on
+    ties, keeping each monomial whose residue is independent of those kept."""
+    candidates = sorted(monomials_of_degree(X.num_vars, u),
+                        key=lambda m: (c.dot(m), grevlex_key(m)),
+                        reverse=True)
+    target = X.hilbert_function(u)
+    chosen = []
+    echelon = ExactEchelon()
+    for m in candidates:
+        if len(chosen) == target:
+            break
+        residue = normal_form(HomogPoly.monomial(X.num_vars, m), X.groebner)
+        if not residue.is_zero() and echelon.insert(dict(residue.terms)):
+            chosen.append(m)
+    assert len(chosen) == target
+    return sum((c.dot(m) for m in chosen), Fraction(0)), tuple(chosen)
+
+
+def scaled_rnc(n, s):
+    """2x2 minors of the degree-n rational normal curve after the diagonal
+    scaling x_i -> s_i x_i."""
+    gens = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = [0] * (n + 1), [0] * (n + 1)
+            a[i] += 1
+            a[j + 1] += 1
+            b[i + 1] += 1
+            b[j] += 1
+            gens.append(HomogPoly(n + 1, 2, {
+                Monomial(a): Fraction(s[i] * s[j + 1]),
+                Monomial(b): Fraction(-s[i + 1] * s[j])}))
+    return Variety(Ideal(n + 1, gens))
+
+
 def random_weights(rng, length):
     return WeightVector([Fraction(rng.randint(0, 9), rng.randint(1, 4))
                          for _ in range(length)])
@@ -106,6 +145,34 @@ def test_twisted_cubic_greedy_equals_brute_force():
         # u = 2: 10 monomials, H = 7, C(10,7) = 120 subsets
         assert hilbert_weight(X, 2, c).value == brute_force_weight(
             X, 2, c, cache)
+
+
+def test_weighted_initial_ideal_matches_greedy_sweep():
+    # zeros and ties in c are where the grevlex tie-break decides the basis
+    rng = random.Random(29)
+    dense_quintic = HomogPoly(3, 5, {
+        m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for m in monomials_of_degree(3, 5)})
+    varieties = [
+        (scaled_rnc(3, [2, -1, 3, 1]), 4),
+        (scaled_rnc(4, [1, 3, -2, 1, 2]), 3),
+        (Variety(Ideal(3, [dense_quintic])), 7),
+        (Variety(Ideal(4, [
+            parse_homog_poly("2*x0^2 - 3*x1^2 + x2*x3", 4),
+            parse_homog_poly("x1^3 + 4*x0*x2^2 - x3^3 + 2*x0*x1*x3", 4),
+        ])), 5),
+    ]
+    for X, u_top in varieties:
+        n = X.num_vars
+        weights = [WeightVector([0] * n), WeightVector([1] * n),
+                   WeightVector([2, 0] * (n // 2) + [2] * (n % 2))]
+        weights += [WeightVector([Fraction(rng.randint(0, 3),
+                                           rng.randint(1, 2))
+                                  for _ in range(n)]) for _ in range(4)]
+        for c in weights:
+            for u in range(1, u_top + 1):
+                res = hilbert_weight(X, u, c)
+                assert (res.value, res.basis) == greedy_weight(X, u, c), (c, u)
 
 
 def test_positive_scaling():
