@@ -1,10 +1,11 @@
 """Numerical laboratory for truncated second main theorems on discs.
 
 Exact algebra (Groebner bases, Hilbert functions, Chow and Hilbert
-weights, distributive constants) feeds certified numerics (circle
-quadrature, zero counting, interval-checked truncation constants) to
-evaluate both sides of explicit second-main-theorem inequalities for
-holomorphic curves into projective varieties, from the plane or a disc.
+weights, distributive constants) feeds numerics (circle quadrature and
+zero counting, checked for numerical convergence; interval-certified
+truncation constants) to evaluate both sides of explicit
+second-main-theorem inequalities for holomorphic curves into projective
+varieties, from the plane or a disc.
 """
 
 from .analytic import AnalyticFunction, Curve, Divisor, wronskian, zeros_in_disc

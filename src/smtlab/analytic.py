@@ -6,12 +6,22 @@ Gaussian-rational lambda_j.  All symbolic arithmetic (sums, products,
 derivatives, Wronskians) is exact; floating point appears only at
 evaluation time and in located zeros.
 
+Float evaluation goes through a plan built on first use and cached on the
+object: a Poly1 keeps its coefficients as Python complex numbers in Horner
+order, an exponential polynomial keeps (complex lambda, Horner
+coefficients) pairs.  eval_scaled, eval_complex, log_abs and
+Curve.log_norm take one complex point or a 1-D complex array of nodes and
+run the same code on both: plain complex arithmetic and math/cmath on a
+point, numpy on an array.
+
 Zero extraction is dual-path.  Polynomial (and rational-numerator) zeros
 come from companion-matrix eigenvalues of the exact square-free factors,
 with Yun's algorithm supplying multiplicities.  Exponential polynomials go
-through the argument principle: a certified circle winding for the total
-count and recursive rectangle subdivision for locations.  Every divisor is
-cross-checked against an independently computed outer winding.
+through the argument principle: a circle winding for the total count and
+recursive rectangle subdivision for locations.  The circle winding stops
+when two doubling levels agree, a numerical convergence check rather than
+a certificate.  Every divisor is cross-checked against an independently
+computed outer winding.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,19 +54,60 @@ def _check_budget(size: int, what: str):
 
 
 # ---------------------------------------------------------------------------
+# float evaluation on one point or on an array of nodes
+# ---------------------------------------------------------------------------
+
+def _log_abs_point(w: complex) -> float:
+    return -math.inf if w == 0 else math.log(abs(w))
+
+
+def _log_abs_nodes(w: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(w))
+
+
+_POINT = SimpleNamespace(coerce=complex, exp=math.exp, cexp=cmath.exp,
+                         log=math.log, log_abs=_log_abs_point, maximum=max,
+                         minimum=min, any=bool,
+                         where=lambda cond, a, b: a if cond else b)
+_NODES = SimpleNamespace(coerce=lambda z: np.asarray(z, dtype=complex),
+                         exp=np.exp, cexp=np.exp, log=np.log,
+                         log_abs=_log_abs_nodes, maximum=np.maximum.reduce,
+                         minimum=np.minimum, any=np.any, where=np.where)
+
+
+def _ops(z):
+    """Elementary functions for z: math/cmath on a point, numpy on nodes."""
+    return _NODES if isinstance(z, np.ndarray) else _POINT
+
+
+def _first_where(z, mask) -> complex:
+    """The first node where mask holds, for error messages."""
+    return complex(np.atleast_1d(z)[np.atleast_1d(mask)][0])
+
+
+def _horner(plan: Tuple[complex, ...], z):
+    total = 0j
+    for c in plan:
+        total = total * z + c
+    return total
+
+
+# ---------------------------------------------------------------------------
 # dense univariate polynomials over Q(i)
 # ---------------------------------------------------------------------------
 
 class Poly1:
     """Univariate polynomial, coefficients ascending, trailing zeros trimmed."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_plan")
 
     def __init__(self, coeffs: Iterable):
         cs = [GaussianRational.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
+        self._plan: Optional[Tuple[complex, ...]] = None
 
     @staticmethod
     def constant(c) -> "Poly1":
@@ -177,11 +229,16 @@ class Poly1:
             total = total * z + c
         return total
 
-    def eval_complex(self, z: complex) -> complex:
-        total = 0j
-        for c in reversed(self.coeffs):
-            total = total * z + c.to_complex()
-        return total
+    @property
+    def plan(self) -> Tuple[complex, ...]:
+        """Float coefficients in Horner order (highest degree first)."""
+        if self._plan is None:
+            self._plan = tuple(c.to_complex() for c in reversed(self.coeffs))
+        return self._plan
+
+    def eval_complex(self, z):
+        """Value at one complex point or at a 1-D array of nodes."""
+        return _horner(self.plan, z)
 
     def __str__(self):
         if not self.coeffs:
@@ -268,11 +325,12 @@ class AnalyticFunction:
     polynomial.
     """
 
-    __slots__ = ("kind", "data")
+    __slots__ = ("kind", "data", "_plan")
 
     def __init__(self, kind: str, data):
         self.kind = kind  # "poly" | "rational" | "exppoly"
         self.data = data
+        self._plan = None
 
     # -- constructors ---------------------------------------------------
 
@@ -319,12 +377,6 @@ class AnalyticFunction:
     def is_constant(self) -> bool:
         return self.kind == "poly" and self.data.is_constant()
 
-    def constant_value(self) -> GaussianRational:
-        if not self.is_constant():
-            raise ValueError("not a constant function")
-        p: Poly1 = self.data
-        return p.coeffs[0] if p.coeffs else GaussianRational(0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _as_exppoly(self) -> Dict[GaussianRational, Poly1]:
@@ -339,6 +391,8 @@ class AnalyticFunction:
 
     def __add__(self, other: "AnalyticFunction") -> "AnalyticFunction":
         other = _coerce_fn(other)
+        if self.kind == other.kind == "poly":
+            return AnalyticFunction("poly", self.data + other.data)
         if "exppoly" in (self.kind, other.kind):
             terms = self._as_exppoly()
             for lam, p in other._as_exppoly().items():
@@ -375,6 +429,8 @@ class AnalyticFunction:
 
     def __mul__(self, other) -> "AnalyticFunction":
         other = _coerce_fn(other)
+        if self.kind == other.kind == "poly":
+            return AnalyticFunction("poly", self.data * other.data)
         if "exppoly" in (self.kind, other.kind):
             terms: Dict[GaussianRational, Poly1] = {}
             for l1, p1 in self._as_exppoly().items():
@@ -463,39 +519,66 @@ class AnalyticFunction:
         raise ExactEvalUnavailableError(
             "exponential polynomials have no exact rational evaluation")
 
-    def eval_scaled(self, z: complex) -> Tuple[complex, float]:
-        """Return (w, s) with value = w * exp(s); keeps huge moduli finite."""
-        z = complex(z)
+    def _compiled(self):
+        """The float plan: Horner coefficients of the polynomial; of the
+        numerator and denominator; or (complex lambda, Horner coefficients)
+        per exponential term."""
+        if self._plan is None:
+            if self.kind == "poly":
+                self._plan = self.data.plan
+            elif self.kind == "rational":
+                self._plan = (self.data.num.plan, self.data.den.plan)
+            else:
+                self._plan = tuple((lam.to_complex(), p.plan)
+                                   for lam, p in self.data.items())
+        return self._plan
+
+    def eval_scaled(self, z):
+        """Return (w, s) with value = w * exp(s); keeps huge moduli finite.
+
+        z is one complex point or a 1-D complex array of nodes; on an array
+        w and s are arrays (s stays 0.0 for polynomial and rational kinds).
+        """
+        ops = _ops(z)
+        z = ops.coerce(z)
+        plan = self._compiled()
         if self.kind == "poly":
-            return self.data.eval_complex(z), 0.0
+            return _horner(plan, z), 0.0
         if self.kind == "rational":
-            den = self.data.den.eval_complex(z)
-            if den == 0:
-                raise ZeroDivisionError(f"pole at evaluation point {z}")
-            return self.data.num.eval_complex(z) / den, 0.0
-        scale = max((lam.to_complex() * z).real for lam in self.data)
+            num, den = plan
+            d = _horner(den, z)
+            if ops.any(d == 0):
+                raise ZeroDivisionError(
+                    f"pole at evaluation point {_first_where(z, d == 0)}")
+            return _horner(num, z) / d, 0.0
+        rates = [lam * z for lam, _ in plan]
+        scale = ops.maximum([rate.real for rate in rates])
         total = 0j
-        for lam, p in self.data.items():
-            total += p.eval_complex(z) * cmath.exp(lam.to_complex() * z - scale)
+        for rate, (_, coeffs) in zip(rates, plan):
+            total += _horner(coeffs, z) * ops.cexp(rate - scale)
         return total, scale
 
-    def eval_complex(self, z: complex) -> complex:
+    def eval_complex(self, z):
+        """Value at a point or on an array of nodes; values below exp(-700)
+        flush to 0, values above exp(700) raise OverflowError."""
         w, s = self.eval_scaled(z)
-        if s == 0.0 or w == 0:
+        if self.kind != "exppoly":
             return w
-        if s < -700:
-            return 0j
-        if s > 700:
+        ops = _ops(z)
+        live = w != 0
+        if ops.any(live & (s > 700)):
             raise OverflowError(
-                f"value at {z} exceeds double range; use eval_scaled/log_abs")
-        return w * math.exp(s)
+                f"value at {_first_where(z, live & (s > 700))} exceeds "
+                "double range; use eval_scaled/log_abs")
+        return ops.where(live & (s < -700), 0j,
+                         w * ops.exp(ops.minimum(s, 700.0)))
 
-    def log_abs(self, z: complex) -> float:
-        """log |f(z)|, stable for exponentially large values; -inf at zeros."""
+    def log_abs(self, z):
+        """log |f(z)|, stable for exponentially large values; -inf at zeros.
+
+        Takes one point or an array of nodes, like eval_scaled."""
         w, s = self.eval_scaled(z)
-        if w == 0:
-            return -math.inf
-        return math.log(abs(w)) + s
+        return _ops(z).log_abs(w) + s
 
     def __str__(self):
         if self.kind == "poly":
@@ -571,18 +654,20 @@ class Curve:
     def ambient_dim(self) -> int:
         return len(self.components) - 1
 
-    def log_norm(self, z: complex) -> float:
-        """log ||f(z)|| with the Euclidean norm, computed in the log domain."""
-        logs = []
-        for f in self.components:
-            la = f.log_abs(z)
-            if la != -math.inf:
-                logs.append(2.0 * la)
-        if not logs:
+    def log_norm(self, z):
+        """log ||f(z)|| with the Euclidean norm, computed in the log domain.
+
+        Takes one point or a 1-D array of nodes; a vanishing component
+        contributes exp(-inf) = 0 to the sum."""
+        ops = _ops(z)
+        logs = [2.0 * f.log_abs(z) for f in self.components]
+        m = ops.maximum(logs)
+        vanish = m == -math.inf
+        if ops.any(vanish):
             raise DegenerateInputError(
-                f"all components vanish at z = {z}; representation not reduced")
-        m = max(logs)
-        return 0.5 * (m + math.log(sum(math.exp(v - m) for v in logs)))
+                f"all components vanish at z = {_first_where(z, vanish)}; "
+                "representation not reduced")
+        return 0.5 * (m + ops.log(sum(ops.exp(v - m) for v in logs)))
 
     def wronskian(self) -> AnalyticFunction:
         return wronskian(self.components)
@@ -595,47 +680,48 @@ class Curve:
 _TINY = 1e-280
 
 
-def _scaled_ratio(num: Tuple[complex, float], den: Tuple[complex, float]) -> complex:
+def _scaled_ratio(num, den):
+    """w_num exp(s_num) / (w_den exp(s_den)) on a point or on nodes."""
     (wn, sn), (wd, sd) = num, den
-    if wd == 0:
+    ops = _ops(wd)
+    if ops.any(wd == 0):
         raise ZeroDivisionError("ratio with zero denominator")
     shift = sn - sd
-    if shift > 700:
+    if ops.any(shift > 700):
         raise OverflowError("ratio overflow")
-    return (wn / wd) * math.exp(shift) if shift != 0 else wn / wd
+    return (wn / wd) * ops.exp(shift) if ops.any(shift != 0) else wn / wd
+
 
 def winding_circle(f: AnalyticFunction, t: float,
                    max_nodes: int = 2 ** 18) -> Tuple[int, int]:
-    """Certified winding of f around |z| = t by the argument principle.
+    """Winding of f around |z| = t by the argument principle.
 
-    Trapezoid sums of f'(z) z / f(z), doubling nodes from 64 until two
-    successive node counts round to the same integer with residual < 0.25.
-    Returns (count, nodes_used); raises CertificationError at the cap.
+    Trapezoid sums of f'(z) z / f(z), one array of nodes per doubling
+    level, doubling from 64 until two successive levels round to the same
+    integer with residual < 0.25.  A level with |f| < _TINY at any node is
+    rejected.  The stop is a numerical convergence check, not a
+    certificate: it trusts that the trapezoid error has fallen below 0.25
+    once two levels agree.  Returns (count, nodes_used); raises
+    CertificationError at the node cap.
     """
     fp = f.derivative()
     nodes = 64
     prev: Optional[int] = None
     while nodes <= max_nodes:
-        total = 0j
-        ok = True
-        for m in range(nodes):
-            z = t * cmath.exp(2j * cmath.pi * m / nodes)
-            wf = f.eval_scaled(z)
-            if abs(wf[0]) < _TINY:
-                ok = False
-                break
-            total += _scaled_ratio(fp.eval_scaled(z), wf) * z
-        if ok:
-            w = total / nodes
+        z = t * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        wf = f.eval_scaled(z)
+        if np.any(np.abs(wf[0]) < _TINY):
+            prev = None
+        else:
+            ratio = _scaled_ratio(fp.eval_scaled(z), wf)
+            w = complex(np.sum(ratio * z)) / nodes
             k = round(w.real)
             if prev == k and abs(w - k) < 0.25:
                 return k, nodes
             prev = k
-        else:
-            prev = None
         nodes *= 2
     raise CertificationError(
-        f"winding on |z| = {t} failed to certify within {max_nodes} nodes")
+        f"winding on |z| = {t} did not converge within {max_nodes} nodes")
 
 
 class _BoundaryHit(Exception):
@@ -798,7 +884,7 @@ def _sort_points(points: List[Tuple[complex, int]]) -> Tuple[Tuple[complex, int]
 def _poly_zeros(p: Poly1) -> List[Tuple[complex, int]]:
     out: List[Tuple[complex, int]] = []
     for factor, mult in squarefree_decomposition(p):
-        coeffs = [c.to_complex() for c in reversed(factor.coeffs)]
+        coeffs = factor.plan
         roots = np.roots(coeffs) if len(coeffs) > 1 else []
         fp = factor.derivative()
         for r in roots:
@@ -913,7 +999,8 @@ def _shift_function(f: AnalyticFunction, z0: complex) -> AnalyticFunction:
     """Wrap f as g(w) = f(w + z0) for winding around a located zero.
 
     The shift is numeric, so g is represented by closures rather than a
-    symbolic variant.
+    symbolic variant.  Like the functions it wraps, it evaluates on one
+    point or on an array of nodes.
     """
 
     class _Shifted:

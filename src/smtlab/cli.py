@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from typing import Any, Dict, List, Tuple
 
 from .errors import SmtlabError
 from .exact_algebra import WeightVector
-from .nevanlinna import build_profile, fmt_residual
+from .nevanlinna import build_profile, characteristic, fmt_residual
 from .position_geometry import distributive_constant
 from .scenario import Scenario, load_scenario
 from .smt_verifier import (
@@ -159,11 +160,15 @@ def _cmd_nevanlinna(scenario: Scenario, args: argparse.Namespace) -> Report:
 
 
 def _cmd_fmt_check(scenario: Scenario, args: argparse.Namespace) -> Report:
+    """Residuals d T - m - N per hypersurface; T is computed once per
+    radius and shared by every target."""
     residual_rows: List[List[Any]] = [[r] for r in scenario.grid.values]
+    T = [characteristic(scenario.curve, r, args.quad_tol)
+         for r in scenario.grid.values]
     spreads = []
     for Q in scenario.family:
         residuals, spread = fmt_residual(scenario.curve, Q, scenario.grid,
-                                         tol=args.quad_tol)
+                                         tol=args.quad_tol, T=T)
         spreads.append(spread)
         for row, value in zip(residual_rows, residuals):
             row.append(value)
@@ -260,7 +265,10 @@ def _emit(payload: Dict[str, Any], rows: List[List[Any]],
     _write(text, args.output)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by later calls
+    (parse_args keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="smtlab",
         description="scenario-driven reports for holomorphic-curve "

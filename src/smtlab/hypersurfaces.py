@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .analytic import AnalyticFunction, parse_function
 from .errors import DegenerateInputError, ValidationError
 from .exact_algebra import (
@@ -97,10 +99,14 @@ class MovingHypersurface:
             raise DegenerateInputError(f"every coefficient vanishes at z = {z}")
         return HomogPoly(self.num_vars, self.degree, terms)
 
-    def norm_at(self, z: complex) -> float:
-        """Euclidean norm of the coefficient vector at z."""
-        return math.sqrt(sum(abs(fn.eval_complex(z)) ** 2
-                             for fn in self.coeffs.values()))
+    def norm_at(self, z):
+        """Euclidean norm of the coefficient vector at z, one point or a
+        1-D array of nodes."""
+        total = sum(abs(fn.eval_complex(z)) ** 2
+                    for fn in self.coeffs.values())
+        if isinstance(total, np.ndarray):
+            return np.sqrt(total)
+        return math.sqrt(total)
 
     def normalize(self) -> "MovingHypersurface":
         """Divide through so the x_0^d coefficient is the constant 1.
@@ -135,15 +141,6 @@ class MovingHypersurface:
     def __repr__(self) -> str:
         return (f"MovingHypersurface(num_vars={self.num_vars}, "
                 f"degree={self.degree}, {self})")
-
-
-def compose_hypersurface(Q: MovingHypersurface,
-                         components: Sequence[AnalyticFunction]) -> AnalyticFunction:
-    return Q.compose(components)
-
-
-def normalize_moving(Q: MovingHypersurface) -> MovingHypersurface:
-    return Q.normalize()
 
 
 class HypersurfaceFamily:

@@ -11,11 +11,12 @@ zeros so the two agree there.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .analytic import AnalyticFunction, Curve, Divisor, wronskian, zeros_in_disc
 from .errors import (
@@ -72,23 +73,33 @@ class RadialGrid:
         return tuple(range(len(self.values) - count, len(self.values)))
 
 
-def circle_average(fn: Callable[[complex], float], r: float,
+def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
                    tol: float = 1e-8, max_nodes: int = 2 ** 16
                    ) -> Tuple[float, int]:
     """Trapezoid average of fn over |z| = r, doubling nodes until stable.
 
-    Periodic analytic integrands converge spectrally; integrands with
-    corners (maxima of smooth families) still converge, just slower.
+    fn is an array integrand: it takes a 1-D complex array of nodes on the
+    circle and returns one real value per node.  Each doubling level is one
+    call, on the nodes that level adds.  The stop, two successive levels
+    within tol, is a numerical convergence check, not a certificate: the
+    trapezoid error itself is not bounded.  Periodic analytic integrands
+    converge spectrally; integrands with corners (maxima of smooth
+    families) still converge, just slower.  Returns (average, nodes used);
+    raises CertificationError at the node cap.
     """
+    def level_sum(steps: np.ndarray, count: int) -> float:
+        z = r * np.exp(2j * math.pi * steps / count)
+        values = np.asarray(fn(z), dtype=float)
+        if values.shape != z.shape:
+            raise ValueError("circle_average integrands return one value "
+                             "per node")
+        return float(np.sum(values))
+
     nodes = 64
-    total = 0.0
-    for m in range(nodes):
-        total += fn(r * cmath.exp(2j * math.pi * m / nodes))
+    total = level_sum(np.arange(nodes), nodes)
     prev = total / nodes
     while nodes < max_nodes:
-        for m in range(nodes):
-            total += fn(r * cmath.exp(2j * math.pi * (2 * m + 1)
-                                      / (2 * nodes)))
+        total += level_sum(2 * np.arange(nodes) + 1, 2 * nodes)
         nodes *= 2
         cur = total / nodes
         if abs(cur - prev) <= tol:
@@ -155,9 +166,8 @@ def proximity(curve: Curve, Q: MovingHypersurface, r: float,
         r = r + 1e-8
     d = Q.degree
 
-    def integrand(z: complex) -> float:
-        return (d * curve.log_norm(z) + math.log(Q.norm_at(z))
-                - g.log_abs(z))
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return d * curve.log_norm(z) + np.log(Q.norm_at(z)) - g.log_abs(z)
 
     avg, _ = circle_average(integrand, r, tol, max_nodes)
     return avg
@@ -176,12 +186,15 @@ def _divisor_with_pad(g: AnalyticFunction, r_max: float) -> Divisor:
 
 
 def fmt_residual(curve: Curve, Q: MovingHypersurface, grid: RadialGrid,
-                 tol: float = 1e-8) -> Tuple[List[float], float]:
+                 tol: float = 1e-8, T: Optional[Sequence[float]] = None
+                 ) -> Tuple[List[float], float]:
     """Residuals d T - m - N over the grid and their spread.
 
     Requires Q(f)(0) != 0 and no zeros of Q(f) inside |z| <= r0, so the
     origin-dropping convention misses nothing and the residual must be
-    flat up to quadrature error for fixed Q.
+    flat up to quadrature error for fixed Q.  T, one characteristic value
+    per grid radius, lets callers checking several targets on one curve
+    compute it once; it is computed here when omitted.
     """
     g = Q.compose(curve.components)
     if g.is_zero():
@@ -194,11 +207,12 @@ def fmt_residual(curve: Curve, Q: MovingHypersurface, grid: RadialGrid,
         raise ValidationError("Q(f) vanishes at the origin")
     d = Q.degree
     N = counting(div, grid, math.inf)
+    if T is None:
+        T = [characteristic(curve, r, tol) for r in grid.values]
     residuals = []
     for i, r in enumerate(grid.values):
-        T = characteristic(curve, r, tol)
-        m = proximity(curve, Q, r, tol, divisor=div)
-        residuals.append(d * T - m - N[i])
+        m = proximity(curve, Q, r, tol, divisor=div, composed=g)
+        residuals.append(d * T[i] - m - N[i])
     return residuals, max(residuals) - min(residuals)
 
 
@@ -335,13 +349,13 @@ def check_ru_sibony(curve: Curve, hyperplanes: Sequence[MovingHypersurface],
     div_w = _divisor_with_pad(W, grid.values[-1])
     N_W = counting(div_w, grid, math.inf)
 
-    def integrand(z: complex) -> float:
+    def integrand(z: np.ndarray) -> np.ndarray:
         if not tuples:
-            return 0.0
+            return np.zeros(z.shape)
         lf = curve.log_norm(z)
         terms = [lf + math.log(nm) - g.log_abs(z)
                  for nm, g in zip(norms, composed)]
-        return max(sum(terms[j] for j in K) for K in tuples)
+        return np.max([sum(terms[j] for j in K) for K in tuples], axis=0)
 
     rows = []
     for i, r in enumerate(grid.values):

@@ -42,9 +42,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
@@ -95,9 +92,6 @@ class GaussianRational:
             base = base * base
             k >>= 1
         return result
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         """|a+bi|^2 = a^2 + b^2, exact."""

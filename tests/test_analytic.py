@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from smtlab.scalars import GaussianRational
@@ -131,6 +132,95 @@ def test_eval_scaled_large_argument():
     assert abs(la - 1000.0) < 1e-9
     lb = f.log_abs(-1000 + 0j)
     assert abs(lb) < 1e-9
+
+
+# -- float plan: one point or an array of nodes ------------------------------
+
+PLAN_CASES = {
+    "poly": fn_poly(GR(1, 2), -3, 0, GR(0, 1), 2),
+    "rational": AF.rational(P(1, 2, 1), P(3, 0, 1)),      # (1+z)^2/(3+z^2)
+    "exppoly": parse_function(
+        "exppoly: (1+z)*exp(0) + (z^2)*exp((1+i)*z) + (2)*exp(-z)"),
+}
+
+
+def ring(radius, count=37):
+    """Nodes on |z| = radius, offset from the axes."""
+    return radius * np.exp(2j * np.pi * (np.arange(count) + 0.3) / count)
+
+
+@pytest.mark.parametrize("radius", [0.5, 3.0, 1000.0])
+@pytest.mark.parametrize("kind", sorted(PLAN_CASES))
+def test_array_evaluation_matches_points(kind, radius):
+    f = PLAN_CASES[kind]
+    z = ring(radius)
+    w, s = f.eval_scaled(z)
+    s = np.broadcast_to(s, z.shape)
+    la = f.log_abs(z)
+    assert w.shape == la.shape == z.shape
+    for k, point in enumerate(z):
+        wk, sk = f.eval_scaled(complex(point))
+        assert s[k] == pytest.approx(sk, rel=1e-14, abs=1e-14)
+        assert abs(w[k] - wk) <= 1e-12 * abs(wk)
+        lk = f.log_abs(complex(point))
+        assert abs(la[k] - lk) <= 1e-12 * max(1.0, abs(lk))
+
+
+def test_point_evaluation_reads_exact_coefficients():
+    # the plan holds the floats the exact coefficients convert to, so a
+    # point evaluation is bit-identical to converting them at every node
+    f = PLAN_CASES["exppoly"]
+    z = complex(0.7, -1.3)
+
+    def horner(p):
+        total = 0j
+        for c in reversed(p.coeffs):
+            total = total * z + c.to_complex()
+        return total
+
+    scale = max((lam.to_complex() * z).real for lam in f.data)
+    total = 0j
+    for lam, p in f.data.items():
+        total += horner(p) * cmath.exp(lam.to_complex() * z - scale)
+    assert f.eval_scaled(z) == (total, scale)
+    g = PLAN_CASES["poly"]
+    assert g.eval_scaled(z) == (horner(g.data), 0.0)
+
+
+def test_array_pole_raises():
+    f = AF.rational(P(1), P(-1, 0, 1))  # 1/(z^2 - 1)
+    z = np.array([0.5, 1.0, 2.0], dtype=complex)
+    with pytest.raises(ZeroDivisionError):
+        f.eval_scaled(z)
+    with pytest.raises(ZeroDivisionError):
+        f.log_abs(z)
+
+
+def test_array_eval_complex_flushes_and_overflows_like_points():
+    one_plus_exp = AF.exppoly({GR(0): P(1), GR(1): P(1)})
+    exp = AF.exppoly({GR(1): P(1)})
+    z = np.array([-720.0, 0.0, 3.0 + 1j], dtype=complex)
+    for f in (one_plus_exp, exp):
+        got = f.eval_complex(z)
+        for k, point in enumerate(z):
+            want = f.eval_complex(complex(point))
+            assert got[k] == pytest.approx(want, rel=1e-14, abs=0)
+        with pytest.raises(OverflowError):
+            f.eval_complex(np.array([1.0, 800.0], dtype=complex))
+        with pytest.raises(OverflowError):
+            f.eval_complex(800.0)
+    assert exp.eval_complex(-720.0) == 0j   # exp(-720) is subnormal
+
+
+def test_poly_sum_and_product_match_rational_round_trip():
+    a, b = P(GR(1, 3), 0, -2), P(GR(0, 1), 5)
+    fa, fb = AF.from_poly(a), AF.from_poly(b)
+    one = P(1)
+    total = fa + fb
+    product = fa * fb
+    assert total.kind == product.kind == "poly"
+    assert total.data == AF.rational(a * one + b * one, one * one).data
+    assert product.data == AF.rational(a * b, one * one).data
 
 
 def test_mul_budget_guard():
@@ -273,6 +363,24 @@ def test_curve_log_norm():
     want = 0.5 * math.log(1 + r * r)
     got = c.log_norm(r + 0j)
     assert abs(got - want) < 1e-12
+
+
+def test_curve_log_norm_on_nodes():
+    c = Curve((PLAN_CASES["poly"], PLAN_CASES["exppoly"],
+               PLAN_CASES["rational"]))
+    z = ring(2.5)
+    got = c.log_norm(z)
+    for k, point in enumerate(z):
+        want = c.log_norm(complex(point))
+        assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_curve_log_norm_degenerate_node():
+    c = Curve((fn_poly(0, 1), fn_poly(0, 0, 1)))  # (z, z^2) vanishes at 0
+    with pytest.raises(DegenerateInputError):
+        c.log_norm(np.array([1.0, 0.0, 2j], dtype=complex))
+    with pytest.raises(DegenerateInputError):
+        c.log_norm(0j)
 
 
 def test_curve_wronskian():

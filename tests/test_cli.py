@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -140,6 +144,52 @@ def test_seed_override_changes_nothing_fixed(capsys):
                          "--seed", "8")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_parser_reuse_leaks_no_options(capsys):
+    # one parser serves every call; options given to one call must not
+    # show up in the next, so each report equals a fresh process's
+    calls = [
+        ["distributive", "--scenario", DISC, "--seed", "3", "--format",
+         "csv", "--samples", "2"],
+        ["constants", "--scenario", THREE_POINTS],
+        ["weights", "--scenario", CONIC, "--max-u", "6", "--format", "csv"],
+        ["distributive", "--scenario", DISC],
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv, (code, out) in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "smtlab.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               check=False)
+        assert (fresh.returncode, fresh.stdout) == (code, out)
+
+
+def test_fmt_check_composes_and_characterizes_once(monkeypatch, capsys):
+    from smtlab import hypersurfaces, nevanlinna
+    composed, radii = Counter(), Counter()
+    compose = hypersurfaces.MovingHypersurface.compose
+    characteristic = nevanlinna.characteristic
+
+    def counted_compose(self, components):
+        composed[id(self)] += 1
+        return compose(self, components)
+
+    def counted_characteristic(curve, r, *args, **kwargs):
+        radii[r] += 1
+        return characteristic(curve, r, *args, **kwargs)
+
+    monkeypatch.setattr(hypersurfaces.MovingHypersurface, "compose",
+                        counted_compose)
+    monkeypatch.setattr(nevanlinna, "characteristic", counted_characteristic)
+    monkeypatch.setattr(cli, "characteristic", counted_characteristic)
+    code, out, _ = run(capsys, "fmt-check", "--scenario", CONIC)
+    assert code == 0
+    grid = [row[0] for row in json.loads(out)["rows"]]
+    assert sorted(composed.values()) == [1, 1, 1, 1]   # four targets
+    assert sorted(radii) == grid and set(radii.values()) == {1}
 
 
 def test_missing_scenario_exits_one(capsys):

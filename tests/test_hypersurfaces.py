@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from smtlab.analytic import AnalyticFunction, Poly1, parse_function
@@ -12,8 +13,6 @@ from smtlab.exact_algebra import HomogPoly, Monomial, parse_homog_poly, poly_eva
 from smtlab.hypersurfaces import (
     HypersurfaceFamily,
     MovingHypersurface,
-    compose_hypersurface,
-    normalize_moving,
     parse_hypersurface,
 )
 from smtlab.scalars import GaussianRational
@@ -45,7 +44,7 @@ def test_compose_conic_annihilates_rational_normal_curve():
 def test_compose_exponential_curve():
     Q = fixed("x0 + x1", 2)
     f = [AF.constant(GR(1)), parse_function("exppoly: (1)*exp(z)")]
-    out = compose_hypersurface(Q, f)
+    out = Q.compose(f)
     want = parse_function("exppoly: (1)*exp(0) + (1)*exp(z)")
     assert out == want
 
@@ -97,7 +96,7 @@ def test_at_all_vanish_is_degenerate():
 
 def test_normalize_constant_scaling():
     Q = fixed("2*x0^2 + 4*x1^2", 2)
-    R = normalize_moving(Q)
+    R = Q.normalize()
     assert R == fixed("x0^2 + 2*x1^2", 2)
 
 
@@ -124,6 +123,15 @@ def test_norm_at_constant_coefficients():
 def test_norm_at_moving():
     Q = parse_hypersurface(2, 1, {"x0": "poly: z", "x1": "1"})
     assert abs(Q.norm_at(2j) - math.sqrt(5)) < 1e-12
+
+
+def test_norm_at_nodes_matches_points():
+    Q = parse_hypersurface(3, 1, {"x0": "poly: z", "x1": "1",
+                                  "x2": "exppoly: (1)*exp(i*z)"})
+    z = np.array([0.5, 2j, -3 + 1j, 10.0], dtype=complex)
+    got = Q.norm_at(z)
+    for k, point in enumerate(z):
+        assert got[k] == pytest.approx(Q.norm_at(complex(point)), rel=1e-14)
 
 
 def test_validation_degree_mismatch():

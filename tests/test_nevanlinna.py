@@ -1,7 +1,9 @@
 """Characteristic, counting, proximity, residual, and defect functionals."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from smtlab.analytic import AnalyticFunction, Curve, Divisor, Poly1
@@ -78,17 +80,67 @@ def test_grid_constructors():
 # -- quadrature and characteristic ------------------------------------------
 
 def test_circle_average_constant_and_harmonic():
-    val, nodes = circle_average(lambda z: 3.25, 2.0)
+    val, nodes = circle_average(lambda z: np.full_like(z.real, 3.25), 2.0)
     assert val == 3.25 and nodes == 128
     # average of Re z over a circle is 0
     val, _ = circle_average(lambda z: z.real, 1.5)
     assert abs(val) <= 1e-10
 
 
+def test_circle_average_matches_pointwise_loop():
+    # reference: the same doubling ladder summed one node at a time
+    def loop_average(fn, r, tol=1e-8):
+        nodes = 64
+        total = sum(fn(r * cmath.exp(2j * math.pi * m / nodes))
+                    for m in range(nodes))
+        prev = total / nodes
+        while True:
+            total += sum(fn(r * cmath.exp(2j * math.pi * (2 * m + 1)
+                                          / (2 * nodes)))
+                         for m in range(nodes))
+            nodes *= 2
+            if abs(total / nodes - prev) <= tol:
+                return total / nodes, nodes
+            prev = total / nodes
+
+    curves = (Curve((fn_poly(1, 2), fn_poly(-1, 1, 3))),
+              Curve((fn_poly(1), AF.exppoly({GR(1): Poly1([1])}))))
+    for curve in curves:
+        for r in (0.7, 3.0, 40.0):
+            want, want_nodes = loop_average(curve.log_norm, r)
+            got, nodes = circle_average(curve.log_norm, r)
+            assert nodes == want_nodes
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_circle_average_rejects_point_integrands():
+    with pytest.raises(ValueError):
+        circle_average(lambda z: 3.25, 2.0)
+
+
+@pytest.mark.parametrize("lead, roots", [
+    (GR(1), [GR(0, 2)]),
+    (GR(3, -4), [GR(3, 10), GR(-1, 1), GR(0, 2), GR(5, 2) - GR(0, 1) / 2,
+                 GR(3)]),
+    (GR(-2), [GR(1, 1) / 4, GR(-7, 3), GR(6)]),
+])
+def test_circle_average_jensen(lead, roots):
+    # Jensen: the mean of log|p| on |z| = r is log|lc| + sum log max(r, |a|)
+    p = Poly1([lead])
+    for a in roots:
+        p = p * Poly1([-a, 1])
+    f = AF.from_poly(p)
+    for r in (0.5, 1.7, 4.0):
+        val, _ = circle_average(f.log_abs, r, tol=1e-12)
+        want = math.log(abs(lead.to_complex())) + sum(
+            math.log(max(r, abs(a.to_complex()))) for a in roots)
+        assert abs(val - want) <= 1e-10
+
+
 def test_circle_average_node_cap():
     # a spike too narrow to resolve forces the certification failure
     with pytest.raises(CertificationError):
-        circle_average(lambda z: math.exp(-abs(z - 1.0) ** 2 * 1e12),
+        circle_average(lambda z: np.exp(-abs(z - 1.0) ** 2 * 1e12),
                        1.0, tol=1e-12, max_nodes=256)
 
 
