@@ -68,11 +68,13 @@ def _log_abs_nodes(w: np.ndarray) -> np.ndarray:
 
 _POINT = SimpleNamespace(coerce=complex, exp=math.exp, cexp=cmath.exp,
                          log=math.log, log_abs=_log_abs_point, maximum=max,
+                         sqrt=math.sqrt,
                          minimum=min, any=bool,
                          where=lambda cond, a, b: a if cond else b)
 _NODES = SimpleNamespace(coerce=lambda z: np.asarray(z, dtype=complex),
                          exp=np.exp, cexp=np.exp, log=np.log,
                          log_abs=_log_abs_nodes, maximum=np.maximum.reduce,
+                         sqrt=np.sqrt,
                          minimum=np.minimum, any=np.any, where=np.where)
 
 
@@ -87,6 +89,8 @@ def _first_where(z, mask) -> complex:
 
 
 def _horner(plan: Tuple[complex, ...], z):
+    if not plan:  # the zero polynomial: zeros shaped like z
+        return 0j * z
     total = 0j
     for c in plan:
         total = total * z + c

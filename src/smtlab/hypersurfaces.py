@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .analytic import AnalyticFunction, parse_function
+from .analytic import AnalyticFunction, _ops, parse_function
 from .errors import DegenerateInputError, ValidationError
 from .exact_algebra import (
     HomogPoly,
@@ -104,9 +102,7 @@ class MovingHypersurface:
         1-D array of nodes."""
         total = sum(abs(fn.eval_complex(z)) ** 2
                     for fn in self.coeffs.values())
-        if isinstance(total, np.ndarray):
-            return np.sqrt(total)
-        return math.sqrt(total)
+        return _ops(z).sqrt(total)
 
     def normalize(self) -> "MovingHypersurface":
         """Divide through so the x_0^d coefficient is the constant 1.

@@ -375,6 +375,27 @@ def test_curve_log_norm_on_nodes():
         assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_zero_polynomial_on_nodes_keeps_shape():
+    zero = fn_poly()
+    z = ring(2.5)
+    w, s = zero.eval_scaled(z)
+    assert w.shape == z.shape and not np.any(w) and s == 0.0
+    assert np.all(zero.log_abs(z) == -math.inf)
+    assert zero.eval_scaled(2.5 + 0j) == (0j, 0.0)
+
+
+def test_curve_log_norm_with_zero_component():
+    c = Curve((fn_poly(1), fn_poly(), fn_poly(0, 1)))  # (1, 0, z)
+    line = Curve((fn_poly(1), fn_poly(0, 1)))
+    z = ring(2.5)
+    got = c.log_norm(z)
+    assert got.shape == z.shape
+    for k, point in enumerate(z):
+        want = c.log_norm(complex(point))
+        assert want == line.log_norm(complex(point))
+        assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_curve_log_norm_degenerate_node():
     c = Curve((fn_poly(0, 1), fn_poly(0, 0, 1)))  # (z, z^2) vanishes at 0
     with pytest.raises(DegenerateInputError):

@@ -192,6 +192,30 @@ def test_fmt_check_composes_and_characterizes_once(monkeypatch, capsys):
     assert sorted(radii) == grid and set(radii.values()) == {1}
 
 
+def test_curve_with_zero_component(tmp_path, capsys):
+    # (1, 0, z) in the plane x1 = 0: the zero component adds nothing to T
+    scenario = json.loads(Path(THREE_POINTS).read_text())
+    scenario.update(
+        ambient_N=2, variety_generators=["x1"],
+        curve={"components": ["poly: 1", "0", "poly: z"], "domain_R": "inf"},
+        hypersurfaces=[
+            {"degree": 1, "coefficients": {"x0": "1"}},
+            {"degree": 1, "coefficients": {"x2": "1", "x0": "-1"}},
+            {"degree": 1, "coefficients": {"x2": "1", "x0": "1"}}],
+        grid={"kind": "geometric", "r_min": 2.0, "r_max": 100.0,
+              "points": 4})
+    path = tmp_path / "zero_component.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run(capsys, "nevanlinna", "--scenario", str(path))
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    for row in rows:
+        assert abs(row[1] - 0.5 * math.log(1 + row[0] ** 2)) <= 1e-9
+    for command in ("fmt-check", "verify"):
+        code, _, err = run(capsys, command, "--scenario", str(path))
+        assert code == 0, err
+
+
 def test_missing_scenario_exits_one(capsys):
     code, out, err = run(capsys, "verify", "--scenario", "/no/such/file.json")
     assert code == 1

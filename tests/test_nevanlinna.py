@@ -173,6 +173,17 @@ def test_characteristic_unitary_invariance():
                    - characteristic(LINE, r)) <= 1e-7
 
 
+def test_characteristic_and_proximity_with_zero_component():
+    # (1, 0, z) has the same norm as (1, z), so the same T and m
+    padded = Curve((fn_poly(1), fn_poly(), fn_poly(0, 1)))
+    x2 = fixed_form(3, 1, {(0, 0, 1): 1})
+    for r in (2.0, 10.0):
+        assert abs(characteristic(padded, r)
+                   - characteristic(LINE, r)) <= 1e-12
+        assert abs(proximity(padded, x2, r)
+                   - proximity(LINE, X1, r)) <= 1e-12
+
+
 # -- counting ----------------------------------------------------------------
 
 def test_counting_frozen_single_zero():
