@@ -11,6 +11,7 @@ reports -1.
 
 from __future__ import annotations
 
+import heapq
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -72,15 +73,22 @@ def _reduce_full(p: HomogPoly, basis: Sequence[HomogPoly],
     for g in basis:
         lm = g.leading_monomial(key)
         leads.append((lm, g.terms[lm], g))
+    return _reduce(p, leads, budget, key)
+
+
+def _reduce(p: HomogPoly, leads: Sequence[Tuple[Monomial, object, HomogPoly]],
+            budget: Optional[_Budget], key: Callable) -> HomogPoly:
+    """:func:`_reduce_full` on (leading monomial, leading coefficient,
+    polynomial) triples."""
     result_terms: Dict[Monomial, object] = {}
     work = dict(p.terms)
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
         hit = None
-        for lm, lc, g in leads:
-            if lm.divides(mono):
-                hit = (lm, lc, g)
+        for lead in leads:
+            if lead[0].divides(mono):
+                hit = lead
                 break
         if hit is None:
             result_terms[mono] = coeff
@@ -114,60 +122,73 @@ def _s_poly(f: HomogPoly, g: HomogPoly,
 
 def groebner_basis(ideal: Ideal,
                    budget: int = DEFAULT_REDUCTION_BUDGET,
-                   key: Callable = grevlex_key) -> List[HomogPoly]:
+                   key: Callable = grevlex_key,
+                   seed: Sequence[HomogPoly] = ()) -> List[HomogPoly]:
     """Reduced Groebner basis in the monomial order given by ``key``.
 
     ``key`` is a sort key on exponent tuples (ascending keys, ascending
     monomials) that is a term order within each degree; grevlex by default.
-    Pairs are processed by increasing lcm degree (normal strategy) and the
-    coprime-leading-term criterion prunes trivial pairs.  Every S-polynomial
-    of the result reduces to zero, which the tests re-check.  The result is
-    sorted by leading monomial, largest first.
+    ``seed`` is a reduced Groebner basis, in the same order, of an ideal J
+    in the same ring; the result is the reduced basis of I + J, where I is
+    generated by ``ideal``.  Pairs inside the seed already reduce to zero
+    and are never formed, so extending a basis by a few forms costs only
+    the pairs those forms bring.  The empty seed computes from scratch;
+    the reduced basis is unique, so seeding never changes the result.
+    Pairs are processed by increasing lcm degree, ties in the order they
+    were formed (normal strategy), and the coprime-leading-term criterion
+    prunes trivial pairs.  Every S-polynomial of the result reduces to
+    zero, which the tests re-check.  The result is sorted by leading
+    monomial, largest first.
     """
     meter = _Budget(budget)
+    basis: List[HomogPoly] = list(seed)
+    leads = [g.leading_monomial(key) for g in basis]
+    triples = [(lm, g.terms[lm], g) for lm, g in zip(leads, basis)]
+    # heap of (lcm degree, k, i) for the pair (i, k), i < k: pairs are
+    # formed in (k, i) order, so ties pop in the order they were formed
+    pairs: List[Tuple[int, int, int]] = []
 
-    def lead_key(h: HomogPoly):
-        return key(h.leading_monomial(key))
+    def add(h: HomogPoly) -> None:
+        h = h.monic(key)
+        lm = h.leading_monomial(key)
+        k = len(basis)
+        for i, li in enumerate(leads):
+            heapq.heappush(pairs, (li.lcm(lm).degree, k, i))
+        basis.append(h)
+        leads.append(lm)
+        triples.append((lm, h.terms[lm], h))
 
-    basis: List[HomogPoly] = []
-    for g in sorted(ideal.generators, key=lambda h: (h.degree, lead_key(h))):
-        r = _reduce_full(g, basis, meter, key)
+    for g in sorted(ideal.generators,
+                    key=lambda h: (h.degree, key(h.leading_monomial(key)))):
+        r = _reduce(g, triples, meter, key)
         if not r.is_zero():
-            basis.append(r.monic(key))
-    if not basis:
-        return []
+            add(r)
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
-        pairs.sort(key=lambda ij: sum(
-            basis[ij[0]].leading_monomial(key).lcm(
-                basis[ij[1]].leading_monomial(key))))
-        i, j = pairs.pop(0)
-        fi, fj = basis[i], basis[j]
-        li, lj = fi.leading_monomial(key), fj.leading_monomial(key)
+        _, j, i = heapq.heappop(pairs)
+        li, lj = leads[i], leads[j]
         if li.lcm(lj) == li.mul(lj):
             continue  # coprime leading terms; S-poly reduces to zero
-        r = _reduce_full(_s_poly(fi, fj, key), basis, meter, key)
-        if r.is_zero():
-            continue
-        basis.append(r.monic(key))
-        k = len(basis) - 1
-        pairs.extend((i2, k) for i2 in range(k))
+        r = _reduce(_s_poly(basis[i], basis[j], key), triples, meter, key)
+        if not r.is_zero():
+            add(r)
 
-    # minimalize, then inter-reduce
-    minimal: List[HomogPoly] = []
-    for g in sorted(basis, key=lead_key):
-        lm = g.leading_monomial(key)
-        if any(h.leading_monomial(key).divides(lm) for h in minimal):
+    # minimalize on the stored leading monomials, then inter-reduce the
+    # (monic) survivors that have a term in another's leading ideal
+    minimal: List[int] = []
+    for k in sorted(range(len(basis)), key=lambda k: key(leads[k])):
+        lm = leads[k]
+        if any(leads[h].divides(lm) for h in minimal):
             continue
-        minimal = [h for h in minimal
-                   if not lm.divides(h.leading_monomial(key))]
-        minimal.append(g)
+        minimal = [h for h in minimal if not lm.divides(leads[h])]
+        minimal.append(k)
     reduced = []
-    for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        reduced.append(_reduce_full(g, others, meter, key).monic(key))
-    reduced.sort(key=lead_key, reverse=True)
+    for k in reversed(minimal):  # ascending keys, so largest lead first
+        others = [triples[h] for h in minimal if h != k]
+        g = basis[k]
+        if any(lm.divides(m) for m in g.terms for lm, _, _ in others):
+            g = _reduce(g, others, meter, key)
+        reduced.append(g)
     return reduced
 
 
@@ -235,6 +256,10 @@ class Variety:
     def __init__(self, ideal: Ideal, budget: int = DEFAULT_REDUCTION_BUDGET):
         self.ideal = ideal
         self._budget = budget
+        # the basis is built as groebner_basis(_added, seed=_seed): the
+        # whole ideal from scratch, or a parent's basis plus a cut's forms
+        self._added = ideal
+        self._seed: Sequence[HomogPoly] = ()
         self._basis: Optional[List[HomogPoly]] = None
         self._leading: Optional[FrozenSet[Monomial]] = None
         self._weighted_leading: Dict[Tuple, FrozenSet[Monomial]] = {}
@@ -253,10 +278,28 @@ class Variety:
     @property
     def groebner(self) -> List[HomogPoly]:
         if self._basis is None:
-            self._basis = groebner_basis(self.ideal, self._budget)
+            self._basis = groebner_basis(self._added, self._budget,
+                                         seed=self._seed)
             self._leading = _minimalize(
                 g.leading_monomial() for g in self._basis)
         return self._basis
+
+    def cut(self, forms: Sequence[HomogPoly]) -> "Variety":
+        """V cut by the given forms.
+
+        The child's Groebner basis extends ``self.groebner`` by the forms,
+        so only the pairs they bring are checked.  The child shares this
+        variety's standard-monomial memo, whose entries depend on nothing
+        but their key.
+        """
+        added = Ideal(self.num_vars, forms)
+        child = Variety(Ideal(self.num_vars,
+                              self.ideal.generators + added.generators),
+                        self._budget)
+        child._added = added
+        child._seed = self.groebner
+        child._hilbert_memo = self._hilbert_memo
+        return child
 
     def weighted_leading(self, c: WeightVector) -> FrozenSet[Monomial]:
         """Minimal generators of in_c(I), the initial ideal in the order of
@@ -329,9 +372,6 @@ def variety_dim_degree(X: Variety, u_cap: int = 60) -> Tuple[int, int]:
         f"Hilbert function did not stabilize for u <= {u_cap}")
 
 
-def intersection_dim(V: Variety, forms: Sequence[HomogPoly],
-                     budget: int = DEFAULT_REDUCTION_BUDGET) -> int:
+def intersection_dim(V: Variety, forms: Sequence[HomogPoly]) -> int:
     """dim of V cut by the given forms; -1 encodes the empty intersection."""
-    combined = Ideal(V.ideal.num_vars,
-                     list(V.ideal.generators) + list(forms))
-    return Variety(combined, budget).dim
+    return V.cut(forms).dim

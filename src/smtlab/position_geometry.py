@@ -2,9 +2,12 @@
 
 The distributive constant maxes #Gamma / (dim V - dim(V cut by Gamma)) over
 nonempty subsets Gamma of the family, with the empty intersection counting
-as ratio 0.  Moving families are snapshotted at exact Gaussian-rational
-sample points; agreement across independent samples stands in for the
-paper-level "generic z", and the report records the points used.
+as ratio 0.  The scan is incremental: V cut by a subset is the cut by its
+prefix cut once more (:meth:`~smtlab.groebner.Variety.cut`), whose
+Groebner basis is seeded with the prefix's reduced basis.  Moving families
+are snapshotted at exact Gaussian-rational sample points; agreement across
+independent samples stands in for the paper-level "generic z", and the
+report records the points used.
 """
 
 from __future__ import annotations
@@ -94,7 +97,14 @@ def _fixed_or_sampled(V: Variety, family: HypersurfaceFamily, samples: int,
 def _scan_subsets(V: Variety, forms: List[HomogPoly]
                   ) -> Tuple[Fraction, Tuple[int, ...],
                              List[Tuple[Tuple[int, ...], int, Fraction]]]:
-    """Exhaustive subset scan with superset-of-empty pruning."""
+    """Exhaustive subset scan with superset-of-empty pruning.
+
+    Subsets go size by size, each size in lexicographic order.  The cut
+    by a subset extends the cut by its prefix (all but its last member),
+    which was built one size earlier, so each subset costs one seeded
+    Groebner basis extension; only the previous size's cuts are held.
+    A prefix absent from them was empty, so the subset is pruned too.
+    """
     n = V.dim
     if n < 1:
         raise ValidationError(f"variety must have dimension >= 1, got {n}")
@@ -104,14 +114,17 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
     best = Fraction(0)
     witness: Tuple[int, ...] = ()
     table: List[Tuple[Tuple[int, ...], int, Fraction]] = []
+    cuts: Dict[Tuple[int, ...], Variety] = {(): V}
     for size in range(1, q + 1):
+        level: Dict[Tuple[int, ...], Variety] = {}
         for combo in combinations(range(q), size):
             s = frozenset(combo)
             if any(e <= s for e in empties):
                 dims[s] = -1
                 table.append((combo, -1, Fraction(0)))
                 continue
-            d = intersection_dim(V, [forms[j] for j in combo])
+            cut = cuts[combo[:-1]].cut([forms[combo[-1]]])
+            d = cut.dim
             for j in combo:
                 parent = s - {j}
                 if len(parent) and parent in dims and d > dims[parent]:
@@ -126,10 +139,12 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
                 raise DegenerateInputError(
                     f"members {combo} contain the variety; "
                     "distributive constant undefined")
+            level[combo] = cut
             ratio = Fraction(size, n - d)
             table.append((combo, d, ratio))
             if ratio > best:
                 best, witness = ratio, combo
+        cuts = level
     return best, witness, table
 
 

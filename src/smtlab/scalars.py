@@ -43,25 +43,39 @@ class GaussianRational:
         return not self.re and not self.im
 
     # -- ring operations ------------------------------------------------
+    # Each operation takes a shortcut when an imaginary part is zero;
+    # Fraction arithmetic is exact, so the values are those of the
+    # general formulas.
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not other.im:
+            return _make(self.re + other.re, self.im)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        other = GaussianRational.coerce(other)
+        if not other.im:
+            return _make(self.re - other.re, self.im)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(
+        if not other.im:
+            if not self.im:
+                return _make(self.re * other.re, self.im)
+            return _make(self.re * other.re, self.im * other.re)
+        if not self.im:
+            return _make(self.re * other.re, self.re * other.im)
+        return _make(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -70,10 +84,14 @@ class GaussianRational:
 
     def __truediv__(self, other):
         other = GaussianRational.coerce(other)
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            if not self.im:
+                return _make(self.re / other.re, self.im)
+            return _make(self.re / other.re, self.im / other.re)
         n = other.norm_sq()
-        if not n:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return _make(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
@@ -129,6 +147,20 @@ class GaussianRational:
         mag = abs(self.im)
         istr = "i" if mag == 1 else f"{mag}i"
         return f"{self.re}{sign}{istr}"
+
+
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """Wrap two Fractions as they are: arithmetic results need no
+    re-coercion."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = GaussianRational(0)

@@ -298,17 +298,23 @@ def _spot_check_nondegenerate(scenario: Scenario, n: int,
     try:
         points = [GaussianRational(Fraction(3 * t + 1, 2 * t + 3))
                   for t in range(1, 40)]
+        # cols[j][idx]: component j at points[idx], each evaluated once,
+        # component by component as the degree-1 monomials first need them
+        cols: List[List[GaussianRational]] = [[] for _ in comps]
         for u in (1, 2):
             monos = monomials_of_degree(scenario.ambient_N + 1, u)
             expected = scenario.variety.hilbert_function(u)
+            sample = points[:len(monos) + 5]
+            for c, col in zip(comps, cols):
+                col.extend(c.eval_exact(z) for z in sample[len(col):])
             rows = []
             for mono in monos:
                 vals = {}
-                for idx, z in enumerate(points[:len(monos) + 5]):
+                for idx in range(len(sample)):
                     v = GaussianRational(1)
-                    for c, e in zip(comps, mono):
+                    for col, e in zip(cols, mono):
                         for _ in range(e):
-                            v = v * c.eval_exact(z)
+                            v = v * col[idx]
                     vals[idx] = v
                 rows.append(vals)
             # sampled rank only ever underestimates, so reaching the

@@ -124,6 +124,21 @@ def test_distributive_table(capsys):
     assert all(t["dim"] == -1 for t in pairs)
 
 
+def test_distributive_json_pinned(capsys):
+    # the conic meets each line in two points and no two lines on it;
+    # triples and the full set are pruned as supersets of empty pairs
+    table = [([j], 0, "1") for j in range(4)]
+    table += [(list(s), -1, "0") for s in
+              ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+               (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2, 3))]
+    payload = {"value": "1", "witness": [0], "sample_points": 0,
+               "table": [{"subset": s, "dim": d, "ratio": r}
+                         for s, d, r in table]}
+    code, out, _ = run(capsys, "distributive", "--scenario", CONIC)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -59,6 +59,42 @@ def test_gaussian_field_axioms_random():
             assert (a / b) * b == a
 
 
+def test_gaussian_shortcuts_match_general_formulas():
+    # products, quotients, sums and differences shortcut zero imaginary
+    # parts; the general formulas are the reference
+    rng = random.Random(13)
+
+    def check(got, re, im):
+        want = GR(re, im)
+        assert (got.re, got.im) == (re, im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert got == want and hash(got) == hash(want)
+
+    for _ in range(300):
+        a, b = rand_gauss(rng), rand_gauss(rng)
+        if rng.random() < 0.5:
+            a = GR(a.re)
+        if rng.random() < 0.5:
+            b = GR(b.re)
+        check(a * b, a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+        check(a + b, a.re + b.re, a.im + b.im)
+        check(a - b, a.re - b.re, a.im - b.im)
+        n = b.re * b.re + b.im * b.im
+        if n:
+            check(a / b, (a.re * b.re + a.im * b.im) / n,
+                  (a.im * b.re - a.re * b.im) / n)
+    # a real, a purely imaginary and a zero divisor
+    a = GR(Fraction(3, 4), Fraction(-5, 7))
+    check(a / GR(Fraction(-2, 3)), Fraction(-9, 8), Fraction(15, 14))
+    check(a / GR(0, 2), Fraction(-5, 14), Fraction(-3, 8))
+    check(GR(5) / GR(0, 2), Fraction(0), Fraction(-5, 2))
+    for zero in (GR(0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+        with pytest.raises(ZeroDivisionError):
+            GR(1) / zero
+
+
 def test_gaussian_immutable():
     a = GR(1, 2)
     with pytest.raises(AttributeError):

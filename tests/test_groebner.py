@@ -1,5 +1,6 @@
 """Groebner engine against hand reductions and rank-based Hilbert oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from smtlab.exact_algebra import (
     rank_of_vectors,
     weighted_key,
 )
+from smtlab.scalars import GaussianRational
 from smtlab.groebner import (
     Ideal,
     Variety,
@@ -132,6 +134,84 @@ def test_grevlex_leading_terms_match_sympy():
 def test_budget_error():
     with pytest.raises(BudgetExceededError):
         groebner_basis(TWISTED_CUBIC, budget=0)
+
+
+# -- seeded bases -------------------------------------------------------------
+
+def gaussian_form(rng, num_vars, degree):
+    """A sparse form whose coefficients are mostly non-real, so reductions
+    run the general Gaussian arithmetic and not only the real shortcuts."""
+    terms = {}
+    for m in monomials_of_degree(num_vars, degree):
+        if rng.random() < 0.5:
+            terms[m] = GaussianRational(Fraction(rng.randint(-4, 4),
+                                                 rng.randint(1, 3)),
+                                        rng.randint(-3, 3))
+    return HomogPoly(num_vars, degree, terms)
+
+
+def seeded_families(trials, seed):
+    """(num_vars, subideal generators, extra forms) drawn at random."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n = rng.choice((3, 4))
+        base = [gaussian_form(rng, n, rng.choice((1, 2)))
+                for _ in range(rng.randint(0, 2))]
+        extra = [gaussian_form(rng, n, rng.choice((1, 2)))
+                 for _ in range(rng.randint(1, 2))]
+        yield n, base, extra
+
+
+def test_seeded_basis_matches_scratch():
+    for n, base, extra in seeded_families(40, 5):
+        seed = groebner_basis(Ideal(n, base))
+        got = groebner_basis(Ideal(n, extra), seed=seed)
+        assert got == groebner_basis(Ideal(n, base + extra)), (base, extra)
+        # a subideal's generators on top of its own basis add nothing
+        assert groebner_basis(Ideal(n, base), seed=seed) == seed
+
+
+def test_seeded_basis_matches_scratch_weighted():
+    weights = [WeightVector([1, 2, 3, 4]), WeightVector([4, 0, 0, 1]),
+               WeightVector([Fraction(1, 2), 3, 0])]
+    rng = random.Random(6)
+    for n, base, extra in seeded_families(30, 7):
+        c = rng.choice([w for w in weights if len(w) == n])
+        key = weighted_key(c)
+        seed = groebner_basis(Ideal(n, base), key=key)
+        got = groebner_basis(Ideal(n, extra), key=key, seed=seed)
+        assert got == groebner_basis(Ideal(n, base + extra), key=key)
+
+
+def test_cut_matches_fresh_variety():
+    rng = random.Random(8)
+    for idl in (ideal(3), CONIC, TWISTED_CUBIC, CI23):
+        n = idl.num_vars
+        V = Variety(idl)
+        for _ in range(4):
+            first = [gaussian_form(rng, n, rng.choice((1, 2)))]
+            second = [gaussian_form(rng, n, 1)]
+            child = V.cut(first)
+            grandchild = child.cut(second)
+            assert grandchild._hilbert_memo is V._hilbert_memo
+            for X, forms in ((child, first), (grandchild, first + second)):
+                fresh = Variety(Ideal(n, list(idl.generators) + forms))
+                assert X.groebner == fresh.groebner
+                assert X.dim_degree() == fresh.dim_degree()
+                assert intersection_dim(V, forms) == fresh.dim
+
+
+def test_seeded_basis_budget_error():
+    seed = groebner_basis(TWISTED_CUBIC)
+    form = parse_homog_poly("x0*x1 + x2^2", 4)
+    with pytest.raises(BudgetExceededError):
+        groebner_basis(Ideal(4, [form]), budget=0, seed=seed)
+    # P^3 has the empty basis, and one linear form needs no reduction;
+    # the second form reduces against the first
+    line = Variety(ideal(4), budget=0).cut([parse_homog_poly("x0 + x1", 4)])
+    assert line.dim == 2
+    with pytest.raises(BudgetExceededError):
+        line.cut([parse_homog_poly("x0 + x3", 4)]).dim
 
 
 # -- normal forms ----------------------------------------------------------

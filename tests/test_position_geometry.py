@@ -3,6 +3,8 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -16,14 +18,18 @@ from smtlab.hypersurfaces import (
     parse_hypersurface,
 )
 from smtlab.position_geometry import (
+    _fixed_or_sampled,
+    _scan_subsets,
     check_norm_domination,
     check_remark_bound,
     distributive_constant,
     subgeneral_position,
 )
 from smtlab.scalars import GaussianRational
+from smtlab.scenario import load_scenario
 
 GR = GaussianRational
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def fixed_family(num_vars, *texts):
@@ -109,6 +115,71 @@ def test_coordinate_change_invariance():
             for t in base_fam])
         rep = distributive_constant(projective_space(2), fam)
         assert rep.value == Fraction(3, 2)
+
+
+def scan_reference(V, forms):
+    """The subset scan with one fresh Variety per subset and no pruning."""
+    n = V.dim
+    best, witness, table = Fraction(0), (), []
+    for size in range(1, len(forms) + 1):
+        for combo in combinations(range(len(forms)), size):
+            gens = list(V.ideal.generators) + [forms[j] for j in combo]
+            d = Variety(Ideal(V.num_vars, gens)).dim
+            ratio = Fraction(0) if d == -1 else Fraction(size, n - d)
+            table.append((combo, d, ratio))
+            if ratio > best:
+                best, witness = ratio, combo
+    return best, witness, table
+
+
+def scan_both(V, forms, monkeypatch):
+    """(scan, reference, number of cuts the scan built)."""
+    built = []
+    cut = Variety.cut
+
+    def counting_cut(self, more):
+        built.append(more)
+        return cut(self, more)
+
+    monkeypatch.setattr(Variety, "cut", counting_cut)
+    got = _scan_subsets(V, forms)
+    return got, scan_reference(Variety(V.ideal), forms), len(built)
+
+
+@pytest.mark.parametrize("name", sorted(p.name
+                                        for p in SCENARIOS.glob("*.json")))
+def test_scan_matches_fresh_varieties_on_shipped_scenarios(name,
+                                                           monkeypatch):
+    sc = load_scenario(str(SCENARIOS / name))
+    for _, forms in _fixed_or_sampled(sc.variety, sc.family, 3, sc.seed):
+        got, want, _ = scan_both(sc.variety, forms, monkeypatch)
+        assert got == want
+
+
+def test_scan_matches_fresh_varieties_concurrent_lines(monkeypatch):
+    # four lines through one point: no pair, triple or quadruple drops
+    # the dimension below a point, and nothing is empty
+    forms = [parse_homog_poly(t, 3) for t in ("x0", "x1", "x0 + x1",
+                                              "x0 - 2*x1")]
+    got, want, built = scan_both(projective_space(2), forms, monkeypatch)
+    assert got == want
+    assert built == 15
+    assert got[0] == Fraction(4, 2) and got[1] == (0, 1, 2, 3)
+
+
+def test_scan_matches_fresh_varieties_with_pruning(monkeypatch):
+    # {0, 1, 2} is a point, {0, 1, 3} is empty, so {0, 1, 2, 3} is pruned
+    # along with every superset of the other empty triples
+    forms = [parse_homog_poly(t, 3) for t in ("x0", "x1", "x0 + x1", "x2",
+                                              "x1 + x2")]
+    got, want, built = scan_both(projective_space(2), forms, monkeypatch)
+    assert got == want
+    assert built < len(want[2])
+    on_conic = [parse_homog_poly(t, 3) for t in ("x0", "x2", "x1",
+                                                 "x0 + x1 + x2")]
+    got, want, built = scan_both(CONIC, on_conic, monkeypatch)
+    assert got == want
+    assert built < len(want[2])
 
 
 def test_family_size_guard():

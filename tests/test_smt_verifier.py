@@ -193,6 +193,40 @@ def test_verify_degenerate_linear_relation():
         verify_main_inequality(scenario_from_dict(data))
 
 
+def test_verify_degenerate_quadratic_relation():
+    # x1^2 = x0*x2 on (1, z, z^2): six quadratic monomials, rank five
+    data = {
+        "ambient_N": 2,
+        "curve": {"components": ["poly: 1", "poly: z", "poly: z^2"],
+                  "domain_R": "inf"},
+        "hypersurfaces": [
+            {"degree": 1, "coefficients": {"x0": "1", "x1": "1", "x2": "1"}}],
+        "epsilon": "1/2",
+        "r0": 0.25,
+        "grid": {"kind": "geometric", "r_min": 2.0, "r_max": 10.0,
+                 "points": 3},
+    }
+    with pytest.raises(DegenerateInputError,
+                       match=r"degree-2 relation \(monomial rank 5 < 6\)"):
+        verify_main_inequality(scenario_from_dict(data))
+
+
+def test_verify_transcendental_curve_flags_nondegeneracy():
+    data = {
+        "ambient_N": 1,
+        "curve": {"components": ["poly: 1", "exppoly: (1)*exp(z)"],
+                  "domain_R": "inf"},
+        "hypersurfaces": [{"degree": 1, "coefficients": {"x0": "1"}},
+                          {"degree": 1, "coefficients": {"x1": "1"}}],
+        "epsilon": "1/2",
+        "r0": 0.25,
+        "grid": {"kind": "geometric", "r_min": 2.0, "r_max": 10.0,
+                 "points": 3},
+    }
+    rep = verify_main_inequality(scenario_from_dict(data))
+    assert rep.flags[0].startswith("nondegeneracy assumption not certified")
+
+
 def test_verify_vacuous_regime():
     data = {
         "ambient_N": 1,
