@@ -16,7 +16,6 @@ from smtlab.exact_algebra import (
     rank_of_vectors,
     weighted_key,
 )
-from smtlab.scalars import GaussianRational
 from smtlab.groebner import (
     Ideal,
     Variety,
@@ -28,6 +27,7 @@ from smtlab.groebner import (
     normal_form,
     variety_dim_degree,
 )
+from smtlab.scalars import GaussianRational
 
 
 def ideal(num_vars, *texts):
