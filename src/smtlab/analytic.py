@@ -42,6 +42,7 @@ from .errors import (
     ExactEvalUnavailableError,
     UnsupportedOperationError,
 )
+from .exact_algebra import _split_terms
 from .scalars import GaussianRational, parse_gaussian
 
 COEFF_BUDGET = 10 ** 4  # max stored coefficients in any expansion
@@ -1026,43 +1027,9 @@ def _shift_function(f: AnalyticFunction, z0: complex) -> AnalyticFunction:
 # literals
 # ---------------------------------------------------------------------------
 
-def _split_top_level(text: str) -> List[Tuple[int, str]]:
-    out = []
-    depth = 0
-    sign = 1
-    current: List[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and ch in "+-":
-            if not any(c.strip() for c in current):
-                if ch == "-":
-                    sign = -sign
-                current = []
-                continue
-            if current[-1] not in "*^(":
-                chunk = "".join(current).strip()
-                if chunk:
-                    out.append((sign, chunk))
-                sign = 1 if ch == "+" else -1
-                current = []
-                continue
-        current.append(ch)
-    if depth:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    chunk = "".join(current).strip()
-    if chunk:
-        out.append((sign, chunk))
-    return out
-
-
 def _parse_poly1(text: str) -> Poly1:
     """Parse "1 - 2*z^3" style literals in the variable z."""
-    chunks = _split_top_level(text)
+    chunks = _split_terms(text)
     if not chunks:
         raise ValueError(f"empty polynomial literal {text!r}")
     coeffs: Dict[int, GaussianRational] = {}
@@ -1167,7 +1134,7 @@ def parse_function(text: str) -> AnalyticFunction:
     if text.startswith("exppoly:"):
         body = text[8:].strip()
         terms: Dict[GaussianRational, Poly1] = {}
-        for sign, chunk in _split_top_level(body):
+        for sign, chunk in _split_terms(body):
             lam, p = _parse_exp_term(chunk)
             if sign < 0:
                 p = -p

@@ -18,19 +18,17 @@ import json
 import math
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from typing import Any, Dict, List, Tuple
 
 from .errors import SmtlabError
 from .exact_algebra import WeightVector
-from .nevanlinna import build_profile, characteristic, fmt_residual
+from .nevanlinna import _fmt_residuals, build_profile
 from .position_geometry import distributive_constant
 from .scenario import Scenario, load_scenario
 from .smt_verifier import (
     SMTConstants,
-    constants_fixed,
-    constants_moving,
-    constants_plane,
+    _scenario_constants,
+    _scenario_numbers,
     constants_theoremB,
     defect_relation_report,
     verify_main_inequality,
@@ -48,38 +46,18 @@ def _constants_to_dict(c: SMTConstants) -> Dict[str, Any]:
     out: Dict[str, Any] = {"variant": c.variant, "u": c.u}
     if c.L is not None and c.L.bit_length() <= _JSON_L_BITS:
         out["L"] = c.L
-    out["log10_L"] = c.log10_L
-    out["n"] = c.n
-    out["deg_V"] = c.deg_V
-    out["d"] = c.d
-    out["q"] = c.q
-    out["delta_V"] = str(c.delta_V)
-    out["epsilon"] = str(c.epsilon)
+    out.update(log10_L=c.log10_L, n=c.n, deg_V=c.deg_V, d=c.d, q=c.q,
+               delta_V=str(c.delta_V), epsilon=str(c.epsilon))
     if c.note:
         out["note"] = c.note
     return out
 
 
-def _select_constants(scenario: Scenario, n: int, deg_V: int, d: int,
-                      q: int, delta: Fraction) -> SMTConstants:
-    if math.isinf(scenario.domain_radius):
-        return constants_plane(n, deg_V, d, q, delta, scenario.epsilon,
-                               scenario.family.is_moving)
-    if scenario.family.is_moving:
-        return constants_moving(n, deg_V, d, q, delta, scenario.epsilon)
-    return constants_fixed(n, deg_V, d, delta, scenario.epsilon, q=q)
-
-
 def _cmd_constants(scenario: Scenario, args: argparse.Namespace) -> Report:
     """Truncation constants for the scenario's variant, with the slower
     bound alongside for comparison."""
-    n, deg_V = scenario.variety.dim_degree()
-    q = len(scenario.family)
-    d = scenario.family.common_degree
-    delta = distributive_constant(scenario.variety, scenario.family,
-                                  samples=args.samples,
-                                  seed=scenario.seed).value
-    primary = _select_constants(scenario, n, deg_V, d, q, delta)
+    n, deg_V, q, d, delta = _scenario_numbers(scenario, args.samples)
+    primary = _scenario_constants(scenario, n, deg_V, d, q, delta)
     other = constants_theoremB(n, deg_V, d, q, delta, scenario.epsilon)
     improvement = other.log10_L - primary.log10_L
     payload = {
@@ -146,10 +124,9 @@ def _cmd_nevanlinna(scenario: Scenario, args: argparse.Namespace) -> Report:
     profile = build_profile(scenario.curve, scenario.family, scenario.grid,
                             trunc, tol=args.quad_tol,
                             strict_origin=args.strict_jensen)
-    degrees = [Q.degree for Q in scenario.family]
-    data = profile.rows(degrees)
+    data = profile.rows(scenario.family.degrees)
     header = ["r", "T"]
-    for j in range(len(degrees)):
+    for j in range(len(scenario.family)):
         header.extend([f"m_{j}", f"N_{j}", f"N_trunc_{j}", f"residual_{j}"])
     payload = {
         "truncations": list(profile.truncations),
@@ -160,18 +137,13 @@ def _cmd_nevanlinna(scenario: Scenario, args: argparse.Namespace) -> Report:
 
 
 def _cmd_fmt_check(scenario: Scenario, args: argparse.Namespace) -> Report:
-    """Residuals d T - m - N per hypersurface; T is computed once per
-    radius and shared by every target."""
-    residual_rows: List[List[Any]] = [[r] for r in scenario.grid.values]
-    T = [characteristic(scenario.curve, r, args.quad_tol)
-         for r in scenario.grid.values]
-    spreads = []
-    for Q in scenario.family:
-        residuals, spread = fmt_residual(scenario.curve, Q, scenario.grid,
-                                         tol=args.quad_tol, T=T)
-        spreads.append(spread)
-        for row, value in zip(residual_rows, residuals):
-            row.append(value)
+    """Residuals d T - m - N per hypersurface, read off the grid profile
+    (T once per radius, each divisor once)."""
+    profile = build_profile(scenario.curve, scenario.family, scenario.grid,
+                            math.inf, tol=args.quad_tol)
+    columns, spreads = zip(*_fmt_residuals(profile, scenario.family.degrees))
+    residual_rows: List[List[Any]] = [
+        [r, *row] for r, row in zip(scenario.grid.values, zip(*columns))]
     header = ["r"] + [f"residual_{j}" for j in range(len(scenario.family))]
     payload = {"spreads": spreads, "columns": header, "rows": residual_rows}
     return payload, [header] + residual_rows, 0
@@ -213,24 +185,33 @@ def _cmd_defects(scenario: Scenario, args: argparse.Namespace) -> Report:
     return payload, rows, 0 if report.holds else 2
 
 
-_HANDLERS = {
-    "constants": _cmd_constants,
-    "distributive": _cmd_distributive,
-    "weights": _cmd_weights,
-    "nevanlinna": _cmd_nevanlinna,
-    "fmt-check": _cmd_fmt_check,
-    "verify": _cmd_verify,
-    "defects": _cmd_defects,
+# the flags beyond --scenario, --output, --format and --seed
+_OPTIONS = {
+    "--quad-tol": dict(type=float, default=1e-8,
+                       help="circle quadrature tolerance"),
+    "--max-u": dict(type=int, default=40, help="top of the weight ladder"),
+    "--samples": dict(type=int, default=3,
+                      help="generic evaluation points per moving scan"),
+    "--strict-jensen": dict(action="store_true",
+                            help="count origin zeros instead of dropping them"),
 }
 
-_HELP = {
-    "constants": "truncation constants for the scenario's theorem variant",
-    "distributive": "distributive constant with its witness subset",
-    "weights": "Hilbert weight ladder and Chow weight estimate",
-    "nevanlinna": "characteristic, proximity, and counting profile",
-    "fmt-check": "first-main-theorem residuals per hypersurface",
-    "verify": "evaluate the main inequality over the radial grid",
-    "defects": "truncated defect totals against the explicit bound",
+# subcommand: (handler, the options it reads, help)
+_COMMANDS = {
+    "constants": (_cmd_constants, ["--samples"],
+                  "truncation constants for the scenario's theorem variant"),
+    "distributive": (_cmd_distributive, ["--samples"],
+                     "distributive constant with its witness subset"),
+    "weights": (_cmd_weights, ["--max-u"],
+                "Hilbert weight ladder and Chow weight estimate"),
+    "nevanlinna": (_cmd_nevanlinna, ["--quad-tol", "--strict-jensen"],
+                   "characteristic, proximity, and counting profile"),
+    "fmt-check": (_cmd_fmt_check, ["--quad-tol"],
+                  "first-main-theorem residuals per hypersurface"),
+    "verify": (_cmd_verify, ["--quad-tol", "--strict-jensen"],
+               "evaluate the main inequality over the radial grid"),
+    "defects": (_cmd_defects, ["--quad-tol"],
+                "truncated defect totals against the explicit bound"),
 }
 
 
@@ -246,14 +227,6 @@ def _scrub(x: Any) -> Any:
     return x
 
 
-def _write(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _emit(payload: Dict[str, Any], rows: List[List[Any]],
           args: argparse.Namespace) -> None:
     if args.format == "json":
@@ -262,7 +235,11 @@ def _emit(payload: Dict[str, Any], rows: List[List[Any]],
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         text = buf.getvalue()
-    _write(text, args.output)
+    if args.output is None:
+        sys.stdout.write(text)
+        return
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,23 +252,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "value distribution on discs")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    for name in _HANDLERS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, options, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True,
                        help="path to a scenario JSON file")
         p.add_argument("--output", default=None,
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--quad-tol", type=float, default=1e-8,
-                       help="circle quadrature tolerance")
-        p.add_argument("--max-u", type=int, default=40,
-                       help="top of the weight ladder")
-        p.add_argument("--samples", type=int, default=3,
-                       help="generic evaluation points per moving scan")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario's seed")
-        p.add_argument("--strict-jensen", action="store_true",
-                       help="count origin zeros instead of dropping them")
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -306,7 +277,7 @@ def main(argv: List[str] | None = None) -> int:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
-        payload, rows, code = _HANDLERS[args.command](scenario, args)
+        payload, rows, code = _COMMANDS[args.command][0](scenario, args)
         _emit(payload, rows, args)
     except (SmtlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -423,11 +423,16 @@ _NUM_RE = re.compile(r"^(\d+(?:/\d+)?)(i?)$")
 
 
 def _split_terms(text: str) -> List[Tuple[int, str]]:
-    """Split on top-level +/- into (sign, chunk) pairs."""
+    """Split on top-level +/- into (sign, chunk) pairs.
+
+    A sign with no term before it negates the sign in force, so
+    "x0 - - x1" reads x0 + x1; a sign right after "*" or "^" belongs to
+    the factor.  Shared by the polynomial and function-literal grammars.
+    """
     out = []
     depth = 0
     sign = 1
-    current = []
+    current: List[str] = []
     for ch in text:
         if ch == "(":
             depth += 1
@@ -435,20 +440,19 @@ def _split_terms(text: str) -> List[Tuple[int, str]]:
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and ch in "+-" and current and current[-1] not in "*^(":
-            chunk = "".join(current).strip()
-            if chunk:
-                out.append((sign, chunk))
-            sign = 1 if ch == "+" else -1
-            current = []
-            continue
-        if depth == 0 and ch in "+-" and not any(c.strip() for c in current):
-            if ch == "-":
-                sign = -sign
-            current = []
-            continue
+        if depth == 0 and ch in "+-":
+            if not any(c.strip() for c in current):
+                if ch == "-":
+                    sign = -sign
+                current = []
+                continue
+            if current[-1] not in "*^(":
+                out.append((sign, "".join(current).strip()))
+                sign = 1 if ch == "+" else -1
+                current = []
+                continue
         current.append(ch)
-    if depth != 0:
+    if depth:
         raise ValueError(f"unbalanced parentheses in {text!r}")
     chunk = "".join(current).strip()
     if chunk:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -158,9 +158,7 @@ def proximity(curve: Curve, Q: MovingHypersurface, r: float,
     r by +1e-8 (the quadrature cannot certify through a closer zero and
     fails loudly instead).
     """
-    g = Q.compose(curve.components) if composed is None else composed
-    if g.is_zero():
-        raise DegenerateInputError("curve lies in the hypersurface")
+    g = _compose(curve, Q) if composed is None else composed
     if divisor is not None and any(
             abs(abs(z) - r) < 1e-9 for z, _ in divisor.points):
         r = r + 1e-8
@@ -171,6 +169,22 @@ def proximity(curve: Curve, Q: MovingHypersurface, r: float,
 
     avg, _ = circle_average(integrand, r, tol, max_nodes)
     return avg
+
+
+def _compose(curve: Curve, Q: MovingHypersurface,
+             j: Optional[int] = None) -> AnalyticFunction:
+    """Q(f), rejected when it vanishes identically; j names the target."""
+    g = Q.compose(curve.components)
+    if g.is_zero():
+        where = "the hypersurface" if j is None else f"hypersurface {j}"
+        raise DegenerateInputError(f"curve lies in {where}")
+    return g
+
+
+def _top_decile_defect(grid: RadialGrid, N: Sequence[float],
+                       T: Sequence[float], degree: int) -> float:
+    """1 - max of N/(degree T) over the grid's top decile."""
+    return 1.0 - max(N[i] / (degree * T[i]) for i in grid.top_decile())
 
 
 def _divisor_with_pad(g: AnalyticFunction, r_max: float) -> Divisor:
@@ -186,34 +200,28 @@ def _divisor_with_pad(g: AnalyticFunction, r_max: float) -> Divisor:
 
 
 def fmt_residual(curve: Curve, Q: MovingHypersurface, grid: RadialGrid,
-                 tol: float = 1e-8, T: Optional[Sequence[float]] = None
-                 ) -> Tuple[List[float], float]:
+                 tol: float = 1e-8) -> Tuple[List[float], float]:
     """Residuals d T - m - N over the grid and their spread.
 
-    Requires Q(f)(0) != 0 and no zeros of Q(f) inside |z| <= r0, so the
-    origin-dropping convention misses nothing and the residual must be
-    flat up to quadrature error for fixed Q.  T, one characteristic value
-    per grid radius, lets callers checking several targets on one curve
-    compute it once; it is computed here when omitted.
+    Requires no zeros of Q(f) inside |z| <= r0 (so none at the origin),
+    so the origin-dropping convention misses nothing and the residual must
+    be flat up to quadrature error for fixed Q.
     """
-    g = Q.compose(curve.components)
-    if g.is_zero():
-        raise DegenerateInputError("curve lies in the hypersurface")
-    div = _divisor_with_pad(g, grid.values[-1])
-    if any(abs(z) <= grid.r0 for z, _ in div.points):
+    profile = build_profile(curve, HypersurfaceFamily([Q]), grid, math.inf,
+                            tol)
+    return _fmt_residuals(profile, [Q.degree])[0]
+
+
+def _fmt_residuals(profile: "NevanlinnaProfile", degrees: Sequence[int]
+                   ) -> List[Tuple[List[float], float]]:
+    """(residuals, spread) per target of a profile, once the divisors it
+    found pass the r0 precondition of ``fmt_residual``."""
+    if any(abs(z) <= profile.grid.r0
+           for div in profile.divisors for z, _ in div.points):
         raise ValidationError(
             "zeros of Q(f) inside |z| <= r0; residual check inapplicable")
-    if abs(g.eval_complex(0j)) == 0.0:
-        raise ValidationError("Q(f) vanishes at the origin")
-    d = Q.degree
-    N = counting(div, grid, math.inf)
-    if T is None:
-        T = [characteristic(curve, r, tol) for r in grid.values]
-    residuals = []
-    for i, r in enumerate(grid.values):
-        m = proximity(curve, Q, r, tol, divisor=div, composed=g)
-        residuals.append(d * T[i] - m - N[i])
-    return residuals, max(residuals) - min(residuals)
+    columns = [profile._residuals(j, d) for j, d in enumerate(degrees)]
+    return [(c, max(c) - min(c)) for c in columns]
 
 
 @dataclass(frozen=True)
@@ -286,21 +294,15 @@ def defect(curve: Curve, Q: MovingHypersurface, k: Union[int, float],
     A grid cannot realize a limsup; the last three raw ratios ride along
     so non-convergence stays visible.
     """
-    g = Q.compose(curve.components)
-    if g.is_zero():
-        raise DegenerateInputError("curve lies in the hypersurface")
-    div = _divisor_with_pad(g, grid.values[-1]) if divisor is None else divisor
-    N = counting(div, grid, k, strict_origin)
-    d = Q.degree
-    ratios = []
-    for i, r in enumerate(grid.values):
-        T = characteristic(curve, r, tol)
-        if T <= 0:
-            raise ValidationError("characteristic must be positive on the grid")
-        ratios.append(N[i] / (d * T))
-    top = max(ratios[i] for i in grid.top_decile())
-    tail = tuple((grid.values[i], ratios[i]) for i in range(len(ratios))[-3:])
-    return DefectEstimate(1.0 - top, tail, k)
+    if divisor is None:
+        divisor = _divisor_with_pad(_compose(curve, Q), grid.values[-1])
+    N = counting(divisor, grid, k, strict_origin)
+    T = [characteristic(curve, r, tol) for r in grid.values]
+    if min(T) <= 0:
+        raise ValidationError("characteristic must be positive on the grid")
+    tail = tuple((grid.values[i], N[i] / (Q.degree * T[i]))
+                 for i in range(len(T))[-3:])
+    return DefectEstimate(_top_decile_defect(grid, N, T, Q.degree), tail, k)
 
 
 def _independent_tuples(hyperplanes: Sequence[MovingHypersurface],
@@ -338,10 +340,7 @@ def check_ru_sibony(curve: Curve, hyperplanes: Sequence[MovingHypersurface],
     if W.is_zero():
         raise DegenerateInputError(
             "curve is linearly degenerate (Wronskian vanishes identically)")
-    composed = [h.compose(curve.components) for h in hyperplanes]
-    for g, h in zip(composed, hyperplanes):
-        if g.is_zero():
-            raise DegenerateInputError("curve lies in a target hyperplane")
+    composed = [_compose(curve, h, j) for j, h in enumerate(hyperplanes)]
     norms = [h.norm_at(0j) for h in hyperplanes]
     tuples = (_independent_tuples(hyperplanes, n + 1)
               if len(hyperplanes) >= n + 1 else [])
@@ -368,7 +367,7 @@ def check_ru_sibony(curve: Curve, hyperplanes: Sequence[MovingHypersurface],
 
 @dataclass(frozen=True)
 class NevanlinnaProfile:
-    """Grid-sampled T with per-hypersurface m, N, and truncated N columns."""
+    """Grid-sampled T; per hypersurface m, N, truncated N and the divisor."""
 
     grid: RadialGrid
     T: Tuple[float, ...]
@@ -376,6 +375,7 @@ class NevanlinnaProfile:
     N_full: Tuple[Tuple[float, ...], ...]
     N_trunc: Tuple[Tuple[float, ...], ...]
     truncations: Tuple[Union[int, float], ...]
+    divisors: Tuple[Divisor, ...]
 
     def __post_init__(self):
         if any(b - a < -1e-9 for a, b in zip(self.T, self.T[1:])):
@@ -388,15 +388,20 @@ class NevanlinnaProfile:
 
     def rows(self, degrees: Sequence[int]) -> List[List[float]]:
         """Plot-ready rows: r, T, then m, N_full, N_trunc, residual per Q."""
+        residuals = [self._residuals(j, d) for j, d in enumerate(degrees)]
         out = []
         for i, r in enumerate(self.grid.values):
             row = [r, self.T[i]]
-            for j, d in enumerate(degrees):
-                residual = d * self.T[i] - self.m[j][i] - self.N_full[j][i]
+            for j, res in enumerate(residuals):
                 row.extend([self.m[j][i], self.N_full[j][i],
-                            self.N_trunc[j][i], residual])
+                            self.N_trunc[j][i], res[i]])
             out.append(row)
         return out
+
+    def _residuals(self, j: int, d: int) -> List[float]:
+        """First-main-theorem residual d T - m - N of target j per radius."""
+        return [d * T - m - N
+                for T, m, N in zip(self.T, self.m[j], self.N_full[j])]
 
 
 def build_profile(curve: Curve, family: HypersurfaceFamily, grid: RadialGrid,
@@ -409,16 +414,16 @@ def build_profile(curve: Curve, family: HypersurfaceFamily, grid: RadialGrid,
     if len(truncations) != len(family):
         raise ValidationError("one truncation level per hypersurface")
     T = tuple(characteristic(curve, r, tol) for r in grid.values)
-    m_rows, full_rows, trunc_rows = [], [], []
-    for Q, k in zip(family, truncations):
-        g = Q.compose(curve.components)
-        if g.is_zero():
-            raise DegenerateInputError("curve lies in a family member")
+    m_rows, full_rows, trunc_rows, divisors = [], [], [], []
+    for j, (Q, k) in enumerate(zip(family, truncations)):
+        g = _compose(curve, Q, j)
         div = _divisor_with_pad(g, grid.values[-1])
+        divisors.append(div)
         m_rows.append(tuple(
             proximity(curve, Q, r, tol, divisor=div, composed=g)
             for r in grid.values))
         full_rows.append(tuple(counting(div, grid, math.inf, strict_origin)))
         trunc_rows.append(tuple(counting(div, grid, k, strict_origin)))
     return NevanlinnaProfile(grid, T, tuple(m_rows), tuple(full_rows),
-                             tuple(trunc_rows), tuple(truncations))
+                             tuple(trunc_rows), tuple(truncations),
+                             tuple(divisors))

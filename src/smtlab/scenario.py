@@ -47,6 +47,14 @@ def _field(data: dict, name: str, required: bool = True, default=None):
     return data[name]
 
 
+def _typed(value, kind: type, name: str):
+    """value itself, once it is a JSON object (dict), list or string."""
+    if not isinstance(value, kind):
+        what = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ValidationError(f"scenario field {name!r} must be {what}")
+    return value
+
+
 def _rational(value, name: str) -> Fraction:
     try:
         if isinstance(value, float):
@@ -73,7 +81,7 @@ def _build_grid(spec, r0: float, R: float) -> RadialGrid:
         if math.isinf(R):
             return RadialGrid.geometric(r0=r0)
         return RadialGrid.finite(R, r0=r0)
-    kind = spec.get("kind", "geometric")
+    kind = _typed(spec, dict, "grid").get("kind", "geometric")
     try:
         if kind == "geometric":
             return RadialGrid(
@@ -93,7 +101,7 @@ def _build_grid(spec, r0: float, R: float) -> RadialGrid:
             return RadialGrid(r0, tuple(float(v) for v in spec["values"]), R)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise ValidationError(f"scenario field 'grid': {err}")
     raise ValidationError(f"scenario field 'grid': unknown kind {kind!r}")
 
@@ -106,22 +114,27 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValidationError("scenario field 'ambient_N' must be an integer >= 1")
 
     gens = []
-    for i, text in enumerate(_field(data, "variety_generators",
-                                    required=False, default=[])):
+    for i, text in enumerate(_typed(_field(data, "variety_generators",
+                                           required=False, default=[]),
+                                    list, "variety_generators")):
+        name = f"variety_generators[{i}]"
+        text = _typed(text, str, name)
         try:
             gens.append(parse_homog_poly(text, N + 1))
-        except (ValueError, ValidationError) as err:
-            raise ValidationError(
-                f"scenario field 'variety_generators[{i}]': {err}")
+        except (ValueError, ValidationError, ZeroDivisionError) as err:
+            raise ValidationError(f"scenario field {name!r}: {err}")
     variety = Variety(Ideal(N + 1, gens))
 
-    curve_spec = _field(data, "curve")
+    curve_spec = _typed(_field(data, "curve"), dict, "curve")
     comps = []
-    for i, text in enumerate(curve_spec.get("components", [])):
+    for i, text in enumerate(_typed(curve_spec.get("components", []), list,
+                                    "curve.components")):
+        name = f"curve.components[{i}]"
+        text = _typed(text, str, name)
         try:
             comps.append(parse_function(text))
-        except (ValueError, ValidationError) as err:
-            raise ValidationError(f"scenario field 'curve.components[{i}]': {err}")
+        except (ValueError, ValidationError, ZeroDivisionError) as err:
+            raise ValidationError(f"scenario field {name!r}: {err}")
     if len(comps) != N + 1:
         raise ValidationError(
             f"scenario field 'curve.components': expected {N + 1} entries, "
@@ -130,16 +143,24 @@ def scenario_from_dict(data: dict) -> Scenario:
     curve = Curve(tuple(comps), R)
 
     members = []
-    for i, spec in enumerate(_field(data, "hypersurfaces")):
+    for i, spec in enumerate(_typed(_field(data, "hypersurfaces"), list,
+                                    "hypersurfaces")):
+        name = f"hypersurfaces[{i}]"
+        spec = _typed(spec, dict, name)
+        coefficients = _typed(spec.get("coefficients"), dict,
+                              name + ".coefficients")
+        for key, value in coefficients.items():
+            _typed(value, str, f"{name}.coefficients.{key}")
         try:
             member = parse_hypersurface(N + 1, int(spec["degree"]),
-                                        spec["coefficients"])
-        except (KeyError, ValueError, ValidationError) as err:
-            raise ValidationError(f"scenario field 'hypersurfaces[{i}]': {err}")
+                                        coefficients)
+        except (KeyError, TypeError, ValueError, ValidationError,
+                ZeroDivisionError) as err:
+            raise ValidationError(f"scenario field {name!r}: {err}")
         declared_moving = bool(spec.get("moving", False))
         if member.is_moving != declared_moving:
             raise ValidationError(
-                f"scenario field 'hypersurfaces[{i}]': declared "
+                f"scenario field {name!r}: declared "
                 f"moving={declared_moving} but coefficients say otherwise")
         members.append(member)
     family = HypersurfaceFamily(members)
@@ -168,7 +189,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     model = _field(data, "growth_model", required=False)
     growth_model = None
     if model is not None:
-        growth_model = _rational(model.get("lambda"), "growth_model.lambda")
+        growth_model = _rational(_typed(model, dict, "growth_model")
+                                 .get("lambda"), "growth_model.lambda")
         if growth_model <= 0:
             raise ValidationError(
                 "scenario field 'growth_model.lambda' must be positive")

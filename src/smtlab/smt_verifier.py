@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import mpmath
 from mpmath import iv, mp
@@ -26,12 +26,13 @@ from .errors import (
 )
 from .exact_algebra import monomials_of_degree, rank_of_vectors
 from .nevanlinna import (
-    RadialGrid,
     characteristic,
     counting,
     growth_index_model,
     growth_index_sampled,
+    _compose,
     _divisor_with_pad,
+    _top_decile_defect,
 )
 from .position_geometry import distributive_constant
 from .scalars import GaussianRational
@@ -120,8 +121,7 @@ class SMTConstants:
         if self.u < 1:
             raise ValidationError("u must be at least 1")
         if self.L is not None:
-            with mp.workdps(30):
-                direct = float(mp.log10(mp.mpf(self.L)))
+            direct = _log10(self.L)
             if abs(direct - self.log10_L) > 1e-6:
                 raise CertificationError(
                     f"log10_L = {self.log10_L} inconsistent with L "
@@ -129,9 +129,15 @@ class SMTConstants:
         if self.variant in ("MovingA", "Plane"):
             again = _u_ceiling(self.n, self.deg_V, self.d, self.delta_V,
                                self.epsilon, doubled=True)
-            if self.variant == "MovingA" and again != self.u:
+            if again != self.u:
                 raise CertificationError(
                     f"u = {self.u} fails exact recomputation ({again})")
+
+
+def _log10(L: int) -> float:
+    """log10 of an exact truncation level; -inf below 1."""
+    with mp.workdps(30):
+        return float(mp.log10(mp.mpf(L))) if L >= 1 else -math.inf
 
 
 def _check_inputs(n: int, degV: int, d: int, q: int,
@@ -188,8 +194,7 @@ def _moving_L(n: int, degV: int, d: int, q: int, delta: Fraction,
                 note = ("outer bracket read as floor of the power term; "
                         f"whole-product floor exceeds it by {alt - L}")
     if L is not None:
-        with mp.workdps(30):
-            log10_L = float(mp.log10(mp.mpf(L)))
+        log10_L = _log10(L)
     else:
         def builder():
             x = (iv.mpf(exponent) * iv.log(_iv_fraction(base))
@@ -217,25 +222,23 @@ def constants_moving(n: int, degV: int, d: int, q: int,
                         note)
 
 
-def _fixed_L(n: int, degV: int, d: int, delta: Fraction,
-             eps: Fraction) -> int:
+def _fixed_target(n: int, degV: int, d: int, q: int, delta: Fraction,
+                  eps: Fraction, variant: str, doubled: bool) -> SMTConstants:
+    """The fixed-target L; the plane variant pairs it with the doubled u."""
+    delta, eps = _check_inputs(n, degV, d, q, delta, eps)
+    u = _u_ceiling(n, degV, d, delta, eps, doubled)
     rational = (Fraction(d) ** (n * n + n) * Fraction(degV) ** (n + 1)
                 * Fraction(2 * n + 5) ** n
                 * (delta ** 2 * (n + 1) / eps + delta) ** n)
-    return certified_floor(
-        lambda: _iv_fraction(rational) * iv.exp(iv.mpf(n)),
-        "the fixed-target truncation")
+    L = certified_floor(lambda: _iv_fraction(rational) * iv.exp(iv.mpf(n)),
+                        "the fixed-target truncation")
+    return SMTConstants(variant, u, L, _log10(L), n, degV, d, q, delta, eps)
 
 
 def constants_fixed(n: int, degV: int, d: int, delta: Fraction,
                     eps: Fraction, q: int = 1,
                     variant: str = "FixedB") -> SMTConstants:
-    delta, eps = _check_inputs(n, degV, d, q, delta, eps)
-    u = _u_ceiling(n, degV, d, delta, eps, doubled=False)
-    L = _fixed_L(n, degV, d, delta, eps)
-    with mp.workdps(30):
-        log10_L = float(mp.log10(mp.mpf(L))) if L >= 1 else -math.inf
-    return SMTConstants(variant, u, L, log10_L, n, degV, d, q, delta, eps)
+    return _fixed_target(n, degV, d, q, delta, eps, variant, doubled=False)
 
 
 def constants_theoremB(n: int, degV: int, d: int, q: int,
@@ -245,12 +248,9 @@ def constants_theoremB(n: int, degV: int, d: int, q: int,
                 * delta ** n * Fraction(2 * n + 4) ** n
                 * Fraction(n + 1) ** n
                 * Fraction(math.factorial(q)) ** n / eps ** n)
-    L = certified_floor(
-        lambda: _iv_fraction(rational) * iv.exp(iv.mpf(n)),
-        "the factorial-growth truncation")
-    with mp.workdps(30):
-        log10_L = float(mp.log10(mp.mpf(L))) if L >= 1 else -math.inf
-    return SMTConstants("TheoremB", 1, L, log10_L, n, degV, d, q, delta,
+    L = certified_floor(lambda: _iv_fraction(rational) * iv.exp(iv.mpf(n)),
+                        "the factorial-growth truncation")
+    return SMTConstants("TheoremB", 1, L, _log10(L), n, degV, d, q, delta,
                         eps, "no auxiliary step parameter; u stored as 1")
 
 
@@ -260,13 +260,20 @@ def constants_plane(n: int, degV: int, d: int, q: int, delta: Fraction,
     if moving:
         return constants_moving(n, degV, d, q, delta, eps,
                                 variant="Plane")
-    delta, eps = _check_inputs(n, degV, d, q, delta, eps)
-    u = _u_ceiling(n, degV, d, delta, eps, doubled=True)
-    L = _fixed_L(n, degV, d, delta, eps)
-    with mp.workdps(30):
-        log10_L = float(mp.log10(mp.mpf(L))) if L >= 1 else -math.inf
-    return SMTConstants("Plane", u, L, log10_L, n, degV, d, q, delta,
-                        eps)
+    return _fixed_target(n, degV, d, q, delta, eps, "Plane", doubled=True)
+
+
+def _scenario_constants(scenario: Scenario, n: int, degV: int, d: int,
+                        q: int, delta: Fraction) -> SMTConstants:
+    """The theorem variant a scenario falls under: plane domain, else
+    moving or fixed targets on the disc."""
+    eps = scenario.epsilon
+    if math.isinf(scenario.domain_radius):
+        return constants_plane(n, degV, d, q, delta, eps,
+                               scenario.family.is_moving)
+    if scenario.family.is_moving:
+        return constants_moving(n, degV, d, q, delta, eps)
+    return constants_fixed(n, degV, d, delta, eps, q=q)
 
 
 # -- scenario verification ------------------------------------------------------
@@ -286,13 +293,13 @@ class SMTReport:
         return any(f.startswith("falsification") for f in self.flags)
 
 
-def _spot_check_nondegenerate(scenario: Scenario, n: int,
-                              flags: List[str]) -> None:
+def _spot_check_nondegenerate(scenario: Scenario, flags: List[str]) -> None:
     """Cheap surrogates for algebraic nondegeneracy.
 
     Full certification is out of reach numerically; what can be checked
     is that no member annihilates the curve and that monomial values up
-    to degree 2 satisfy no relations beyond the variety's own ideal.
+    to degree 2 satisfy no relations beyond the variety's own ideal.  The
+    sample points must avoid the poles of rational components.
     """
     comps = scenario.curve.components
     try:
@@ -324,6 +331,8 @@ def _spot_check_nondegenerate(scenario: Scenario, n: int,
                 raise DegenerateInputError(
                     f"curve satisfies an unexpected degree-{u} relation "
                     f"(monomial rank {rank} < {expected})")
+    except ZeroDivisionError as err:
+        raise DegenerateInputError(f"a curve component has a {err}") from None
     except ExactEvalUnavailableError:
         flags.append("nondegeneracy assumption not certified "
                      "(transcendental components); only Q_j(f) != 0 checked")
@@ -333,21 +342,41 @@ def _spot_check_nondegenerate(scenario: Scenario, n: int,
                 "curve is linearly degenerate (Wronskian vanishes)")
 
 
-def _growth_index(scenario: Scenario, T: Sequence[float]) -> float:
-    if math.isinf(scenario.domain_radius):
-        return 0.0
-    if scenario.growth_model is not None:
-        return growth_index_model(float(scenario.growth_model),
-                                  scenario.domain_radius).value
-    return growth_index_sampled(scenario.grid, list(T)).value
-
-
 def _scaled(div: Divisor, factor: int) -> Divisor:
     if factor == 1:
         return div
     return Divisor(tuple((z, m * factor) for z, m in div.points),
                    div.radius, div.nudged,
                    div.residual_count_check * factor)
+
+
+def _scenario_numbers(scenario: Scenario, samples: int = 3
+                      ) -> Tuple[int, int, int, int, Fraction]:
+    """(n, deg V, q, d, Delta_V) of a scenario, with n >= 1 enforced."""
+    n, degV = scenario.variety.dim_degree()
+    if n < 1:
+        raise DegenerateInputError(f"variety has dimension {n}")
+    family = scenario.family
+    delta = distributive_constant(scenario.variety, family, samples=samples,
+                                  seed=scenario.seed).value
+    return n, degV, len(family), family.common_degree, delta
+
+
+def _scenario_setup(scenario: Scenario, quad_tol: float) -> Tuple[
+        int, int, int, int, Fraction, List[float], float]:
+    """What both scenario reports start from: the numbers above, T on the
+    grid and the growth index (0 for maps from the plane)."""
+    numbers = _scenario_numbers(scenario)
+    T = [characteristic(scenario.curve, r, quad_tol)
+         for r in scenario.grid.values]
+    if math.isinf(scenario.domain_radius):
+        c_f = 0.0
+    elif scenario.growth_model is not None:
+        c_f = growth_index_model(float(scenario.growth_model),
+                                 scenario.domain_radius).value
+    else:
+        c_f = growth_index_sampled(scenario.grid, T).value
+    return (*numbers, T, c_f)
 
 
 def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
@@ -359,41 +388,20 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
     falsification event and lands in the flags.
     """
     flags: List[str] = []
-    V = scenario.variety
-    n, degV = V.dim_degree()
-    if n < 1:
-        raise DegenerateInputError(f"variety has dimension {n}")
     family = scenario.family
-    q = len(family)
-    d = family.common_degree
     plane = math.isinf(scenario.domain_radius)
-
-    composed = [Q.compose(scenario.curve.components) for Q in family]
-    for j, g in enumerate(composed):
-        if g.is_zero():
-            raise DegenerateInputError(f"curve lies in hypersurface {j}")
-    _spot_check_nondegenerate(scenario, n, flags)
-
-    delta = distributive_constant(V, family, seed=scenario.seed).value
+    composed = [_compose(scenario.curve, Q, j) for j, Q in enumerate(family)]
+    _spot_check_nondegenerate(scenario, flags)
+    n, degV, q, d, delta, T, c_f = _scenario_setup(scenario, quad_tol)
+    constants = _scenario_constants(scenario, n, degV, d, q, delta)
     eps = scenario.epsilon
-
-    if plane:
-        constants = constants_plane(n, degV, d, q, delta, eps,
-                                    family.is_moving)
-        trunc_nominal = constants.L          # N^[L] in the plane case
-    else:
-        if family.is_moving:
-            constants = constants_moving(n, degV, d, q, delta, eps)
-        else:
-            constants = constants_fixed(n, degV, d, delta, eps, q=q)
-        trunc_nominal = None if constants.L is None else constants.L - 1
+    # N^[L] in the plane case, N^[L-1] on the disc
+    trunc_nominal = (constants.L if plane or constants.L is None
+                     else constants.L - 1)
 
     grid = scenario.grid
-    T = [characteristic(scenario.curve, r, quad_tol) for r in grid.values]
-
     correction = 0.0
     if not plane:
-        c_f = _growth_index(scenario, T)
         if constants.L is None:
             correction = math.inf
             flags.append(
@@ -425,11 +433,9 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
     N_full = [counting(div, grid, math.inf, strict_origin) for div in scaled]
 
     max_mult = max((m for div in scaled for _, m in div.points), default=0)
-    if k_used == math.inf or max_mult <= k_used:
-        for a, b in zip(N_trunc, N_full):
-            if a != b:
-                raise CertificationError(
-                    "saturated truncation changed a counting function")
+    if (k_used == math.inf or max_mult <= k_used) and N_trunc != N_full:
+        raise CertificationError(
+            "saturated truncation changed a counting function")
     if trunc_nominal is None or max_mult < trunc_nominal:
         flags.append(
             "truncation saturated: max multiplicity "
@@ -456,12 +462,10 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
             flags.append(f"falsification event at r = {r}: "
                          f"margin = {margin:.3e}")
 
-    top = grid.top_decile()
-    defects = []
-    for j, (Q, div) in enumerate(zip(family, divisors)):
-        Nj = counting(div, grid, k_used, strict_origin)
-        ratio = max(Nj[i] / (Q.degree * T[i]) for i in top)
-        defects.append((j, 1.0 - ratio))
+    defects = [(j, _top_decile_defect(
+                    grid, counting(div, grid, k_used, strict_origin), T,
+                    Q.degree))
+               for j, (Q, div) in enumerate(zip(family, divisors))]
 
     other = constants_theoremB(n, degV, d, q, delta, eps)
     comparison = {
@@ -502,35 +506,19 @@ def defect_relation_report(scenario: Scenario,
     if family.is_moving:
         raise ValidationError("the defect relation needs fixed hypersurfaces")
     flags: List[str] = []
-    V = scenario.variety
-    n, degV = V.dim_degree()
-    if n < 1:
-        raise DegenerateInputError(f"variety has dimension {n}")
-    q = len(family)
-    d = family.common_degree
-    delta = distributive_constant(V, family, seed=scenario.seed).value
+    n, degV, q, d, delta, T, c_f = _scenario_setup(scenario, quad_tol)
     eps = scenario.epsilon
-
     constants = constants_fixed(n, degV, d, delta, eps, q=q)
     u_bound = _u_ceiling(n, degV, d, delta, eps, doubled=True)
     L = constants.L
 
     grid = scenario.grid
-    T = [characteristic(scenario.curve, r, quad_tol) for r in grid.values]
-    composed = [Q.compose(scenario.curve.components) for Q in family]
-    for j, g in enumerate(composed):
-        if g.is_zero():
-            raise DegenerateInputError(f"curve lies in hypersurface {j}")
-
-    top = scenario.grid.top_decile()
-    defects = []
-    max_mult = 0
-    for j, (Q, g) in enumerate(zip(family, composed)):
-        div = _divisor_with_pad(g, grid.values[-1])
-        max_mult = max(max_mult, max((m for _, m in div.points), default=0))
-        Nj = counting(div, grid, L - 1)
-        ratio = max(Nj[i] / (Q.degree * T[i]) for i in top)
-        defects.append((j, 1.0 - ratio))
+    composed = [_compose(scenario.curve, Q, j) for j, Q in enumerate(family)]
+    divisors = [_divisor_with_pad(g, grid.values[-1]) for g in composed]
+    max_mult = max((m for div in divisors for _, m in div.points), default=0)
+    defects = [(j, _top_decile_defect(grid, counting(div, grid, L - 1), T,
+                                      Q.degree))
+               for j, (Q, div) in enumerate(zip(family, divisors))]
     if max_mult < L - 1:
         flags.append(
             "truncation saturated: max multiplicity "
@@ -540,9 +528,7 @@ def defect_relation_report(scenario: Scenario,
     total = sum(v for _, v in defects)
     bound = float(delta * (n + 1) + eps)
     if not math.isinf(scenario.domain_radius):
-        c_f = _growth_index(scenario, T)
-        bound += (float(delta * (n + 1) + eps) * c_f * (L - 1)
-                  / (2 * d * u_bound))
+        bound += bound * c_f * (L - 1) / (2 * d * u_bound)
     holds = total <= bound + tolerance
     return DefectRelationReport(constants, u_bound, tuple(defects), total,
                                 bound, holds, tuple(flags))

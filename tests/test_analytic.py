@@ -432,6 +432,22 @@ def test_parse_exppoly_negative_lambda():
     assert f == AF.exppoly({GR(-1): P(1), GR(1): P(-2)})
 
 
+@pytest.mark.parametrize("text, coeffs", [
+    ("poly: 1 - - z", (1, 1)),
+    ("poly: - - z", (0, 1)),
+    ("poly: 1 - + z", (1, -1)),
+    ("poly: 1 + - z", (1, -1)),
+])
+def test_parse_double_signs(text, coeffs):
+    # the same splitter as the polynomial grammar: "- -" reads "+"
+    assert parse_function(text) == fn_poly(*coeffs)
+
+
+def test_parse_exppoly_double_sign():
+    f = parse_function("exppoly: (1)*exp(0) - - (2)*exp(z)")
+    assert f == AF.exppoly({GR(0): P(1), GR(1): P(2)})
+
+
 def test_parse_constant_literal():
     f = parse_function("3/2")
     assert f == fn_poly(Fraction(3, 2))

@@ -198,8 +198,8 @@ def test_fmt_check_composes_and_characterizes_once(monkeypatch, capsys):
 
     monkeypatch.setattr(hypersurfaces.MovingHypersurface, "compose",
                         counted_compose)
+    # fmt-check reads T from build_profile, which looks it up in nevanlinna
     monkeypatch.setattr(nevanlinna, "characteristic", counted_characteristic)
-    monkeypatch.setattr(cli, "characteristic", counted_characteristic)
     code, out, _ = run(capsys, "fmt-check", "--scenario", CONIC)
     assert code == 0
     grid = [row[0] for row in json.loads(out)["rows"]]
@@ -254,6 +254,79 @@ def test_unknown_command_exits_one(capsys):
 def test_missing_required_flag_exits_one(capsys):
     assert cli.main(["verify"]) == 1
     capsys.readouterr()
+
+
+def _scenario_file(tmp_path, **fields):
+    data = json.loads(Path(THREE_POINTS).read_text())
+    data.update(fields)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_pole_at_spot_check_point_exits_one(tmp_path, capsys):
+    # 4/5 is the first nondegeneracy sample point (3t+1)/(2t+3), t = 1
+    path = _scenario_file(tmp_path, curve={
+        "components": ["poly: 1", "rational: (1)/(z - 4/5)"],
+        "domain_R": "inf"})
+    code, out, err = run(capsys, "verify", "--scenario", path)
+    assert_one_error_line(code, out, err)
+    assert "pole at sample point 4/5" in err
+
+
+def test_structural_type_error_exits_one(tmp_path, capsys):
+    path = _scenario_file(tmp_path, curve=None)
+    code, out, err = run(capsys, "constants", "--scenario", path)
+    assert_one_error_line(code, out, err)
+    assert "'curve' must be an object" in err
+
+
+# the options beyond --scenario, --output, --format and --seed: argv,
+# parsed value, and the subcommands whose handler reads them
+OPTIONS = {
+    "quad_tol": (["--quad-tol", "1e-6"], 1e-6,
+                 {"nevanlinna", "fmt-check", "verify", "defects"}),
+    "max_u": (["--max-u", "6"], 6, {"weights"}),
+    "samples": (["--samples", "2"], 2, {"constants", "distributive"}),
+    "strict_jensen": (["--strict-jensen"], True, {"nevanlinna", "verify"}),
+}
+COMMON = ["--output", "report.out", "--format", "csv", "--seed", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--quad-tol", "1e-6"],
+    ["verify", "--samples", "2"],
+    ["defects", "--strict-jensen"],
+])
+def test_unread_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--scenario", THREE_POINTS,
+                         *argv[1:])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_each_flag_accepted_exactly_where_read():
+    parser = cli._build_parser()
+    settable = 0
+    for command in cli._COMMANDS:
+        base = [command, "--scenario", THREE_POINTS]
+        args = parser.parse_args(base + COMMON)
+        assert (args.output, args.format, args.seed) == ("report.out",
+                                                         "csv", 4)
+        settable += 4
+        for dest, (argv, value, commands) in OPTIONS.items():
+            if command in commands:
+                assert getattr(parser.parse_args(base + argv), dest) == value
+                settable += 1
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(base + argv)
+    assert settable == 37
 
 
 def _fake_report(flags):

@@ -168,6 +168,18 @@ def test_parse_homog_poly_rejects_inhomogeneous():
         parse_homog_poly("x0^2 + x1", 2)
 
 
+@pytest.mark.parametrize("text, terms", [
+    ("x0 - - x1", {(1, 0): 1, (0, 1): 1}),
+    ("- - x1", {(0, 1): 1}),
+    ("x0 - + x1", {(1, 0): 1, (0, 1): -1}),
+    ("x0 + - x1", {(1, 0): 1, (0, 1): -1}),
+])
+def test_parse_homog_poly_double_signs(text, terms):
+    # a sign with no term before it negates the sign in force
+    p = parse_homog_poly(text, 2)
+    assert p.terms == {Monomial(m): GR(c) for m, c in terms.items()}
+
+
 def test_parse_homog_poly_gaussian_factor():
     p = parse_homog_poly("(1+2i)*x0*x1", 2)
     assert p.terms == {Monomial((1, 1)): GR(1, 2)}

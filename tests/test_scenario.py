@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,6 +145,48 @@ def test_malformed_json_reports_location(tmp_path):
         load_scenario(str(p))
     with pytest.raises(ValidationError, match="cannot read"):
         load_scenario(str(tmp_path / "absent.json"))
+
+
+def _three_points():
+    return json.loads((SCENARIOS / "line_three_points.json").read_text())
+
+
+def _set_coefficients_null(data):
+    data["hypersurfaces"][0]["coefficients"] = None
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(curve=None), "'curve'"),
+    (lambda d: d.update(grid=5), "'grid'"),
+    (lambda d: d.update(growth_model=3), "'growth_model'"),
+    (lambda d: d.update(hypersurfaces=[5]), "'hypersurfaces[0]'"),
+    (lambda d: d.update(variety_generators=[5]), "'variety_generators[0]'"),
+    (_set_coefficients_null, "'hypersurfaces[0].coefficients'"),
+])
+def test_structural_types_name_field(mutate, path):
+    data = _three_points()
+    mutate(data)
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert f"scenario field {path} must be" in str(err.value)
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d["curve"]["components"].__setitem__(0, "1/0"),
+     "'curve.components[0]'"),
+    (lambda d: d.update(variety_generators=["1/0*x0"]),
+     "'variety_generators[0]'"),
+    (lambda d: d["hypersurfaces"][0]["coefficients"].update(x0="1/0"),
+     "'hypersurfaces[0]'"),
+    (lambda d: d["hypersurfaces"][0]["coefficients"].update(x0=5),
+     "'hypersurfaces[0].coefficients.x0'"),
+    (lambda d: d["grid"].update(r_min=0), "'grid'"),
+])
+def test_bad_literals_name_field(mutate, path):
+    data = _three_points()
+    mutate(data)
+    with pytest.raises(ValidationError, match=re.escape(f"field {path}")):
+        scenario_from_dict(data)
 
 
 def test_non_object_rejected():

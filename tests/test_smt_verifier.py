@@ -1,6 +1,7 @@
 """Truncation constants and scenario-level inequality verification."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +98,15 @@ def test_plane_constants():
     assert c.u == 60 and c.L == 95  # doubled step, fixed-formula truncation
     m = constants_plane(1, 1, 1, 2, F(1), F(1), moving=True)
     assert m.variant == "Plane" and m.u == 36
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_plane_u_recomputed(moving):
+    # both plane branches carry the doubled step parameter, checked again
+    # on construction as for MovingA
+    c = constants_plane(1, 1, 1, 3, F(1), F(1, 2), moving=moving)
+    with pytest.raises(CertificationError, match="exact recomputation"):
+        replace(c, u=c.u + 1)
 
 
 def test_certified_floor_resolves_and_caps():
