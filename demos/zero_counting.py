@@ -1,8 +1,10 @@
 """Zeros in discs, counted two independent ways.
 
-Polynomial inputs factor exactly; everything else goes through winding
-numbers on circle quadrature with interval splitting.  The two paths are
-compared on the same function along the way.
+Polynomial inputs factor exactly; everything else goes through contour
+moments: trapezoid sums of z^p f'/f on a circle give the power sums of
+the zeros inside, whose polynomial's roots are then polished by Newton's
+method and confirmed by windings (numerical checks, not certificates).
+The two paths are compared on the same function along the way.
 """
 
 import math

@@ -17,11 +17,12 @@ point, numpy on an array.
 Zero extraction is dual-path.  Polynomial (and rational-numerator) zeros
 come from companion-matrix eigenvalues of the exact square-free factors,
 with Yun's algorithm supplying multiplicities.  Exponential polynomials go
-through the argument principle: a circle winding for the total count and
-recursive rectangle subdivision for locations.  The circle winding stops
-when two doubling levels agree, a numerical convergence check rather than
-a certificate.  Every divisor is cross-checked against an independently
-computed outer winding.
+through contour moments (Delves-Lyness): power sums of the zeros in a disc
+are trapezoid sums of z^p f'/f, Newton's identities turn them into a
+polynomial whose roots Newton's method polishes, and crowded discs are
+split.  This is numerical, and so are its checks: a small-circle winding
+per zero and an outer winding for the total, each stopping when two
+doubling levels agree, are convergence checks rather than certificates.
 """
 
 from __future__ import annotations
@@ -330,12 +331,13 @@ class AnalyticFunction:
     polynomial.
     """
 
-    __slots__ = ("kind", "data", "_plan")
+    __slots__ = ("kind", "data", "_plan", "_derivative")
 
     def __init__(self, kind: str, data):
         self.kind = kind  # "poly" | "rational" | "exppoly"
         self.data = data
         self._plan = None
+        self._derivative = None
 
     # -- constructors ---------------------------------------------------
 
@@ -499,6 +501,11 @@ class AnalyticFunction:
     # -- calculus ---------------------------------------------------------
 
     def derivative(self) -> "AnalyticFunction":
+        if self._derivative is None:  # kept: the zero path asks per circle
+            self._derivative = self._differentiate()
+        return self._derivative
+
+    def _differentiate(self) -> "AnalyticFunction":
         if self.kind == "poly":
             return AnalyticFunction("poly", self.data.derivative())
         if self.kind == "rational":
@@ -697,158 +704,181 @@ def _scaled_ratio(num, den):
     return (wn / wd) * ops.exp(shift) if ops.any(shift != 0) else wn / wd
 
 
-def winding_circle(f: AnalyticFunction, t: float,
-                   max_nodes: int = 2 ** 18) -> Tuple[int, int]:
-    """Winding of f around |z| = t by the argument principle.
-
-    Trapezoid sums of f'(z) z / f(z), one array of nodes per doubling
-    level, doubling from 64 until two successive levels round to the same
-    integer with residual < 0.25.  A level with |f| < _TINY at any node is
-    rejected.  The stop is a numerical convergence check, not a
-    certificate: it trusts that the trapezoid error has fallen below 0.25
-    once two levels agree.  Returns (count, nodes_used); raises
-    CertificationError at the node cap.
-    """
-    fp = f.derivative()
+def _circle_levels(f, fp, t: float, max_nodes: int, centre: complex = 0j):
+    """Yield (u, g) per doubling level of nodes on |z - centre| = t, 64 up
+    to max_nodes: the unit nodes u and the trapezoid integrand
+    g = t u f'/f at centre + t u, or None if |f| < _TINY at some node."""
     nodes = 64
-    prev: Optional[int] = None
     while nodes <= max_nodes:
-        z = t * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        wf = f.eval_scaled(z)
+        u = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        z = t * u
+        wf = f.eval_scaled(z + centre)
         if np.any(np.abs(wf[0]) < _TINY):
-            prev = None
+            yield u, None
         else:
-            ratio = _scaled_ratio(fp.eval_scaled(z), wf)
-            w = complex(np.sum(ratio * z)) / nodes
-            k = round(w.real)
-            if prev == k and abs(w - k) < 0.25:
-                return k, nodes
-            prev = k
+            yield u, _scaled_ratio(fp.eval_scaled(z + centre), wf) * z
         nodes *= 2
+
+
+def winding_circle(f: AnalyticFunction, t: float,
+                   max_nodes: int = 2 ** 18,
+                   centre: complex = 0j) -> Tuple[int, int]:
+    """Winding of f around |z - centre| = t by the argument principle.
+
+    Trapezoid sums on the levels of _circle_levels until two successive
+    levels round to the same integer with residual < 0.25; a level with
+    |f| < _TINY at a node is rejected.  The stop is a numerical
+    convergence check, not a certificate.  Returns (count, nodes_used);
+    raises CertificationError at the node cap.
+    """
+    prev: Optional[int] = None
+    for u, g in _circle_levels(f, f.derivative(), t, max_nodes, centre):
+        if g is None:
+            prev = None
+            continue
+        w = complex(np.sum(g)) / len(g)
+        k = round(w.real)
+        if prev == k and abs(w - k) < 0.25:
+            return k, len(g)
+        prev = k
     raise CertificationError(
         f"winding on |z| = {t} did not converge within {max_nodes} nodes")
 
 
-class _BoundaryHit(Exception):
-    """A zero sits on or too close to a tentative contour."""
+# One circle's moments locate at most _MOMENT_CAP zeros: for e^z - 2 the
+# moment roots miss by 2.4e-10 at k = 13 (|z| <= 40), 5.5e-8 at 17 (55),
+# 3.8e-7 at 19 (60) and 4e-4 at 25 (80); the cap keeps that near 1e-9 t,
+# so a double zero's ring stays well inside _CLUSTER t.  _COVER: seven
+# discs of radius 0.55 t cover the disc, each point 0.05 t inside one.
+_MOMENT_CAP = 16
+_MOMENT_TOL = 1e-8   # moment change between levels, relative to mean |g|
+_CLUSTER = 1e-3      # moment roots this close (times the radius) are one zero
+_UNPOLISHED_RHO = 3e-7   # small-circle floor around an unpolished centre
+_COVER = (0j,) + tuple(cmath.rect(math.sqrt(3) / 2, j * math.pi / 3)
+                       for j in range(6))
+_MAX_DEPTH = 12
 
 
-def _phase_speed_ok(f: AnalyticFunction, fp: AnalyticFunction,
-                    a: complex, b: complex) -> bool:
-    """Check that |f'/f| along [a, b] cannot hide a full phase turn.
-
-    A wrapped phase step is only trustworthy when the true variation is
-    below pi; five samples of the logarithmic derivative bound it.  Misses
-    here cannot survive to the final divisor because totals are re-checked
-    against small-circle counts.
-    """
-    length = abs(b - a)
-    worst = 0.0
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        z = a + (b - a) * frac
-        try:
-            g = _scaled_ratio(fp.eval_scaled(z), f.eval_scaled(z))
-        except ZeroDivisionError:
-            raise _BoundaryHit(z)
-        except OverflowError:
-            return False
-        worst = max(worst, abs(g))
-    return worst * length <= 1.5
-
-
-def _arg_variation(f: AnalyticFunction, fp: AnalyticFunction,
-                   a: complex, b: complex, depth: int = 0) -> float:
-    """Continuous argument change of f along [a, b] by adaptive bisection."""
-    wa, _ = f.eval_scaled(a)
-    wb, _ = f.eval_scaled(b)
-    if abs(wa) < _TINY or abs(wb) < _TINY:
-        raise _BoundaryHit(a if abs(wa) < _TINY else b)
-    step = cmath.phase(wb / wa)
-    if abs(step) <= 0.5 * math.pi / 2 and _phase_speed_ok(f, fp, a, b):
-        return step
-    if depth >= 52:
-        raise _BoundaryHit(a)
-    mid = (a + b) / 2
-    return (_arg_variation(f, fp, a, mid, depth + 1)
-            + _arg_variation(f, fp, mid, b, depth + 1))
+def _disc_moments(f, fp, centre: complex, t: float, max_nodes: int):
+    """(k, s): the count k of zeros of f in |z - centre| < t, settled as
+    in winding_circle, and their power sums s_p = sum w^p, p = 0..k, in
+    w = (z - centre)/t: trapezoid sums of u^p g, one power at a time.
+    s is None if k > _MOMENT_CAP; both are None if the count or the
+    moments do not settle (to _MOMENT_TOL) by max_nodes."""
+    prev: Optional[List[complex]] = None
+    for u, g in _circle_levels(f, fp, t, max_nodes, centre):
+        if g is None:
+            prev = None
+            continue
+        s = [complex(np.sum(g)) / len(g)]
+        k = round(s[0].real)
+        acc = g
+        for _ in range(min(max(k, 0), _MOMENT_CAP)):
+            acc = acc * u
+            s.append(complex(np.sum(acc)) / len(g))
+        if prev is not None and round(prev[0].real) == k \
+                and abs(s[0] - k) < 0.25:
+            if k > _MOMENT_CAP:
+                return k, None
+            tol = _MOMENT_TOL * (1.0 + float(np.mean(np.abs(g))))
+            if all(abs(a - b) <= tol for a, b in zip(s[1:], prev[1:])):
+                return k, s
+        prev = s
+    return None, None
 
 
-def _winding_rect(f: AnalyticFunction, fp: AnalyticFunction,
-                  x0: float, x1: float, y0: float, y1: float) -> int:
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
-               complex(x0, y1), complex(x0, y0)]
-    total = 0.0
-    for a, b in zip(corners, corners[1:]):
-        total += _arg_variation(f, fp, a, b)
-    w = total / (2 * math.pi)
-    k = round(w)
-    if abs(w - k) > 0.25:
-        raise _BoundaryHit(complex(x0, y0))
-    return k
+def _moment_points(f: AnalyticFunction, fp: AnalyticFunction,
+                   centre: complex, t: float, s: List[complex],
+                   max_nodes: int) -> Optional[List[Tuple[complex, int, bool]]]:
+    """Zeros in |z - centre| < t from power sums s: Newton's identities
+    give their monic polynomial; roots within _CLUSTER t of each other are
+    one zero of that multiplicity, polished from the cluster centre (kept
+    unpolished if Newton stalls).  None if a zero falls outside the disc
+    or fails its small-circle winding: the caller splits the disc."""
+    c = [1.0 + 0j]
+    for j in range(1, len(s)):
+        c.append(-sum(c[i] * s[j - i] for i in range(j)) / j)
+    clusters: List[List[complex]] = []
+    for r in np.roots(c):
+        z = centre + t * complex(r)
+        near = [cl for cl in clusters
+                if any(abs(z - q) < _CLUSTER * t for q in cl)]
+        clusters = [cl for cl in clusters if cl not in near] + [
+            [z] + [q for cl in near for q in cl]]
+    starts = [sum(cl) / len(cl) for cl in clusters]
+    points = []
+    for i, (z0, cl) in enumerate(zip(starts, clusters)):
+        gap = min((abs(z0 - w) for j, w in enumerate(starts) if j != i),
+                  default=2 * t)   # polishing stays nearer z0 than others
+        z = _newton_polish(f, fp, z0, gap / 2, len(cl))
+        if z is None and len(cl) > 1:   # close simple zeros polish apart
+            apart = [_newton_polish(f, fp, r, min(
+                abs(r - q) for q in cl if q is not r) / 2) for r in cl]
+            if apart.count(None) < len(cl):
+                points += [(r, 1, False) if w is None else (w, 1, True)
+                           for r, w in zip(cl, apart)]
+                continue
+        points.append((z0, len(cl), False) if z is None
+                      else (z, len(cl), True))
+    if any(abs(z - centre) >= t for z, _, _ in points):
+        return None
+    try:
+        _verify_multiplicities(f, points, max_nodes)
+    except CertificationError:
+        return None
+    return points
 
 
-_SPLIT_LADDER = (0.5, 0.52, 0.47, 0.55, 0.43, 0.58)
-
-_CELL_FLOOR = 1e-7
+def _locate(f: AnalyticFunction, fp: AnalyticFunction, centre: complex,
+            t: float, max_nodes: int, depth: int = 0
+            ) -> List[Tuple[complex, int, bool]]:
+    """Zeros of f in |z - centre| < t as (z, mult, polished): from the
+    disc's moments, else as the union of the _COVER sub-discs' zeros, each
+    kept once, whose total must match the disc's count.  A disc whose
+    count or moments do not settle (a zero near its circle) is split
+    uncounted; its zeros then come back for the caller's count to check."""
+    k, s = _disc_moments(f, fp, centre, t, max_nodes)
+    if k == 0:
+        return []
+    points = None if s is None else _moment_points(f, fp, centre, t, s,
+                                                   max_nodes)
+    if points is not None:
+        return points
+    if depth == _MAX_DEPTH:
+        raise CertificationError(
+            f"zeros near {centre} not separated at radius {t}")
+    found: List[Tuple[complex, int, bool]] = []
+    for offset in _COVER:
+        for z, m, polished in _locate(f, fp, centre + offset * t,
+                                      0.55 * t, max_nodes, depth + 1):
+            if abs(z - centre) < t + 1e-9 and all(   # nudge band kept
+                    abs(z - w) >= _UNPOLISHED_RHO for w, _, _ in found):
+                found.append((z, m, polished))
+    total = sum(m for _, m, _ in found)
+    if k is not None and total != k:
+        raise CertificationError(
+            f"sub-disc zeros {total} != count {k} on |z - {centre}| = {t}")
+    return found
 
 
 def _newton_polish(f: AnalyticFunction, fp: AnalyticFunction,
-                   z: complex, cell: float) -> Optional[complex]:
+                   z: complex, reach: float, mult: int = 1
+                   ) -> Optional[complex]:
+    """Newton steps z - mult f/f'; None if they stall, meet f' = 0 or
+    stray more than reach from the start."""
     start = z
     for _ in range(60):
         wf, sf = f.eval_scaled(z)
         wp, sp = fp.eval_scaled(z)
         if wp == 0:
             return None
-        step = (wf / wp) * math.exp(min(sf - sp, 700.0))
+        step = mult * (wf / wp) * math.exp(min(sf - sp, 700.0))
         z = z - step
-        if abs(z - start) > 4 * cell:
+        if abs(z - start) > reach:
             return None
         if abs(step) < 1e-13 * max(1.0, abs(z)):
             return z
     return None
-
-
-def _subdivide(f: AnalyticFunction, fp: AnalyticFunction,
-               x0: float, x1: float, y0: float, y1: float,
-               budget: List[int], depth: int = 0
-               ) -> List[Tuple[complex, int, bool]]:
-    """Locate all zeros in the rectangle; entries are (z, mult, polished).
-
-    Raises _BoundaryHit when a zero sits on this rectangle's boundary;
-    the caller then moves its split line and tries again.
-    """
-    budget[0] -= 1
-    if budget[0] <= 0 or depth > 96:
-        raise CertificationError("subdivision budget exhausted")
-    w = _winding_rect(f, fp, x0, x1, y0, y1)
-    if w == 0:
-        return []
-    size = max(x1 - x0, y1 - y0)
-    center = complex((x0 + x1) / 2, (y0 + y1) / 2)
-    if w == 1:
-        z = _newton_polish(f, fp, center, size)
-        if z is not None and x0 <= z.real <= x1 and y0 <= z.imag <= y1:
-            return [(z, 1, True)]
-    if size < _CELL_FLOOR:
-        return [(center, w, False)]
-    for frac in _SPLIT_LADDER:
-        xm = x0 + (x1 - x0) * frac
-        ym = y0 + (y1 - y0) * frac
-        quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
-                 (x0, xm, ym, y1), (xm, x1, ym, y1)]
-        try:
-            out: List[Tuple[complex, int, bool]] = []
-            for q in quads:
-                out.extend(_subdivide(f, fp, *q, budget=budget,
-                                      depth=depth + 1))
-        except _BoundaryHit:
-            continue  # a zero sat on this split cross; move the cross
-        if sum(m for _, m, _ in out) != w:
-            raise CertificationError(
-                f"child windings disagree with parent count {w}")
-        return out
-    raise CertificationError("split ladder exhausted; zeros pin every cross")
 
 
 # ---------------------------------------------------------------------------
@@ -859,11 +889,11 @@ def _subdivide(f: AnalyticFunction, fp: AnalyticFunction,
 class Divisor:
     """Zeros of a function in a closed disc, with multiplicities.
 
-    points are sorted by (modulus, argument).  radius is the effective
-    contour radius (nudged outward when a zero fell within 1e-9 of the
-    requested circle).  residual_count_check is the total from an
-    independent outer-winding computation and always equals the sum of
-    multiplicities.
+    points are sorted by (modulus, argument); exp-poly zeros are numerical.
+    radius is the effective contour radius (nudged outward when a zero fell
+    within 1e-9 of the requested circle).  residual_count_check is the total
+    from an independent outer winding, a numerical check, and always equals
+    the sum of multiplicities.
     """
 
     points: Tuple[Tuple[complex, int], ...]
@@ -909,7 +939,8 @@ def zeros_in_disc(f: AnalyticFunction, t: float,
     """Divisor of zeros of f in the closed disc |z| <= t.
 
     Rational functions contribute the zeros of their reduced numerator.
-    The winding path can be forced for cross-checking the algebraic path.
+    The moment path can be forced for cross-checking the algebraic path.
+    Either way the located total must match the outer winding.
     """
     if f.is_zero():
         raise DegenerateInputError("zero function has no zero divisor")
@@ -922,62 +953,23 @@ def zeros_in_disc(f: AnalyticFunction, t: float,
         core = f
 
     if core.kind == "poly" and not force_winding:
-        return _zeros_polynomial_path(core, t, max_nodes)
-    return _zeros_winding_path(core, t, max_nodes)
-
-
-def _zeros_polynomial_path(f: AnalyticFunction, t: float,
-                           max_nodes: int) -> Divisor:
-    p: Poly1 = f.data
-    if p.degree == 0:
-        return Divisor((), t, False, 0)
-    all_zeros = _poly_zeros(p)
+        if core.data.degree == 0:
+            return Divisor((), t, False, 0)
+        located = _poly_zeros(core.data)
+    else:
+        located = [(z, m) for z, m, _ in
+                   _locate(core, core.derivative(), 0j, t, max_nodes)]
     t_eff, nudged = t, False
-    if any(abs(abs(z) - t_eff) < 1e-9 for z, _ in all_zeros):
+    if any(abs(abs(z) - t) < 1e-9 for z, _ in located):
         t_eff += 1e-8
         nudged = True
-    inside = [(z, m) for z, m in all_zeros if abs(z) <= t_eff]
-    check, _ = winding_circle(f, t_eff, max_nodes)
+    inside = [(z, m) for z, m in located if abs(z) <= t_eff]
+    count, _ = winding_circle(core, t_eff, max_nodes)
     total = sum(m for _, m in inside)
-    if check != total:
-        raise CertificationError(
-            f"polynomial zero count {total} disagrees with winding {check}")
-    return Divisor(_sort_points(inside), t_eff, nudged, check)
-
-
-def _zeros_winding_path(f: AnalyticFunction, t: float,
-                        max_nodes: int) -> Divisor:
-    fp = f.derivative()
-
-    budget = [200000]
-    box = t * (1 + 1e-6) + 2e-8
-    located: Optional[List[Tuple[complex, int, bool]]] = None
-    last_error: Optional[Exception] = None
-    for margin in (0.0, 3e-4, 7e-4):
-        try:
-            located = _subdivide(f, fp, -box - margin, box + margin * 1.7,
-                                 -box - margin * 1.3, box + margin * 0.7,
-                                 budget=budget)
-            break
-        except (_BoundaryHit, CertificationError) as err:
-            last_error = err
-    if located is None:
-        raise CertificationError(
-            f"rectangle subdivision could not isolate the zeros: {last_error}")
-
-    t_eff, nudged = t, False
-    if any(abs(abs(z) - t) < 1e-9 for z, _, _ in located):
-        t_eff += 1e-8
-        nudged = True
-    count, _ = winding_circle(f, t_eff, max_nodes)
-    inside = [(z, m, p) for z, m, p in located if abs(z) <= t_eff]
-    _verify_multiplicities(f, inside, max_nodes)
-    total = sum(m for _, m, _ in inside)
     if total != count:
         raise CertificationError(
             f"located multiplicity total {total} != outer winding {count}")
-    return Divisor(_sort_points([(z, m) for z, m, _ in inside]),
-                   t_eff, nudged, count)
+    return Divisor(_sort_points(inside), t_eff, nudged, count)
 
 
 def _verify_multiplicities(f: AnalyticFunction,
@@ -986,41 +978,17 @@ def _verify_multiplicities(f: AnalyticFunction,
     """Check each located zero by winding on a small centred circle.
 
     The circle must dominate the location error: polished (Newton) zeros
-    are good to ~1e-13, cluster centres only to the cell floor.
+    are good to ~1e-13, centres whose polishing stalled to ~sqrt(eps).
     """
     for i, (z, m, polished) in enumerate(points):
         dist = min((abs(z - w) for j, (w, _, _) in enumerate(points) if j != i),
                    default=1.0)
-        floor = 1e-8 if polished else 3 * _CELL_FLOOR
+        floor = 1e-8 if polished else _UNPOLISHED_RHO
         rho = max(floor, min(1e-4, 0.25 * dist))
-        shifted = _shift_function(f, z)
-        k, _ = winding_circle(shifted, rho, max_nodes)
+        k, _ = winding_circle(f, rho, max_nodes, centre=z)
         if k != m:
             raise CertificationError(
                 f"multiplicity at {z}: located {m}, small circle gives {k}")
-
-
-def _shift_function(f: AnalyticFunction, z0: complex) -> AnalyticFunction:
-    """Wrap f as g(w) = f(w + z0) for winding around a located zero.
-
-    The shift is numeric, so g is represented by closures rather than a
-    symbolic variant.  Like the functions it wraps, it evaluates on one
-    point or on an array of nodes.
-    """
-
-    class _Shifted:
-        kind = "numeric"
-
-        def __init__(self, base):
-            self.base = base
-
-        def eval_scaled(self, w):
-            return self.base.eval_scaled(w + z0)
-
-        def derivative(self):
-            return _Shifted(self.base.derivative())
-
-    return _Shifted(f)  # duck-typed for winding_circle
 
 
 # ---------------------------------------------------------------------------

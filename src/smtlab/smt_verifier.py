@@ -508,7 +508,7 @@ def defect_relation_report(scenario: Scenario,
     flags: List[str] = []
     n, degV, q, d, delta, T, c_f = _scenario_setup(scenario, quad_tol)
     eps = scenario.epsilon
-    constants = constants_fixed(n, degV, d, delta, eps, q=q)
+    constants = _scenario_constants(scenario, n, degV, d, q, delta)
     u_bound = _u_ceiling(n, degV, d, delta, eps, doubled=True)
     L = constants.L
 

@@ -339,6 +339,83 @@ def test_winding_circle_counts_poly():
     assert nodes <= 2 ** 12
 
 
+def exp_minus(c):
+    return AF.exppoly({GR(0): P(-c), GR(1): P(1)})  # e^z - c
+
+
+def test_moments_locate_exp_minus_two():
+    div = zeros_in_disc(exp_minus(2), 40.0)
+    expect = [math.log(2) + 2j * math.pi * k for k in range(-6, 7)]
+    assert div.residual_count_check == 13 and len(div.points) == 13
+    for z, m in div.points:
+        assert m == 1
+        assert min(abs(z - w) for w in expect) < 1e-12
+    assert sorted(min(range(13), key=lambda i: abs(z - expect[i]))
+                  for z, _ in div.points) == list(range(13))
+
+
+def test_moments_cluster_triple_zero():
+    div = zeros_in_disc(exp_minus(1) ** 3, 1.0)
+    assert div.residual_count_check == 3
+    assert len(div.points) == 1
+    z, m = div.points[0]
+    assert m == 3 and abs(z) < 1e-6
+
+
+def test_moments_separate_close_simple_zeros():
+    # zeros 1e-5 apart share one moment cluster; the stalled double-zero
+    # polish must not merge them into one zero of multiplicity 2
+    f = exp_minus(1) * AF.exppoly({GR(0): P(-1 - Fraction(1, 10 ** 5)),
+                                   GR(1): P(1)})
+    div = zeros_in_disc(f, 1.0)
+    assert [m for _, m in div.points] == [1, 1]
+    (z0, _), (z1, _) = div.points
+    assert abs(z0) < 1e-9 and abs(z1 - math.log1p(1e-5)) < 1e-9
+
+
+def test_moments_split_above_cap_counts_each_zero_once():
+    from smtlab.analytic import _MOMENT_CAP
+    f = exp_minus(1)  # zeros 2 pi i k; 31 of them in |z| <= 100
+    assert 31 > _MOMENT_CAP  # so the disc must be split
+    div = zeros_in_disc(f, 100.0)
+    expect = [2j * math.pi * k for k in range(-15, 16)]
+    assert div.residual_count_check == 31 and len(div.points) == 31
+    hits = [min(range(31), key=lambda i: abs(z - expect[i]))
+            for z, _ in div.points]
+    assert sorted(hits) == list(range(31))
+    for (z, m), i in zip(div.points, hits):
+        assert m == 1 and abs(z - expect[i]) < 1e-12
+
+
+def test_moments_residuals_of_z_exp_z_minus_one():
+    f = AF.exppoly({GR(0): P(-1), GR(1): P(0, 1)})  # z e^z - 1
+    div = zeros_in_disc(f, 10.0)
+    count, _ = winding_circle(f, 10.0)
+    assert div.total() == count == div.residual_count_check
+    assert len(div.points) == count
+    for z, m in div.points:
+        assert m == 1 and abs(f.eval_complex(z)) <= 1e-12
+
+
+def test_moment_location_cost(monkeypatch):
+    # Each circle walk evaluates f and f' once per doubling level on one
+    # array; the moment circle, the outer winding circle and the 13
+    # small circles settle within three levels each here.  Point
+    # evaluations are Newton polishing only: at most 60 per zero.
+    calls = {"array": 0, "point": 0}
+    plain = AF.eval_scaled
+
+    def counted(self, z):
+        calls["array" if isinstance(z, np.ndarray) else "point"] += 1
+        return plain(self, z)
+
+    monkeypatch.setattr(AF, "eval_scaled", counted)
+    div = zeros_in_disc(exp_minus(2), 40.0)
+    assert len(div.points) == 13
+    assert calls["array"] <= 2 * 3 * (2 + 13)
+    assert calls["point"] <= 60 * 13
+
+
 def test_contour_zero_fails_certification():
     # A zero on the contour stays within ~1e-8 of it after the recorded
     # nudge, far below what the capped trapezoid ladder can resolve.

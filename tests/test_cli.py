@@ -84,6 +84,18 @@ def test_defects_exit_and_payload(capsys):
     assert data["u_bound"] == 60
 
 
+def test_defects_and_constants_agree_on_variant(capsys):
+    # Both reports pick the theorem variant the scenario falls under: a
+    # plane map gets the Plane constants, not the disc's FixedB ones.
+    _, out, _ = run(capsys, "defects", "--scenario", THREE_POINTS)
+    defects = json.loads(out)["constants"]
+    _, out, _ = run(capsys, "constants", "--scenario", THREE_POINTS)
+    constants = json.loads(out)["constants"]
+    for key in ("variant", "u", "L"):
+        assert defects[key] == constants[key]
+    assert defects["variant"] == "Plane"
+
+
 def test_nevanlinna_csv_shape(capsys):
     code, out, _ = run(capsys, "nevanlinna", "--scenario", DISC,
                        "--format", "csv")
