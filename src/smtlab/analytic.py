@@ -933,6 +933,14 @@ def _poly_zeros(p: Poly1) -> List[Tuple[complex, int]]:
     return out
 
 
+def poles(f: AnalyticFunction) -> List[complex]:
+    """Poles of a rational function, located numerically as the roots of
+    its reduced denominator; none for the other kinds."""
+    if f.kind != "rational":
+        return []
+    return [z for z, _ in _poly_zeros(f.data.den)]
+
+
 def zeros_in_disc(f: AnalyticFunction, t: float,
                   force_winding: bool = False,
                   max_nodes: int = 2 ** 18) -> Divisor:

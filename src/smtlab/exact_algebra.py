@@ -6,16 +6,25 @@ ascending monomials.  The graded reverse lexicographic order
 leading term, a deterministic tiebreak, or a canonical listing of
 monomials uses it unless handed another key.  :func:`weighted_key` builds
 the c-weighted order whose initial ideal carries the Hilbert weight.
+
+Input is validated once, at the boundary: ``Monomial(...)``,
+``HomogPoly(...)`` and :func:`parse_homog_poly` check every exponent, arity,
+degree and coefficient.  Results that are clean by construction (products,
+quotients and lcms of monomials, monic forms, negations and the Groebner
+kernel's remainders) skip those checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, parse_gaussian
+from .scalars import ONE, GaussianRational, parse_gaussian
+
+_tuple_new = tuple.__new__
 
 
 class Monomial(tuple):
@@ -25,24 +34,24 @@ class Monomial(tuple):
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in monomial {exps}")
-        return super().__new__(cls, exps)
+        return _tuple_new(cls, exps)
 
     @property
     def degree(self) -> int:
         return sum(self)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self, other))
+        return _tuple_new(Monomial, map(operator.add, self, other))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self, other))
+        return all(map(operator.le, self, other))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other; caller must ensure other divides self."""
-        return Monomial(a - b for a, b in zip(self, other))
+        return _tuple_new(Monomial, map(operator.sub, self, other))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self, other))
+        return _tuple_new(Monomial, map(max, self, other))
 
     def __str__(self):
         parts = []
@@ -171,8 +180,10 @@ class HomogPoly:
         if self.is_zero():
             return self
         lc = self.leading_coefficient(key)
-        return HomogPoly(self.num_vars, self.degree,
-                         {m: c / lc for m, c in self.terms.items()})
+        if lc == ONE:
+            return self
+        return _homog(self.num_vars, self.degree,
+                      {m: c / lc for m, c in self.terms.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -196,8 +207,8 @@ class HomogPoly:
         return HomogPoly(self.num_vars, self.degree, terms)
 
     def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.num_vars, self.degree,
-                         {m: -c for m, c in self.terms.items()})
+        return _homog(self.num_vars, self.degree,
+                      {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
@@ -268,6 +279,15 @@ class HomogPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _homog(num_vars: int, degree: int,
+           terms: Dict[Monomial, GaussianRational]) -> HomogPoly:
+    """HomogPoly on clean terms: Monomial keys of this arity and degree,
+    non-zero GaussianRational values."""
+    p = object.__new__(HomogPoly)
+    p.num_vars, p.degree, p.terms = num_vars, degree, terms
+    return p
 
 
 def poly_eval(poly: HomogPoly, point: Sequence) -> object:

@@ -7,6 +7,11 @@ degree.  The c-weighted order of :func:`~smtlab.exact_algebra.weighted_key`
 gives the initial ideal in_c(I) whose standard monomials carry the Hilbert
 weight.  Dimensions follow the projective convention: the empty variety
 reports -1.
+
+The Buchberger loop stores only monic elements (a seed is made monic on
+entry), so reduction never divides nor forms a reducer's cancelling leading
+term.  Each call keeps its own memo of order keys: one shared across calls
+or orders would hand grevlex keys to a weighted basis.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from .exact_algebra import (
     HomogPoly,
     Monomial,
     WeightVector,
+    _homog,
     grevlex_key,
     monomial_count,
     weighted_key,
 )
+from .scalars import ONE
 
 DEFAULT_REDUCTION_BUDGET = 10 ** 6
 
@@ -60,64 +67,77 @@ class _Budget:
                 "reduction budget exhausted during basis computation")
 
 
+class _KeyMemo(dict):
+    """Order keys computed on first use; ``__getitem__`` is the key."""
+
+    def __init__(self, key: Callable):
+        self.key = key
+
+    def __missing__(self, mono: Monomial):
+        got = self[mono] = self.key(mono)
+        return got
+
+
 def _reduce_full(p: HomogPoly, basis: Sequence[HomogPoly],
                  budget: Optional[_Budget] = None,
                  key: Callable = grevlex_key) -> HomogPoly:
     """Fully reduce p: no term of the result is divisible by any basis LT.
 
-    Leading terms are taken in the order given by ``key``.
+    Leading terms are taken in the order given by ``key``.  The basis is
+    made monic first, which leaves the remainder unchanged.
     """
     if p.is_zero() or not basis:
         return p
-    leads = []
-    for g in basis:
-        lm = g.leading_monomial(key)
-        leads.append((lm, g.terms[lm], g))
-    return _reduce(p, leads, budget, key)
+    order = _KeyMemo(key).__getitem__
+    basis = [g.monic(order) for g in basis]
+    return _reduce(p, [(g.leading_monomial(order), g) for g in basis],
+                   budget, order)
 
 
-def _reduce(p: HomogPoly, leads: Sequence[Tuple[Monomial, object, HomogPoly]],
+def _reduce(p: HomogPoly, reducers: Sequence[Tuple[Monomial, HomogPoly]],
             budget: Optional[_Budget], key: Callable) -> HomogPoly:
-    """:func:`_reduce_full` on (leading monomial, leading coefficient,
-    polynomial) triples."""
+    """:func:`_reduce_full` on (leading monomial, monic polynomial) pairs."""
     result_terms: Dict[Monomial, object] = {}
     work = dict(p.terms)
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        hit = None
-        for lead in leads:
-            if lead[0].divides(mono):
-                hit = lead
+        for lm, g in reducers:
+            if lm.divides(mono):
                 break
-        if hit is None:
+        else:
             result_terms[mono] = coeff
             continue
         if budget is not None:
             budget.spend()
-        lm, lc, g = hit
-        quot = mono.quotient(lm)
-        factor = coeff / lc
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue  # cancels the popped term exactly
-            shifted = gm.mul(quot)
-            cur = work.get(shifted)
-            new = (cur - factor * gc) if cur is not None else -(factor * gc)
-            if new.is_zero():
-                work.pop(shifted, None)
-            else:
-                work[shifted] = new
-    return HomogPoly(p.num_vars, p.degree, result_terms)
+        _subtract(work, coeff, g, lm, mono.quotient(lm))
+    return _homog(p.num_vars, p.degree, result_terms)
+
+
+def _subtract(work: Dict[Monomial, object], coeff, g: HomogPoly,
+              lm: Monomial, quot: Monomial) -> None:
+    """work -= coeff * quot * (g without its leading term at lm), in place."""
+    for gm, gc in g.terms.items():
+        if gm == lm:
+            continue
+        m = gm.mul(quot)
+        cur = work.get(m)
+        new = -(coeff * gc) if cur is None else cur - coeff * gc
+        if new.is_zero():
+            del work[m]
+        else:
+            work[m] = new
 
 
 def _s_poly(f: HomogPoly, g: HomogPoly,
             key: Callable = grevlex_key) -> HomogPoly:
+    """f*(l/lf) - g*(l/lg) for monic f and g, l = lcm(lf, lg)."""
     lf, lg = f.leading_monomial(key), g.leading_monomial(key)
     l = lf.lcm(lg)
-    a = f.mul_monomial(l.quotient(lf)).scale(1 / f.terms[lf])
-    b = g.mul_monomial(l.quotient(lg)).scale(1 / g.terms[lg])
-    return a - b
+    quot = l.quotient(lf)
+    terms = {m.mul(quot): c for m, c in f.terms.items() if m != lf}
+    _subtract(terms, ONE, g, lg, l.quotient(lg))
+    return _homog(f.num_vars, l.degree, terms)
 
 
 def groebner_basis(ideal: Ideal,
@@ -141,26 +161,27 @@ def groebner_basis(ideal: Ideal,
     monomial, largest first.
     """
     meter = _Budget(budget)
-    basis: List[HomogPoly] = list(seed)
-    leads = [g.leading_monomial(key) for g in basis]
-    triples = [(lm, g.terms[lm], g) for lm, g in zip(leads, basis)]
+    order = _KeyMemo(key).__getitem__
+    basis: List[HomogPoly] = [g.monic(order) for g in seed]
+    leads = [g.leading_monomial(order) for g in basis]
+    reducers = list(zip(leads, basis))
     # heap of (lcm degree, k, i) for the pair (i, k), i < k: pairs are
     # formed in (k, i) order, so ties pop in the order they were formed
     pairs: List[Tuple[int, int, int]] = []
 
     def add(h: HomogPoly) -> None:
-        h = h.monic(key)
-        lm = h.leading_monomial(key)
+        h = h.monic(order)
+        lm = h.leading_monomial(order)
         k = len(basis)
         for i, li in enumerate(leads):
             heapq.heappush(pairs, (li.lcm(lm).degree, k, i))
         basis.append(h)
         leads.append(lm)
-        triples.append((lm, h.terms[lm], h))
+        reducers.append((lm, h))
 
     for g in sorted(ideal.generators,
-                    key=lambda h: (h.degree, key(h.leading_monomial(key)))):
-        r = _reduce(g, triples, meter, key)
+                    key=lambda h: (h.degree, order(h.leading_monomial(order)))):
+        r = _reduce(g, reducers, meter, order)
         if not r.is_zero():
             add(r)
 
@@ -169,14 +190,14 @@ def groebner_basis(ideal: Ideal,
         li, lj = leads[i], leads[j]
         if li.lcm(lj) == li.mul(lj):
             continue  # coprime leading terms; S-poly reduces to zero
-        r = _reduce(_s_poly(basis[i], basis[j], key), triples, meter, key)
+        r = _reduce(_s_poly(basis[i], basis[j], order), reducers, meter, order)
         if not r.is_zero():
             add(r)
 
     # minimalize on the stored leading monomials, then inter-reduce the
     # (monic) survivors that have a term in another's leading ideal
     minimal: List[int] = []
-    for k in sorted(range(len(basis)), key=lambda k: key(leads[k])):
+    for k in sorted(range(len(basis)), key=lambda k: order(leads[k])):
         lm = leads[k]
         if any(leads[h].divides(lm) for h in minimal):
             continue
@@ -184,10 +205,10 @@ def groebner_basis(ideal: Ideal,
         minimal.append(k)
     reduced = []
     for k in reversed(minimal):  # ascending keys, so largest lead first
-        others = [triples[h] for h in minimal if h != k]
+        others = [reducers[h] for h in minimal if h != k]
         g = basis[k]
-        if any(lm.divides(m) for m in g.terms for lm, _, _ in others):
-            g = _reduce(g, others, meter, key)
+        if any(lm.divides(m) for m in g.terms for lm, _ in others):
+            g = _reduce(g, others, meter, order)
         reduced.append(g)
     return reduced
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .analytic import Curve, parse_function
+from .analytic import Curve, parse_function, poles
 from .errors import ValidationError
 from .exact_algebra import parse_homog_poly
 from .groebner import Ideal, Variety
@@ -106,6 +106,18 @@ def _build_grid(spec, r0: float, R: float) -> RadialGrid:
     raise ValidationError(f"scenario field 'grid': unknown kind {kind!r}")
 
 
+def _check_no_pole(f, R: float, name: str) -> None:
+    """The curve must be holomorphic on its domain: a rational component
+    may have no pole in the plane, or in the open disc |z| < R."""
+    inside = [z for z in poles(f) if abs(z) < R]
+    if inside:
+        where = ("the plane" if math.isinf(R) else
+                 f"the disc |z| < {R:g} (numerical root check)")
+        raise ValidationError(
+            f"scenario field {name!r}: pole at |z| = {abs(inside[0]):.6g} "
+            f"in {where}")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("scenario must be a JSON object")
@@ -126,6 +138,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     variety = Variety(Ideal(N + 1, gens))
 
     curve_spec = _typed(_field(data, "curve"), dict, "curve")
+    R = _radius(curve_spec.get("domain_R", "inf"), "curve.domain_R")
     comps = []
     for i, text in enumerate(_typed(curve_spec.get("components", []), list,
                                     "curve.components")):
@@ -135,11 +148,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             comps.append(parse_function(text))
         except (ValueError, ValidationError, ZeroDivisionError) as err:
             raise ValidationError(f"scenario field {name!r}: {err}")
+        _check_no_pole(comps[-1], R, name)
     if len(comps) != N + 1:
         raise ValidationError(
             f"scenario field 'curve.components': expected {N + 1} entries, "
             f"got {len(comps)}")
-    R = _radius(curve_spec.get("domain_R", "inf"), "curve.domain_R")
     curve = Curve(tuple(comps), R)
 
     members = []

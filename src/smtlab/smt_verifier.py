@@ -9,10 +9,11 @@ certified by adaptive-precision interval arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import mpmath
 from mpmath import iv, mp
@@ -293,35 +294,44 @@ class SMTReport:
         return any(f.startswith("falsification") for f in self.flags)
 
 
+def _sample_values(comps) -> Iterator[List[GaussianRational]]:
+    """The components' exact values at (3t+1)/(2t+3), t = 1, 2, ...,
+    skipping the finitely many points where a component has a pole."""
+    for t in itertools.count(1):
+        z = GaussianRational(Fraction(3 * t + 1, 2 * t + 3))
+        try:
+            values = [c.eval_exact(z) for c in comps]
+        except ZeroDivisionError:
+            continue
+        yield values
+
+
 def _spot_check_nondegenerate(scenario: Scenario, flags: List[str]) -> None:
     """Cheap surrogates for algebraic nondegeneracy.
 
     Full certification is out of reach numerically; what can be checked
     is that no member annihilates the curve and that monomial values up
     to degree 2 satisfy no relations beyond the variety's own ideal.  The
-    sample points must avoid the poles of rational components.
+    relations are polynomial, so sample points at the poles of rational
+    components (outside the domain) are skipped.
     """
     comps = scenario.curve.components
     try:
-        points = [GaussianRational(Fraction(3 * t + 1, 2 * t + 3))
-                  for t in range(1, 40)]
-        # cols[j][idx]: component j at points[idx], each evaluated once,
-        # component by component as the degree-1 monomials first need them
-        cols: List[List[GaussianRational]] = [[] for _ in comps]
+        samples = _sample_values(comps)
+        points: List[List[GaussianRational]] = []  # component values
         for u in (1, 2):
             monos = monomials_of_degree(scenario.ambient_N + 1, u)
             expected = scenario.variety.hilbert_function(u)
-            sample = points[:len(monos) + 5]
-            for c, col in zip(comps, cols):
-                col.extend(c.eval_exact(z) for z in sample[len(col):])
+            while len(points) < len(monos) + 5:
+                points.append(next(samples))
             rows = []
             for mono in monos:
                 vals = {}
-                for idx in range(len(sample)):
+                for idx, values in enumerate(points):
                     v = GaussianRational(1)
-                    for col, e in zip(cols, mono):
+                    for value, e in zip(values, mono):
                         for _ in range(e):
-                            v = v * col[idx]
+                            v = v * value
                     vals[idx] = v
                 rows.append(vals)
             # sampled rank only ever underestimates, so reaching the
@@ -331,8 +341,6 @@ def _spot_check_nondegenerate(scenario: Scenario, flags: List[str]) -> None:
                 raise DegenerateInputError(
                     f"curve satisfies an unexpected degree-{u} relation "
                     f"(monomial rank {rank} < {expected})")
-    except ZeroDivisionError as err:
-        raise DegenerateInputError(f"a curve component has a {err}") from None
     except ExactEvalUnavailableError:
         flags.append("nondegeneracy assumption not certified "
                      "(transcendental components); only Q_j(f) != 0 checked")

@@ -282,13 +282,45 @@ def assert_one_error_line(code, out, err):
 
 
 def test_pole_at_spot_check_point_exits_one(tmp_path, capsys):
-    # 4/5 is the first nondegeneracy sample point (3t+1)/(2t+3), t = 1
+    # 4/5 is the first nondegeneracy sample point (3t+1)/(2t+3), t = 1;
+    # on the plane the pole alone rejects the curve
     path = _scenario_file(tmp_path, curve={
         "components": ["poly: 1", "rational: (1)/(z - 4/5)"],
         "domain_R": "inf"})
     code, out, err = run(capsys, "verify", "--scenario", path)
     assert_one_error_line(code, out, err)
-    assert "pole at sample point 4/5" in err
+    assert "pole at |z| = 0.8 in the plane" in err
+
+
+@pytest.mark.parametrize("command",
+                         ["nevanlinna", "fmt-check", "verify", "defects"])
+def test_pole_in_domain_exits_one(tmp_path, capsys, command):
+    plane = _scenario_file(tmp_path, curve={
+        "components": ["poly: 1", "rational: (1)/(z^2 + 4)"],
+        "domain_R": "inf"})
+    code, out, err = run(capsys, command, "--scenario", plane)
+    assert_one_error_line(code, out, err)
+    assert "pole at |z| = 2 in the plane" in err
+    data = json.loads(Path(DISC).read_text())
+    data["curve"] = {"components": ["poly: 1", "rational: (1)/(z - 4/5)"],
+                     "domain_R": 0.9}
+    disc = tmp_path / "disc_pole.json"
+    disc.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--scenario", str(disc))
+    assert_one_error_line(code, out, err)
+    assert "in the disc |z| < 0.9 (numerical root check)" in err
+
+
+def test_pole_outside_disc_skips_sample_point(tmp_path, capsys):
+    # the pole 4/5 lies outside |z| < 0.7 but is the first sample point
+    data = json.loads(Path(DISC).read_text())
+    data.update(curve={"components": ["poly: 1", "rational: (1)/(z - 4/5)"],
+                       "domain_R": 0.7}, r0=0.05)
+    path = tmp_path / "disc_pole.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--scenario", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["rows"]
 
 
 def test_structural_type_error_exits_one(tmp_path, capsys):

@@ -1,15 +1,19 @@
 """Groebner engine against hand reductions and rank-based Hilbert oracles."""
 
+import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from smtlab import groebner
 from smtlab.errors import BudgetExceededError
 from smtlab.exact_algebra import (
     HomogPoly,
     Monomial,
     WeightVector,
+    grevlex_key,
     monomial_count,
     monomials_of_degree,
     parse_homog_poly,
@@ -212,6 +216,191 @@ def test_seeded_basis_budget_error():
     assert line.dim == 2
     with pytest.raises(BudgetExceededError):
         line.cut([parse_homog_poly("x0 + x3", 4)]).dim
+
+
+# -- the kernel against a dividing reference ----------------------------------
+#
+# A copy of the straightforward kernel: every monomial is built through the
+# validating constructor, every order key is recomputed, and each reduction
+# step divides by the reducer's leading coefficient.  It counts its
+# reduction steps, the steps the library's ``_Budget`` charges.
+
+def _mono(exps):
+    return Monomial(tuple(exps))
+
+
+def ref_reduce(p, triples, steps, key):
+    result_terms = {}
+    work = dict(p.terms)
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        hit = next((t for t in triples
+                    if all(a <= b for a, b in zip(t[0], mono))), None)
+        if hit is None:
+            result_terms[mono] = coeff
+            continue
+        steps[0] += 1
+        lm, lc, g = hit
+        quot = _mono(a - b for a, b in zip(mono, lm))
+        factor = coeff / lc
+        for gm, gc in g.terms.items():
+            if gm == lm:
+                continue
+            shifted = _mono(a + b for a, b in zip(gm, quot))
+            cur = work.get(shifted)
+            new = (cur - factor * gc) if cur is not None else -(factor * gc)
+            if new.is_zero():
+                work.pop(shifted, None)
+            else:
+                work[shifted] = new
+    return HomogPoly(p.num_vars, p.degree, result_terms)
+
+
+def ref_s_poly(f, g, key):
+    lf, lg = f.leading_monomial(key), g.leading_monomial(key)
+    l = _mono(max(a, b) for a, b in zip(lf, lg))
+    a = f.mul_monomial(_mono(x - y for x, y in zip(l, lf)))
+    b = g.mul_monomial(_mono(x - y for x, y in zip(l, lg)))
+    return a.scale(1 / f.terms[lf]) - b.scale(1 / g.terms[lg])
+
+
+def ref_groebner_basis(idl, key=grevlex_key, seed=()):
+    """(reduced basis, reduction steps), seed assumed monic."""
+    steps = [0]
+    basis = list(seed)
+    leads = [g.leading_monomial(key) for g in basis]
+    triples = [(lm, g.terms[lm], g) for lm, g in zip(leads, basis)]
+    pairs = []
+
+    def lcm(a, b):
+        return _mono(max(x, y) for x, y in zip(a, b))
+
+    def add(h):
+        h = h.monic(key)
+        lm = h.leading_monomial(key)
+        k = len(basis)
+        for i, li in enumerate(leads):
+            heapq.heappush(pairs, (lcm(li, lm).degree, k, i))
+        basis.append(h)
+        leads.append(lm)
+        triples.append((lm, h.terms[lm], h))
+
+    for g in sorted(idl.generators,
+                    key=lambda h: (h.degree, key(h.leading_monomial(key)))):
+        r = ref_reduce(g, triples, steps, key)
+        if not r.is_zero():
+            add(r)
+    while pairs:
+        _, j, i = heapq.heappop(pairs)
+        li, lj = leads[i], leads[j]
+        if lcm(li, lj) == _mono(a + b for a, b in zip(li, lj)):
+            continue
+        r = ref_reduce(ref_s_poly(basis[i], basis[j], key), triples, steps,
+                       key)
+        if not r.is_zero():
+            add(r)
+    minimal = []
+    for k in sorted(range(len(basis)), key=lambda k: key(leads[k])):
+        lm = leads[k]
+        if any(leads[h].divides(lm) for h in minimal):
+            continue
+        minimal = [h for h in minimal if not lm.divides(leads[h])]
+        minimal.append(k)
+    reduced = []
+    for k in reversed(minimal):
+        others = [triples[h] for h in minimal if h != k]
+        g = basis[k]
+        if any(lm.divides(m) for m in g.terms for lm, _, _ in others):
+            g = ref_reduce(g, others, steps, key)
+        reduced.append(g)
+    return reduced, steps[0]
+
+
+def counted_basis(monkeypatch, *args, **kwargs):
+    """(groebner_basis(...), number of _Budget.spend calls it made)."""
+    spent = [0]
+    spend = groebner._Budget.spend
+
+    def counting(self, amount=1):
+        spent[0] += 1
+        spend(self, amount)
+
+    monkeypatch.setattr(groebner._Budget, "spend", counting)
+    basis = groebner_basis(*args, **kwargs)
+    monkeypatch.undo()
+    return basis, spent[0]
+
+
+def test_kernel_matches_dividing_reference(monkeypatch):
+    # grevlex and a weighted order run back to back on the same monomials,
+    # as in weights-ladder.  The reference's step count is also the budget,
+    # so a kernel that stops cancelling leading terms fails at once instead
+    # of reducing on with ever longer coefficients.
+    weights = {3: WeightVector([Fraction(1, 2), 3, 0]),
+               4: WeightVector([4, 0, 1, 2])}
+    two_i = GaussianRational(2, 1)
+    for n, base, extra in seeded_families(40, 11):
+        for key in (grevlex_key, weighted_key(weights[n])):
+            want, want_steps = ref_groebner_basis(Ideal(n, base + extra), key)
+            got, steps = counted_basis(monkeypatch, Ideal(n, base + extra),
+                                       want_steps, key)
+            assert (got, steps) == (want, want_steps), (base, extra)
+            seed, _ = ref_groebner_basis(Ideal(n, base), key)
+            want, want_steps = ref_groebner_basis(Ideal(n, extra), key, seed)
+            got, steps = counted_basis(monkeypatch, Ideal(n, extra),
+                                       want_steps, key, seed=seed)
+            assert (got, steps) == (want, want_steps), (base, extra)
+            # a seed off by a unit is made monic on entry
+            scaled = [g.scale(two_i) for g in seed]
+            assert groebner_basis(Ideal(n, extra), want_steps, key,
+                                  seed=scaled) == want
+
+
+def test_normal_form_by_non_monic_basis_matches_reference():
+    rng = random.Random(12)
+    for n, base, extra in seeded_families(20, 13):
+        unit = GaussianRational(rng.randint(1, 3), rng.randint(-2, 2))
+        basis = [g.scale(unit)
+                 for g in ref_groebner_basis(Ideal(n, base + extra))[0]]
+        triples = [(g.leading_monomial(), g.leading_coefficient(), g)
+                   for g in basis]
+        for p in [gaussian_form(rng, n, 2), gaussian_form(rng, n, 3)]:
+            want = ref_reduce(p, triples, [0], grevlex_key) if basis else p
+            assert normal_form(p, basis) == want
+
+
+def test_kernel_cost_guard(monkeypatch):
+    # one fixed conic pair with non-real coefficients
+    conics = ideal(3, "x0*x2 - x1^2", "x0*x1 - (2+i)*x2^2 + (1/3)*x1*x2")
+    calls = Counter()
+
+    def key(m):
+        calls[m] += 1
+        return grevlex_key(m)
+
+    made = []
+    validating = Monomial.__new__
+
+    def counting_new(cls, exponents):
+        made.append(exponents)
+        return validating(cls, exponents)
+
+    monkeypatch.setattr(Monomial, "__new__", staticmethod(counting_new))
+    basis = groebner_basis(conics, budget=100, key=key)
+    monkeypatch.undo()
+    assert len(basis) > 2
+    assert max(calls.values()) == 1       # each order key computed once
+    assert made == []                     # no monomial validated again
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError):
+        Monomial((1, -1))
+    with pytest.raises(ValueError):
+        HomogPoly(3, 2, {(1, 1): GaussianRational(1)})        # arity
+    with pytest.raises(ValueError):
+        HomogPoly(3, 2, {(1, 1, 1): GaussianRational(1)})     # degree
 
 
 # -- normal forms ----------------------------------------------------------
