@@ -91,7 +91,7 @@ def _cmd_distributive(scenario: Scenario, args: argparse.Namespace) -> Report:
 
 
 def _cmd_weights(scenario: Scenario, args: argparse.Namespace) -> Report:
-    """Weight ladder s_u and its limit for the scenario's variety.
+    """Weight ladder s_u and the exact Chow weight of the scenario's variety.
 
     The weight vector is the deterministic ladder (1, 2, ..., N+1); the
     randomized sweeps live in the test suite, not here.
@@ -106,8 +106,8 @@ def _cmd_weights(scenario: Scenario, args: argparse.Namespace) -> Report:
         "dim": k,
         "degree": delta,
         "weights": [str(w) for w in c],
-        "estimate": estimate.value,
-        "error_bound": estimate.error_bound,
+        "estimate": float(estimate.value),
+        "chow_weight": str(estimate.value),
         "ef_margin": margin,
         "sequence": [[u, s] for u, s in estimate.sequence],
     }
@@ -203,7 +203,7 @@ _COMMANDS = {
     "distributive": (_cmd_distributive, ["--samples"],
                      "distributive constant with its witness subset"),
     "weights": (_cmd_weights, ["--max-u"],
-                "Hilbert weight ladder and Chow weight estimate"),
+                "Hilbert weight ladder and exact Chow weight"),
     "nevanlinna": (_cmd_nevanlinna, ["--quad-tol", "--strict-jensen"],
                    "characteristic, proximity, and counting profile"),
     "fmt-check": (_cmd_fmt_check, ["--quad-tol"],

@@ -1,12 +1,13 @@
 """Groebner bases, Hilbert functions, and projective dimension/degree.
 
 Buchberger's algorithm over the Gaussian rationals in a monomial order
-given as a sort key: graded reverse lexicographic by default, with the
-Hilbert function of the grevlex leading-term ideal driving dimension and
-degree.  The c-weighted order of :func:`~smtlab.exact_algebra.weighted_key`
-gives the initial ideal in_c(I) whose standard monomials carry the Hilbert
-weight.  Dimensions follow the projective convention: the empty variety
-reports -1.
+given as a sort key: graded reverse lexicographic by default.  The
+fine-graded Hilbert numerator of a monomial initial ideal
+(:func:`_numerator`) gives the Hilbert function of the grevlex leading-term
+ideal, which drives dimension and degree, and the Hilbert and Chow weights
+of the initial ideal in_c(I) of the c-weighted order of
+:func:`~smtlab.exact_algebra.weighted_key`.  Dimensions follow the
+projective convention: the empty variety reports -1.
 
 The Buchberger loop stores only monic elements (a seed is made monic on
 entry), so reduction never divides nor forms a reducer's cancelling leading
@@ -17,6 +18,7 @@ or orders would hand grevlex keys to a weighted basis.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -26,8 +28,8 @@ from .exact_algebra import (
     Monomial,
     WeightVector,
     _homog,
+    _tuple_new,
     grevlex_key,
-    monomial_count,
     weighted_key,
 )
 from .scalars import ONE
@@ -221,54 +223,55 @@ def normal_form(p: HomogPoly, basis: Sequence[HomogPoly]) -> HomogPoly:
 
 
 # ---------------------------------------------------------------------------
-# standard-monomial counting for a monomial ideal
+# Hilbert numerator of a monomial ideal
 # ---------------------------------------------------------------------------
 
-def _minimalize(gens: Iterable[Monomial]) -> FrozenSet[Monomial]:
-    gens = sorted(set(gens), key=lambda m: m.degree)
-    out: List[Monomial] = []
-    for g in gens:
-        if not any(h.divides(g) for h in out):
-            out.append(g)
-    return frozenset(out)
+# fine-graded numerator: exponent vector a -> coefficient of t^a
+Numerator = Dict[Tuple[int, ...], int]
 
 
-def _count_standard(num_vars: int, u: int, gens: FrozenSet[Monomial],
-                    memo: Dict) -> int:
-    """Degree-u monomials outside the monomial ideal <gens>.
+def _numerator(n: int, gens: FrozenSet[Monomial], memo: Dict) -> Numerator:
+    """Fine-graded Hilbert numerator K of R/<gens>, R in n variables.
 
-    Pivot recursion on the exact sequence splitting off one variable:
-    count(I, u) = count(I : x, u-1) + count(I + (x), u), where the second
-    summand lives in one variable fewer, so (u + num_vars) strictly drops.
+    The Hilbert series of R/<gens> is K(t) / prod(1 - t_i); ``gens`` are
+    minimal generators.  The pivot x, the variable in most generators,
+    splits the ideal (Bayer-Stillman): the exact sequence
+    0 -> R/(I : x)(-e_x) -> R/I -> R/(J + (x)) -> 0 with J = <gens without
+    x> gives K(I) = (1 - t_x) K(J) + t_x K(I : x), where J has fewer
+    generators and I : x a smaller total degree.  Entries depend only on
+    their generator set, so one memo serves every ideal in n variables.
     """
-    if u < 0:
-        return 0
-    if any(g.degree == 0 for g in gens):
-        return 0
-    if num_vars == 0:
-        return 1 if u == 0 else 0
-    if not gens:
-        return monomial_count(num_vars, u)
-    key = (num_vars, u, gens)
-    got = memo.get(key)
+    got = memo.get(gens)
     if got is not None:
         return got
-    # pivot: variable occurring most among the generators
-    counts = [0] * num_vars
-    for g in gens:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    x = counts.index(max(counts))
-    quot = _minimalize(
-        Monomial(tuple(e - 1 if i == x else e for i, e in enumerate(g)))
-        if g[x] else g for g in gens)
-    dropped = _minimalize(
-        Monomial(g[:x] + g[x + 1:]) for g in gens if not g[x])
-    out = (_count_standard(num_vars, u - 1, quot, memo)
-           + _count_standard(num_vars - 1, u, dropped, memo))
-    memo[key] = out
+    counts = [sum(map(bool, column)) for column in zip(*gens)]
+    if not any(counts):
+        out = {} if gens else {(0,) * n: 1}     # K(<1>) = 0, K(<>) = 1
+    else:
+        x = counts.index(max(counts))
+        without = frozenset(g for g in gens if not g[x])
+        lowered = [_tuple_new(Monomial, g[:x] + (g[x] - 1,) + g[x + 1:])
+                   for g in gens if g[x]]
+        # of minimal gens, only one without x can be a multiple of a g / x
+        quot = frozenset(lowered).union(
+            g for g in without if not any(h.divides(g) for h in lowered))
+        low = _numerator(n, without, memo)
+        out = dict(low)
+        for part, sign in ((low, -1), (_numerator(n, quot, memo), 1)):
+            for a, v in part.items():
+                b = a[:x] + (a[x] + 1,) + a[x + 1:]
+                out[b] = out.get(b, 0) + sign * v
+    out = {a: v for a, v in out.items() if v}
+    memo[gens] = out
     return out
+
+
+def _by_degree(K: Numerator) -> Dict[int, int]:
+    """K(t, ..., t): the numerator of the ordinary Hilbert series."""
+    out: Dict[int, int] = {}
+    for a, v in K.items():
+        out[sum(a)] = out.get(sum(a), 0) + v
+    return {d: v for d, v in out.items() if v}
 
 
 class Variety:
@@ -285,7 +288,7 @@ class Variety:
         self._leading: Optional[FrozenSet[Monomial]] = None
         self._weighted_leading: Dict[Tuple, FrozenSet[Monomial]] = {}
         self._hilbert_memo: Dict = {}
-        self._hilbert_cache: Dict[int, int] = {}
+        self._coarse: Optional[Dict[int, int]] = None
         self._dim_degree: Optional[Tuple[int, int]] = None
 
     @property
@@ -301,7 +304,7 @@ class Variety:
         if self._basis is None:
             self._basis = groebner_basis(self._added, self._budget,
                                          seed=self._seed)
-            self._leading = _minimalize(
+            self._leading = frozenset(
                 g.leading_monomial() for g in self._basis)
         return self._basis
 
@@ -310,7 +313,7 @@ class Variety:
 
         The child's Groebner basis extends ``self.groebner`` by the forms,
         so only the pairs they bring are checked.  The child shares this
-        variety's standard-monomial memo, whose entries depend on nothing
+        variety's Hilbert-numerator memo, whose entries depend on nothing
         but their key.
         """
         added = Ideal(self.num_vars, forms)
@@ -329,22 +332,29 @@ class Variety:
         got = self._weighted_leading.get(c.entries)
         if got is None:
             key = weighted_key(c)
-            got = _minimalize(
+            got = frozenset(
                 g.leading_monomial(key)
                 for g in groebner_basis(self.ideal, self._budget, key))
             self._weighted_leading[c.entries] = got
         return got
 
+    def numerator(self, c: Optional[WeightVector] = None) -> Numerator:
+        """Fine-graded Hilbert numerator (:func:`_numerator`) of the grevlex
+        leading ideal, or of in_c(I) when a weight vector c is given."""
+        if c is None:
+            self.groebner
+        gens = self._leading if c is None else self.weighted_leading(c)
+        return _numerator(self.num_vars, gens, self._hilbert_memo)
+
     def hilbert_function(self, u: int) -> int:
         if u < 0:
             raise ValueError("Hilbert function argument must be >= 0")
-        got = self._hilbert_cache.get(u)
-        if got is None:
-            self.groebner
-            got = _count_standard(self.num_vars, u, self._leading,
-                                  self._hilbert_memo)
-            self._hilbert_cache[u] = got
-        return got
+        if self._coarse is None:
+            self._coarse = _by_degree(self.numerator())
+        # sum of K_d C(u - d + n - 1, n - 1), zero past u
+        n = self.num_vars
+        return sum(v * math.comb(u - d + n - 1, n - 1)
+                   for d, v in self._coarse.items() if d <= u)
 
     def dim_degree(self) -> Tuple[int, int]:
         if self._dim_degree is None:

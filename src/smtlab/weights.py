@@ -1,14 +1,14 @@
-"""Hilbert weights, Chow weight estimation, and their inequality checks.
+"""Hilbert weights, the Chow weight, and their inequality checks.
 
 S_X(u, c) maximizes the total weight of a monomial set whose residues span
 degree u modulo the ideal.  By Groebner degeneration it is the total
 c-weight of the degree-u standard monomials of the initial ideal in_c(I),
 taken in the order that prefers larger c-weight and breaks ties by grevlex
 (:func:`~smtlab.exact_algebra.weighted_key`): those monomials are the
-greedy maximum-weight basis of the residue matroid.  The Chow weight e_X(c)
-is realized as the Mumford limit of (k+1) delta S_X(u, c) / (u H_X(u)) and
-always carries an extrapolation error bound, which downstream checks treat
-as their tolerance.
+greedy maximum-weight basis of the residue matroid.  The Hilbert numerator
+of in_c(I) sums those weights in closed form for every u, and the Chow
+weight e_X(c) is (k+1)! times the leading coefficient of that sum, a
+polynomial in u of degree k+1 for large u (Mumford): an exact rational.
 """
 
 from __future__ import annotations
@@ -16,18 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import CertificationError, ValidationError
-from .exact_algebra import (
-    HomogPoly,
-    Monomial,
-    WeightVector,
-    monomials_of_degree,
-    weighted_key,
-)
-from .groebner import Variety, normal_form
+from .exact_algebra import (HomogPoly, Monomial, WeightVector, _tuple_new,
+                            weighted_key)
+from .groebner import Variety, _by_degree, normal_form
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
+
+WeightedNumerator = Dict[int, Tuple[int, Fraction]]
 
 
 @dataclass(frozen=True)
@@ -40,36 +37,61 @@ class HilbertWeightResult:
 
 @dataclass(frozen=True)
 class ChowEstimate:
-    value: float
+    """The exact Chow weight e_X(c), with the ladder of normalized weights
+    s_u = (k+1) delta S_X(u, c) / (u H_X(u)) that tends to it."""
+    value: Fraction
     sequence: Tuple[Tuple[int, float], ...]
-    error_bound: float
+
+
+def _weighted_numerator(X: Variety, c: WeightVector) -> WeightedNumerator:
+    """The numerator K of in_c(I) by degree: d -> (sum of K_a, sum of
+    K_a c.a) over |a| = d.  Its Hilbert series must be that of I (a flat
+    degeneration keeps it), or :class:`CertificationError` is raised."""
+    if len(c) != X.num_vars:
+        raise ValidationError(
+            f"weight vector has {len(c)} entries, ambient needs {X.num_vars}")
+    out: WeightedNumerator = {}
+    for a, v in X.numerator(c).items():
+        k, w = out.get(d := sum(a), (0, 0))
+        out[d] = (k + v, w + v * c.dot(a))
+    if {d: k for d, (k, _) in out.items() if k} != _by_degree(X.numerator()):
+        raise CertificationError(
+            "in_c(I) and the grevlex leading ideal have different "
+            "Hilbert series")
+    return out
+
+
+def _weight_sum(K: WeightedNumerator, c: WeightVector, u: int) -> Fraction:
+    """S_X(u, c) from :func:`_weighted_numerator`, exact for every u >= 0:
+    the standard monomials are the a + b, |b| = m = u - |a|, with sign K_a,
+    and in n variables each entry of b sums to C(m+n-1, n) over those b."""
+    n, total = len(c), c.total()
+    return sum((w * math.comb(u - d + n - 1, n - 1)
+                + total * k * math.comb(u - d + n - 1, n)
+                for d, (k, w) in K.items() if d <= u), Fraction(0))
 
 
 def hilbert_weight(X: Variety, u: int, c: WeightVector) -> HilbertWeightResult:
     """Exact S_X(u, c) with a basis that achieves it.
 
-    The basis is the set of degree-u monomials that no minimal generator of
-    in_c(I) divides, listed by decreasing c-weight, grevlex-largest first on
-    ties.  Its size must equal the grevlex Hilbert function H_X(u); a
-    mismatch raises :class:`CertificationError`.
+    The value is the closed form of :func:`_weight_sum`.  The basis is the
+    H_X(u) degree-u monomials that no minimal generator of in_c(I) divides,
+    listed by decreasing c-weight, grevlex-largest first on ties.  Divisors
+    of standard monomials are standard, so degree v is grown from degree
+    v - 1 by testing its n H_X(v - 1) products with the variables.
     """
     if u < 1:
         raise ValidationError("Hilbert weight needs u >= 1")
-    if len(c) != X.num_vars:
-        raise ValidationError(
-            f"weight vector has {len(c)} entries, ambient needs {X.num_vars}")
-    leading = X.weighted_leading(c)
-    standard = [m for m in monomials_of_degree(X.num_vars, u)
-                if not any(g.divides(m) for g in leading)]
-    target = X.hilbert_function(u)
-    if len(standard) != target:
-        raise CertificationError(
-            f"in_c(I) has {len(standard)} standard monomials of degree {u}, "
-            f"H_X({u}) = {target}")
-    standard.sort(key=weighted_key(c))
-    # the total weight is c dotted with the sum of the exponent vectors
-    value = c.dot([sum(column) for column in zip(*standard)])
-    return HilbertWeightResult(value, tuple(standard), u, c)
+    value = _weight_sum(_weighted_numerator(X, c), c, u)
+    leading, n = X.weighted_leading(c), X.num_vars
+    layer = {(0,) * n}
+    for _ in range(u):
+        layer = {b for a in layer for i in range(n)
+                 for b in [a[:i] + (a[i] + 1,) + a[i + 1:]]
+                 if not any(g.divides(b) for g in leading)}
+    basis = sorted((_tuple_new(Monomial, a) for a in layer),
+                   key=weighted_key(c))
+    return HilbertWeightResult(value, tuple(basis), u, c)
 
 
 def _ladder(start: int, u_max: int) -> List[int]:
@@ -80,74 +102,45 @@ def _ladder(start: int, u_max: int) -> List[int]:
     return out
 
 
-def _neville_to_zero(xs: Sequence[float], ys: Sequence[float]) -> List[float]:
-    """Diagonal of the Neville table at 0; entry j uses points 0..j."""
-    n = len(xs)
-    p = list(ys)
-    diag = [p[0]]
-    for j in range(1, n):
-        for i in range(n - j):
-            p[i] = (xs[i] * p[i + 1] - xs[i + j] * p[i]) / (xs[i] - xs[i + j])
-        diag.append(p[0])
-    return diag
-
-
 def chow_weight_estimate(X: Variety, c: WeightVector,
                          u_max: int = 40) -> ChowEstimate:
-    """Limit of s_u = (k+1) delta S_X(u,c) / (u H_X(u)) along a u-ladder.
+    """Exact e_X(c), with s_u = (k+1) delta S_X(u,c) / (u H_X(u)) along a
+    u-ladder up to u_max.
 
-    Extrapolates in 1/u over the tail of the ladder.  The error bound is
-    the spread of the last three extrapolants, zero when the sequence is
-    exactly constant (projective space).
+    From u0 = max |a| over the numerator of in_c(I) on, every binomial
+    of :func:`_weight_sum` is a polynomial in u, so e_X(c) =
+    (k+1)! [u^(k+1)] S_X is the (k+1)-st difference of S_X at u0.
     """
     k, delta = X.dim_degree()
     if k < 0:
         raise ValidationError("Chow weight of the empty variety is undefined")
     if u_max < k + 3:
         raise ValidationError(f"u_max must be at least dim+3 = {k + 3}")
-    seq: List[Tuple[int, Fraction]] = []
-    for u in _ladder(k + 2, u_max):
-        S = hilbert_weight(X, u, c).value
-        H = X.hilbert_function(u)
-        seq.append((u, Fraction((k + 1) * delta) * S / (u * H)))
-
-    floats = [(u, float(s)) for u, s in seq]
-    if len(set(s for _, s in seq)) == 1:
-        value = float(seq[0][1])
-        return ChowEstimate(value, tuple(floats), 0.0)
-
-    diffs = [b - a for (_, a), (_, b) in zip(seq, seq[1:])]
-    flips = sum(1 for d0, d1 in zip(diffs, diffs[1:])
-                if (d0 > 0 > d1) or (d0 < 0 < d1))
-    if flips >= 3:
-        raise CertificationError(
-            "normalized Hilbert weights oscillate; no limit reported")
-
-    tail = floats[-7:]
-    xs = [1.0 / u for u, _ in tail]
-    ys = [s for _, s in tail]
-    diag = _neville_to_zero(xs, ys)
-    last = diag[-3:]
-    error = max(last) - min(last) if len(last) >= 2 else math.inf
-    return ChowEstimate(diag[-1], tuple(floats), error)
+    K = _weighted_numerator(X, c)
+    seq = [(u, float(Fraction((k + 1) * delta) * _weight_sum(K, c, u)
+                     / (u * X.hilbert_function(u))))
+           for u in _ladder(k + 2, u_max)]
+    u0 = max(K)
+    value = sum((-1) ** (k + 1 - j) * math.comb(k + 1, j)
+                * _weight_sum(K, c, u0 + j) for j in range(k + 2))
+    return ChowEstimate(value, tuple(seq))
 
 
 def check_evertse_ferretti(X: Variety, u: int, c: WeightVector,
                            e_est: ChowEstimate) -> float:
     """Margin of the weight inequality at level u.
 
-    margin = S/(uH) - [e/((k+1) delta) - (2k+1) delta max(c) / u]; values
-    below -error_bound/((k+1) delta) falsify, anything above is consistent.
+    margin = S/(uH) - [e/((k+1) delta) - (2k+1) delta max(c) / u], exact
+    and rounded once; a negative margin falsifies.
     """
     k, delta = X.dim_degree()
     if u <= delta:
         raise ValidationError(f"need u > degree = {delta}")
-    S = hilbert_weight(X, u, c).value
+    S = _weight_sum(_weighted_numerator(X, c), c, u)
     H = X.hilbert_function(u)
-    lhs = Fraction(S, u * H)
     bound = (e_est.value / ((k + 1) * delta)
              - Fraction((2 * k + 1) * delta, u) * c.max_entry())
-    return float(lhs) - float(bound)
+    return float(S / (u * H) - bound)
 
 
 def _coordinate_hyperplane(num_vars: int, i: int) -> MovingHypersurface:
@@ -189,4 +182,4 @@ def check_chow_lower_bound(Y: Variety, indices: Sequence[int],
     dist = distributive_constant(Y, family)
     est = chow_weight_estimate(Y, c, u_max)
     bound = Fraction(delta) / dist.value * sum(selected, Fraction(0))
-    return est.value - float(bound)
+    return float(est.value - bound)

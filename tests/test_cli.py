@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -123,7 +124,22 @@ def test_weights_sequence(capsys):
     assert data["dim"] == 1 and data["degree"] == 2
     assert data["weights"] == ["1", "2", "3"]
     assert data["sequence"][-1][0] == 12
-    assert data["ef_margin"] >= -data["error_bound"]
+    assert data["chow_weight"] == "8"
+    assert data["ef_margin"] >= 0
+
+
+def test_weights_large_max_u(capsys):
+    # the ladder and the weight check read the closed form, never a basis
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "weights", "--scenario", CONIC,
+                       "--max-u", "100000")
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and elapsed < 5
+    data = json.loads(out)
+    assert data["sequence"][-1][0] == 100000
+    code, out, _ = run(capsys, "weights", "--scenario", CONIC,
+                       "--max-u", "12")
+    assert data["chow_weight"] == json.loads(out)["chow_weight"]
 
 
 def test_distributive_table(capsys):

@@ -23,7 +23,8 @@ from smtlab.exact_algebra import (
 from smtlab.groebner import (
     Ideal,
     Variety,
-    _count_standard,
+    _by_degree,
+    _numerator,
     _reduce_full,
     _s_poly,
     groebner_basis,
@@ -32,6 +33,7 @@ from smtlab.groebner import (
     variety_dim_degree,
 )
 from smtlab.scalars import GaussianRational
+from smtlab.weights import hilbert_weight
 
 
 def ideal(num_vars, *texts):
@@ -104,16 +106,26 @@ def test_weighted_basis_buchberger_criterion():
                 assert _reduce_full(g, gb, key=key).is_zero()
 
 
+def direct_count(leading, num_vars, u):
+    """Degree-u monomials that no generator divides, listed one by one."""
+    return sum(1 for m in monomials_of_degree(num_vars, u)
+               if not any(g.divides(m) for g in leading))
+
+
 def test_weighted_initial_ideal_hilbert_function():
     # a flat degeneration keeps the Hilbert function of grevlex
     for idl in (TWISTED_CUBIC, CI23):
         X = Variety(idl)
         for c in WEIGHTS:
             leading = X.weighted_leading(c)
-            memo = {}
+            # the in_c(I) numerator is memo-independent and has the
+            # Hilbert series of the grevlex leading ideal
+            fine = _numerator(4, leading, {})
+            assert fine == X.numerator(c)
+            assert _by_degree(fine) == _by_degree(X.numerator())
             for u in range(13):
-                assert (_count_standard(4, u, leading, memo)
-                        == X.hilbert_function(u)), (c, u)
+                assert (X.hilbert_function(u)
+                        == direct_count(leading, 4, u)), (c, u)
 
 
 def test_grevlex_leading_terms_match_sympy():
@@ -388,10 +400,15 @@ def test_kernel_cost_guard(monkeypatch):
 
     monkeypatch.setattr(Monomial, "__new__", staticmethod(counting_new))
     basis = groebner_basis(conics, budget=100, key=key)
+    X = Variety(TWISTED_CUBIC)
+    hilbert = [X.hilbert_function(u) for u in range(8)]
+    weight = hilbert_weight(X, 6, WeightVector([1, 2, 3, 4]))
     monkeypatch.undo()
     assert len(basis) > 2
     assert max(calls.values()) == 1       # each order key computed once
     assert made == []                     # no monomial validated again
+    assert hilbert == [1] + [3 * u + 1 for u in range(1, 8)]
+    assert len(weight.basis) == hilbert[6]
 
 
 def test_public_constructors_still_validate():
@@ -458,13 +475,17 @@ def test_hilbert_matches_rank_oracle():
 
 
 def test_recursion_matches_direct_count():
-    X = Variety(TWISTED_CUBIC)
-    X.groebner
-    leads = sorted(X._leading)
-    for u in range(7):
-        direct = sum(1 for m in monomials_of_degree(4, u)
-                     if not any(g.divides(m) for g in leads))
-        assert X.hilbert_function(u) == direct
+    # leading monomials that share variables, pure powers, the zero ideal
+    for idl, cap in ((TWISTED_CUBIC, 7), (CI23, 9),
+                     (ideal(3, "x0^2 + x1*x2", "x1^3"), 8),
+                     (ideal(3, "x0*x1", "x1*x2", "x0*x2"), 6),
+                     (ideal(4, "x0^2*x1", "x0*x1^2*x3", "x1*x2^2", "x3^3"), 9),
+                     (ideal(2), 5)):
+        X = Variety(idl)
+        X.groebner
+        for u in range(cap):
+            assert (X.hilbert_function(u)
+                    == direct_count(X._leading, idl.num_vars, u)), (idl, u)
 
 
 # -- dimension and degree ------------------------------------------------------

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from smtlab.errors import ValidationError
+from smtlab.errors import CertificationError, ValidationError
 from smtlab.exact_algebra import (
     ExactEchelon,
     HomogPoly,
@@ -16,6 +16,7 @@ from smtlab.exact_algebra import (
     monomials_of_degree,
     parse_homog_poly,
     rank_of_vectors,
+    weighted_key,
 )
 from smtlab.groebner import Ideal, Variety, normal_form
 from smtlab.weights import (
@@ -173,6 +174,18 @@ def test_weighted_initial_ideal_matches_greedy_sweep():
             for u in range(1, u_top + 1):
                 res = hilbert_weight(X, u, c)
                 assert (res.value, res.basis) == greedy_weight(X, u, c), (c, u)
+            # the closed form against the standard monomials listed one by
+            # one, below and above the top numerator degree max |a|
+            leading = X.weighted_leading(c)
+            for u in range(1, 13):
+                standard = sorted(
+                    (m for m in monomials_of_degree(n, u)
+                     if not any(g.divides(m) for g in leading)),
+                    key=weighted_key(c))
+                res = hilbert_weight(X, u, c)
+                assert res.basis == tuple(standard), (c, u)
+                assert res.value == sum((c.dot(m) for m in standard),
+                                        Fraction(0)), (c, u)
 
 
 def test_positive_scaling():
@@ -202,6 +215,14 @@ def test_weight_validation():
         hilbert_weight(projective_space(1), 0, WeightVector([1, 0]))
     with pytest.raises(ValidationError):
         hilbert_weight(projective_space(1), 2, WeightVector([1, 0, 0]))
+    # an initial ideal whose Hilbert series differs from the grevlex one
+    X = conic()
+    c = WeightVector([1, 0, 0])
+    X._weighted_leading[c.entries] = frozenset([Monomial((0, 1, 0))])
+    with pytest.raises(CertificationError, match="Hilbert series"):
+        hilbert_weight(X, 2, c)
+    with pytest.raises(CertificationError, match="Hilbert series"):
+        chow_weight_estimate(X, c, u_max=8)
 
 
 # -- Chow estimates ------------------------------------------------------------
@@ -209,16 +230,16 @@ def test_weight_validation():
 def test_chow_p1_exact():
     est = chow_weight_estimate(projective_space(1), WeightVector([2, 3]),
                                u_max=20)
-    assert est.value == 5.0
-    assert est.error_bound == 0.0
+    assert est.value == 5
+    assert isinstance(est.value, Fraction)
     assert all(s == 5.0 for _, s in est.sequence)
 
 
 def test_chow_p2_exact():
     est = chow_weight_estimate(projective_space(2), WeightVector([1, 1, 1]),
                                u_max=15)
-    assert est.value == 3.0
-    assert est.error_bound == 0.0
+    assert est.value == 3
+    assert isinstance(est.value, Fraction)
 
 
 def test_chow_conic_limit():
@@ -226,14 +247,36 @@ def test_chow_conic_limit():
     est = chow_weight_estimate(conic(), WeightVector([1, 0, 0]), u_max=40)
     for u, s in est.sequence:
         assert abs(s - 4 * u / (2 * u + 1)) < 1e-12
-    assert abs(est.value - 2.0) < 1e-3
-    assert est.error_bound < 1e-2
+    assert est.value == 2
 
 
 def test_chow_conic_second_weight():
     est = chow_weight_estimate(conic(), WeightVector([1, 1, 0]), u_max=40)
-    assert abs(est.value - 3.0) < 2e-2
-    assert est.error_bound < 5e-2
+    assert est.value == 3
+
+
+def test_chow_weight_exact_closed_forms():
+    rng = random.Random(29)
+    # x2^5 present, so the curve misses {x0 = x1 = 0}: delta (c0 + c1)
+    quintic = Variety(Ideal(3, [HomogPoly(3, 5, {
+        m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for m in monomials_of_degree(3, 5)})]))
+    # misses {x0 = x3 = 0}: 2 x1^2 = x2^2 and x1^3 = 2 x2^3 force x1 = x2 = 0
+    ci23 = Variety(Ideal(4, [
+        parse_homog_poly("x0^2 + 2*x1^2 - x2^2 + x3^2 + x0*x3", 4),
+        parse_homog_poly("x0^3 - x1^3 + 2*x2^3 + x3^3 + x0*x1*x2", 4)]))
+    cases = [(quintic, [3, 1, 0], 20),
+             (scaled_rnc(4, [1, 3, -2, 1, 2]), [0, 0, 1, 3, 5], 20),
+             (ci23, [2, 0, 1, 5], 42)]
+    # the rational normal curve is toric: n(n+2) on the ladder (1..n+1)
+    cases += [(scaled_rnc(n, [1, 2, -1, 3, 1][:n + 1]), range(1, n + 2),
+               n * (n + 2)) for n in (2, 3, 4)]
+    # projective space: the total weight
+    cases += [(projective_space(n), c, sum(c))
+              for n, c in ((1, [0, 7]), (2, [1, 4, 2]), (3, [5, 0, 0, 2]))]
+    for X, c, want in cases:
+        value = chow_weight_estimate(X, WeightVector(c), u_max=8).value
+        assert isinstance(value, Fraction) and value == want, (c, value)
 
 
 def test_chow_validation():
@@ -270,12 +313,11 @@ def test_evertse_ferretti_needs_large_u():
 def test_evertse_ferretti_conic_random():
     X = conic()
     rng = random.Random(17)
-    k, delta = X.dim_degree()
     for _ in range(5):
         c = random_weights(rng, 3)
         est = chow_weight_estimate(X, c, u_max=40)
         margin = check_evertse_ferretti(X, 10, c, est)
-        assert margin >= -est.error_bound / ((k + 1) * delta) - 1e-9
+        assert margin >= 0
 
 
 def test_chow_lower_bound_p2_frozen():
@@ -293,7 +335,7 @@ def test_chow_lower_bound_zero_weights():
 def test_chow_lower_bound_conic():
     margin = check_chow_lower_bound(conic(), [0, 1],
                                     WeightVector([1, 1, 0]), u_max=40)
-    assert margin >= -5e-2
+    assert margin >= 0
 
 
 def test_chow_lower_bound_hypothesis_failures():
