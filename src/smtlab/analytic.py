@@ -16,13 +16,15 @@ point, numpy on an array.
 
 Zero extraction is dual-path.  Polynomial (and rational-numerator) zeros
 come from companion-matrix eigenvalues of the exact square-free factors,
-with Yun's algorithm supplying multiplicities.  Exponential polynomials go
+with Yun's algorithm supplying multiplicities unless a reduction modulo a
+prime certifies the polynomial square-free.  Exponential polynomials go
 through contour moments (Delves-Lyness): power sums of the zeros in a disc
 are trapezoid sums of z^p f'/f, Newton's identities turn them into a
 polynomial whose roots Newton's method polishes, and crowded discs are
 split.  This is numerical, and so are its checks: a small-circle winding
-per zero and an outer winding for the total, each stopping when two
-doubling levels agree, are convergence checks rather than certificates.
+per zero and an outer count for the total (the moment walk's own when it
+settled on the requested circle), each stopping when two doubling levels
+agree, are convergence checks rather than certificates.
 """
 
 from __future__ import annotations
@@ -271,13 +273,61 @@ def poly_gcd(a: Poly1, b: Poly1) -> Poly1:
     return a.monic()
 
 
+# A prime q = 1 (mod 4) and a square root of -1 modulo it: Z[i] maps onto
+# F_q by i -> _SQF_I, and so does every Gaussian rational whose
+# denominator q does not divide.
+_SQF_PRIME = 2147483629
+_SQF_I = 1518275076
+
+
+def _rem_mod(a: List[int], b: List[int], q: int) -> List[int]:
+    """a mod b over F_q, coefficients ascending, b trimmed."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, q)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db] * inv % q
+        if c:
+            for j in range(db):
+                a[k + j] = (a[k + j] - c * b[j]) % q
+    a = a[:db]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _squarefree_mod_q(f: Poly1) -> bool:
+    """True when f's image mod _SQF_PRIME certifies that f is square-free.
+
+    If q divides no denominator, the image keeps f's degree and is
+    coprime to its own derivative, then the reduction of the resultant
+    Res(f, f') is nonzero, so disc(f) != 0.  False means no certificate,
+    not that f has a repeated factor."""
+    image = [c.residue(_SQF_PRIME, _SQF_I) for c in f.coeffs]
+    if None in image or not image[-1]:
+        return False
+    a = image
+    b = [k * c % _SQF_PRIME for k, c in enumerate(image)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, _rem_mod(a, b, _SQF_PRIME)
+    return len(a) == 1
+
+
 def squarefree_decomposition(f: Poly1) -> List[Tuple[Poly1, int]]:
-    """Yun's algorithm: f = lc * prod a_i^i with the a_i squarefree, coprime."""
+    """Yun's algorithm: f = lc * prod a_i^i with the a_i squarefree, coprime.
+
+    When the monic f is certified square-free modulo a prime
+    (_squarefree_mod_q), Yun's answer is [(f, 1)] and is returned
+    without running it."""
     if f.is_zero():
         raise DegenerateInputError("squarefree decomposition of 0")
     if f.degree == 0:
         return []
     f = f.monic()
+    if _squarefree_mod_q(f):
+        return [(f, 1)]
     d = poly_gcd(f, f.derivative())
     b = f // d
     c = f.derivative() // d
@@ -831,26 +881,27 @@ def _moment_points(f: AnalyticFunction, fp: AnalyticFunction,
 
 def _locate(f: AnalyticFunction, fp: AnalyticFunction, centre: complex,
             t: float, max_nodes: int, depth: int = 0
-            ) -> List[Tuple[complex, int, bool]]:
-    """Zeros of f in |z - centre| < t as (z, mult, polished): from the
-    disc's moments, else as the union of the _COVER sub-discs' zeros, each
-    kept once, whose total must match the disc's count.  A disc whose
-    count or moments do not settle (a zero near its circle) is split
-    uncounted; its zeros then come back for the caller's count to check."""
+            ) -> Tuple[Optional[int], List[Tuple[complex, int, bool]]]:
+    """(k, zeros): the disc's settled count k (None if it did not settle)
+    and the zeros of f in |z - centre| < t as (z, mult, polished): from
+    the disc's moments, else as the union of the _COVER sub-discs' zeros,
+    each kept once, whose total must match k.  A disc whose count or
+    moments do not settle (a zero near its circle) is split uncounted;
+    its zeros then come back for the caller's count to check."""
     k, s = _disc_moments(f, fp, centre, t, max_nodes)
     if k == 0:
-        return []
+        return k, []
     points = None if s is None else _moment_points(f, fp, centre, t, s,
                                                    max_nodes)
     if points is not None:
-        return points
+        return k, points
     if depth == _MAX_DEPTH:
         raise CertificationError(
             f"zeros near {centre} not separated at radius {t}")
     found: List[Tuple[complex, int, bool]] = []
     for offset in _COVER:
         for z, m, polished in _locate(f, fp, centre + offset * t,
-                                      0.55 * t, max_nodes, depth + 1):
+                                      0.55 * t, max_nodes, depth + 1)[1]:
             if abs(z - centre) < t + 1e-9 and all(   # nudge band kept
                     abs(z - w) >= _UNPOLISHED_RHO for w, _, _ in found):
                 found.append((z, m, polished))
@@ -858,7 +909,7 @@ def _locate(f: AnalyticFunction, fp: AnalyticFunction, centre: complex,
     if k is not None and total != k:
         raise CertificationError(
             f"sub-disc zeros {total} != count {k} on |z - {centre}| = {t}")
-    return found
+    return k, found
 
 
 def _newton_polish(f: AnalyticFunction, fp: AnalyticFunction,
@@ -892,8 +943,9 @@ class Divisor:
     points are sorted by (modulus, argument); exp-poly zeros are numerical.
     radius is the effective contour radius (nudged outward when a zero fell
     within 1e-9 of the requested circle).  residual_count_check is the total
-    from an independent outer winding, a numerical check, and always equals
-    the sum of multiplicities.
+    from an outer winding count, a numerical check, and always equals the
+    sum of multiplicities: on the moment path it is the count the moment
+    walk settled on the requested circle, otherwise a winding_circle walk.
     """
 
     points: Tuple[Tuple[complex, int], ...]
@@ -948,7 +1000,7 @@ def zeros_in_disc(f: AnalyticFunction, t: float,
 
     Rational functions contribute the zeros of their reduced numerator.
     The moment path can be forced for cross-checking the algebraic path.
-    Either way the located total must match the outer winding.
+    Either way the located total must match the outer winding count.
     """
     if f.is_zero():
         raise DegenerateInputError("zero function has no zero divisor")
@@ -960,19 +1012,23 @@ def zeros_in_disc(f: AnalyticFunction, t: float,
     else:
         core = f
 
+    count = None
     if core.kind == "poly" and not force_winding:
         if core.data.degree == 0:
             return Divisor((), t, False, 0)
         located = _poly_zeros(core.data)
     else:
-        located = [(z, m) for z, m, _ in
-                   _locate(core, core.derivative(), 0j, t, max_nodes)]
+        count, found = _locate(core, core.derivative(), 0j, t, max_nodes)
+        located = [(z, m) for z, m, _ in found]
     t_eff, nudged = t, False
     if any(abs(abs(z) - t) < 1e-9 for z, _ in located):
         t_eff += 1e-8
         nudged = True
     inside = [(z, m) for z, m in located if abs(z) <= t_eff]
-    count, _ = winding_circle(core, t_eff, max_nodes)
+    if count is None or nudged:
+        # the moment walk's settled count is the trapezoid sum this
+        # walk would repeat on the same nodes; walk only if it has none
+        count, _ = winding_circle(core, t_eff, max_nodes)
     total = sum(m for _, m in inside)
     if total != count:
         raise CertificationError(

@@ -4,25 +4,44 @@ Every coefficient that enters a rank, dimension or weight computation in this
 package is a GaussianRational, so those computations are exact by
 construction.  Floating point enters only through explicit calls to
 :meth:`GaussianRational.to_complex`.
+
+Representation: a GaussianRational holds (a + b*i)/d as three Python ints
+in normal form, d > 0 and gcd(a, b, d) = 1 (zero is (0, 0, 1)).  The
+normal form is unique, so equality compares the three ints, and each
+arithmetic result is brought to it by one three-argument gcd.  The real
+and imaginary parts are read as Fractions (``re``, ``im``); the hash is
+that of the pair (re, im), as for the same value stored as two Fractions,
+so sets and dicts of coefficients iterate in the same order either way.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
 
 
 class GaussianRational:
-    """A number a + b*i with a, b exact rationals."""
+    """A number (a + b*i)/d with a, b, d ints, d > 0, gcd(a, b, d) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            # over the lcm of the two reduced denominators the triple is
+            # already in normal form
+            re, im = Fraction(re), Fraction(im)
+            q, s = re.denominator, im.denominator
+            d = q * s // gcd(q, s)
+            a, b = re.numerator * (d // q), im.numerator * (d // s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -37,64 +56,76 @@ class GaussianRational:
             return GaussianRational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
 
+    # -- parts ---------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     # -- ring operations ------------------------------------------------
-    # Each operation takes a shortcut when an imaginary part is zero;
-    # Fraction arithmetic is exact, so the values are those of the
-    # general formulas.
+    # Zero imaginary parts and equal denominators take shortcuts; the
+    # normal form makes the result the same as the general formula's.
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        if not other.im:
-            return _make(self.re + other.re, self.im)
-        return _make(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a + other._a, self._b + other._b, d1)
+        return _make(self._a * d2 + other._a * d1,
+                     self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        if not other.im:
-            return _make(self.re - other.re, self.im)
-        return _make(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a - other._a, self._b - other._b, d1)
+        return _make(self._a * d2 - other._a * d1,
+                     self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        if not other.im:
-            if not self.im:
-                return _make(self.re * other.re, self.im)
-            return _make(self.re * other.re, self.im * other.re)
-        if not self.im:
-            return _make(self.re * other.re, self.re * other.im)
-        return _make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if not b2:
+            return _make(a1 * a2, b1 * a2, d)
+        if not b1:
+            return _make(a1 * a2, a1 * b2, d)
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        if not other.im:
-            if not other.re:
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a1, b1, a2, b2, d2 = self._a, self._b, other._a, other._b, other._d
+        if not b2:
+            if not a2:
                 raise ZeroDivisionError("division by zero GaussianRational")
-            if not self.im:
-                return _make(self.re / other.re, self.im)
-            return _make(self.re / other.re, self.im / other.re)
-        n = other.norm_sq()
-        return _make(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+            if a2 < 0:
+                a2, d2 = -a2, -d2
+            return _make(a1 * d2, b1 * d2, self._d * a2)
+        return _make((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                     self._d * (a2 * a2 + b2 * b2))
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
@@ -111,20 +142,22 @@ class GaussianRational:
             k >>= 1
         return result
 
-    def norm_sq(self) -> Fraction:
-        """|a+bi|^2 = a^2 + b^2, exact."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparisons and hashing ----------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is GaussianRational:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._d == other.denominator
+                    and self._a == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
+        if self._d == 1:   # hash(Fraction(n)) == hash(n)
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -132,35 +165,55 @@ class GaussianRational:
 
     # -- conversions -----------------------------------------------------
 
+    def residue(self, p: int, root: int) -> Optional[int]:
+        """The image in F_p under i -> root (root^2 = -1 mod p, p prime),
+        or None when p divides the denominator."""
+        if self._d % p == 0:
+            return None
+        return (self._a + self._b * root) * pow(self._d, -1, p) % p
+
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds the exact quotient once, as float(Fraction) does
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i" if self.im != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        re_, im = self.re, self.im
+        if not im:
+            return str(re_)
+        if not re_:
+            return f"{im}i" if im != 1 else "i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{istr}"
+        return f"{re_}{sign}{istr}"
 
 
 _new = object.__new__
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
 
 
-def _make(re: Fraction, im: Fraction) -> GaussianRational:
-    """Wrap two Fractions as they are: arithmetic results need no
-    re-coercion."""
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple already in normal form."""
     z = _new(GaussianRational)
-    _set_re(z, re)
-    _set_im(z, im)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, brought to normal form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
 
 ZERO = GaussianRational(0)
@@ -174,18 +227,21 @@ _GAUSS_RE = re.compile(
 )
 
 
-def _parse_part(text: str) -> tuple[Fraction, bool]:
-    """Return (value, is_imaginary) for one signed literal chunk."""
+def _parse_part(text: str) -> tuple[RationalLike, bool]:
+    """Return (value, is_imaginary) for one signed literal chunk; an int
+    unless the chunk is a fraction."""
     text = text.replace(" ", "")
     imag = text.endswith("i")
     if imag:
         text = text[:-1]
     if text in ("", "+"):
-        value = Fraction(1)
+        value: RationalLike = 1
     elif text == "-":
-        value = Fraction(-1)
-    else:
+        value = -1
+    elif "/" in text:
         value = Fraction(text)
+    else:
+        value = int(text)
     return value, imag
 
 
@@ -194,8 +250,8 @@ def parse_gaussian(text: str) -> GaussianRational:
     m = _GAUSS_RE.match(text)
     if not m or not m.group("first").strip():
         raise ValueError(f"malformed Gaussian rational literal: {text!r}")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
+    re_part: RationalLike = 0
+    im_part: RationalLike = 0
     seen_imag = False
     seen_real = False
     for chunk in (m.group("first"), m.group("second")):

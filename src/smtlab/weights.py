@@ -102,6 +102,20 @@ def _ladder(start: int, u_max: int) -> List[int]:
     return out
 
 
+def _numerator_dim_degree(X: Variety) -> Tuple[int, int]:
+    """(dim, degree) of X from the grevlex Hilbert numerator K(t): the
+    Hilbert series is K(t) / (1 - t)^n, so if K(t) = (1 - t)^m L(t) with
+    L(1) != 0, then dim = n - 1 - m and degree = L(1), where
+    (-1)^m L(1) = K^(m)(1) / m! = sum_d K_d C(d, m).  (-1, 0) for an
+    empty X, where m >= n or K = 0."""
+    K, n = _by_degree(X.numerator()), X.num_vars
+    for m in range(n):
+        top = sum(v * math.comb(d, m) for d, v in K.items())
+        if top:
+            return n - 1 - m, (-1) ** m * top
+    return -1, 0
+
+
 def chow_weight_estimate(X: Variety, c: WeightVector,
                          u_max: int = 40) -> ChowEstimate:
     """Exact e_X(c), with s_u = (k+1) delta S_X(u,c) / (u H_X(u)) along a
@@ -110,8 +124,16 @@ def chow_weight_estimate(X: Variety, c: WeightVector,
     From u0 = max |a| over the numerator of in_c(I) on, every binomial
     of :func:`_weight_sum` is a polynomial in u, so e_X(c) =
     (k+1)! [u^(k+1)] S_X is the (k+1)-st difference of S_X at u0.
+    That difference is exact only for the true k, so a (k, delta) from
+    ``X.dim_degree()`` that differs from :func:`_numerator_dim_degree`
+    raises :class:`CertificationError`.
     """
     k, delta = X.dim_degree()
+    exact = _numerator_dim_degree(X)
+    if (k, delta) != exact:
+        raise CertificationError(
+            f"Hilbert-window dimension and degree {(k, delta)} differ from "
+            f"the Hilbert numerator's {exact}")
     if k < 0:
         raise ValidationError("Chow weight of the empty variety is undefined")
     if u_max < k + 3:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from smtlab import analytic
 from smtlab.scalars import GaussianRational
 from smtlab.analytic import (
     AnalyticFunction,
@@ -71,6 +72,81 @@ def test_squarefree_decomposition_frozen():
     # (z^2+1)^3
     g = P(1, 0, 1) ** 3
     assert squarefree_decomposition(g) == [(P(1, 0, 1), 3)]
+
+
+def _sympy_sqf(f):
+    """sympy's square-free factors of f over Q(i), monic, as Poly1s."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    expr = sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+               * z ** k for k, c in enumerate(f.coeffs))
+    _, factors = sympy.sqf_list(sympy.Poly(expr, z, domain="QQ_I"))
+    out = []
+    for factor, mult in factors:
+        cs = []
+        for c in reversed(factor.monic().all_coeffs()):
+            re_, im = sympy.Rational(sympy.re(c)), sympy.Rational(sympy.im(c))
+            cs.append(GR(Fraction(int(re_.p), int(re_.q)),
+                         Fraction(int(im.p), int(im.q))))
+        out.append((P(*cs), mult))
+    return sorted(out, key=lambda fm: fm[1])
+
+
+def test_squarefree_matches_sympy_random():
+    rng = random.Random(29)
+
+    def rand_poly(deg):
+        return P(*[GR(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                   for _ in range(deg)] + [GR(rng.randint(1, 4))])
+
+    for trial in range(40):
+        f = rand_poly(rng.randint(1, 6))
+        if trial % 2:   # a repeated factor, sometimes two
+            f = f * rand_poly(rng.randint(1, 2)) ** rng.randint(2, 3)
+            if trial % 4 == 1:
+                f = f * rand_poly(1) ** 2
+        got = squarefree_decomposition(f)
+        assert sorted(got, key=lambda fm: fm[1]) == _sympy_sqf(f)
+
+
+_Q = analytic._SQF_PRIME
+
+
+@pytest.mark.parametrize("f, want", [
+    # square-free, but q divides the discriminant q^2
+    (P(0, -_Q, 1), [(P(0, -_Q, 1), 1)]),
+    # monic, q is a denominator
+    (P(1, 1, _Q), [(P(Fraction(1, _Q), Fraction(1, _Q), 1), 1)]),
+    # a genuine repeated factor: (z - (1+i)/2)^2 (z + 3)
+    (P(GR(Fraction(-1, 2), Fraction(-1, 2)), 1) ** 2 * P(3, 1),
+     [(P(3, 1), 1), (P(GR(Fraction(-1, 2), Fraction(-1, 2)), 1), 2)]),
+])
+def test_squarefree_certificate_falls_back_to_yun(monkeypatch, f, want):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    assert not analytic._squarefree_mod_q(f.monic())
+    monkeypatch.setattr(analytic, "poly_gcd", counting_gcd)
+    assert squarefree_decomposition(f) == want
+    assert calls   # Yun ran
+
+
+def test_squarefree_certificate_skips_exact_gcd(monkeypatch):
+    # a generic square-free f: the image mod q certifies it, no exact gcd
+    f = P(GR(Fraction(3, 7), 2), GR(-1, Fraction(1, 5)), GR(0, 4), 1, 9)
+
+    def no_gcd(a, b):
+        raise AssertionError("exact gcd called")
+
+    assert analytic._squarefree_mod_q(f.monic())
+    monkeypatch.setattr(analytic, "poly_gcd", no_gcd)
+    assert squarefree_decomposition(f) == [(f.monic(), 1)]
+    assert (analytic._SQF_I ** 2 + 1) % _Q == 0 and _Q % 4 == 1
 
 
 # -- arithmetic and promotion ------------------------------------------------
@@ -399,21 +475,30 @@ def test_moments_residuals_of_z_exp_z_minus_one():
 
 def test_moment_location_cost(monkeypatch):
     # Each circle walk evaluates f and f' once per doubling level on one
-    # array; the moment circle, the outer winding circle and the 13
-    # small circles settle within three levels each here.  Point
-    # evaluations are Newton polishing only: at most 60 per zero.
+    # array; the moment circle and the 13 small circles settle within
+    # three levels each here.  The outer count is the moment walk's own,
+    # so the outer circle is not walked again.  Point evaluations are
+    # Newton polishing only: at most 60 per zero.
     calls = {"array": 0, "point": 0}
     plain = AF.eval_scaled
+    walks = []
+    winding = analytic.winding_circle
 
     def counted(self, z):
         calls["array" if isinstance(z, np.ndarray) else "point"] += 1
         return plain(self, z)
 
+    def recorded(f, t, max_nodes=2 ** 18, centre=0j):
+        walks.append(t)
+        return winding(f, t, max_nodes, centre)
+
     monkeypatch.setattr(AF, "eval_scaled", counted)
+    monkeypatch.setattr(analytic, "winding_circle", recorded)
     div = zeros_in_disc(exp_minus(2), 40.0)
-    assert len(div.points) == 13
-    assert calls["array"] <= 2 * 3 * (2 + 13)
+    assert len(div.points) == 13 and div.residual_count_check == 13
+    assert calls["array"] <= 2 * 3 * (1 + 13)
     assert calls["point"] <= 60 * 13
+    assert len(walks) == 13 and max(walks) <= 1e-4
 
 
 def test_contour_zero_fails_certification():

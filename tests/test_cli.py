@@ -128,6 +128,18 @@ def test_weights_sequence(capsys):
     assert data["ef_margin"] >= 0
 
 
+def test_weights_refuses_wrong_window_dimension(tmp_path, capsys):
+    # the Hilbert-window scan reads x0^10 in P^2 as a plane; the report
+    # ends in one error line instead of printing a Chow weight of 0
+    data = json.loads(Path(CONIC).read_text())
+    data["variety_generators"] = ["x0^10"]
+    path = tmp_path / "x0_power.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "weights", "--scenario", str(path))
+    assert_one_error_line(code, out, err)
+    assert "(1, 10)" in err
+
+
 def test_weights_large_max_u(capsys):
     # the ladder and the weight check read the closed form, never a basis
     t0 = time.perf_counter()

@@ -99,6 +99,132 @@ def test_gaussian_immutable():
     a = GR(1, 2)
     with pytest.raises(AttributeError):
         a.re = Fraction(5)
+    for name in ("_a", "_b", "_d", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    assert a == GR(1, 2)
+
+
+class _PairRef:
+    """Reference Gaussian rational: two Fractions and the textbook
+    formulas."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return _PairRef(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _PairRef(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _PairRef(self.re * o.re - self.im * o.im,
+                        self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        return _PairRef((self.re * o.re + self.im * o.im) / n,
+                        (self.im * o.re - self.re * o.im) / n)
+
+    def __pow__(self, k):
+        out = _PairRef(1)
+        for _ in range(abs(k)):
+            out = out * self
+        return _PairRef(1) / out if k < 0 else out
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}i" if self.im != 1 else "i"
+        mag = abs(self.im)
+        return (f"{self.re}{'+' if self.im > 0 else '-'}"
+                f"{'i' if mag == 1 else f'{mag}i'}")
+
+
+def _rand_rational(rng, big):
+    bits = rng.choice((3, 20, 70)) if big else 3
+    num = rng.randint(-2 ** bits, 2 ** bits)
+    den = rng.randint(1, 2 ** bits) * rng.choice((1, 1, 2, 3, 6))
+    return Fraction(num, den) if rng.random() < 0.7 else Fraction(num)
+
+
+def _assert_matches(got, ref):
+    assert isinstance(got, GR)
+    a, b, d = got._a, got._b, got._d
+    assert all(type(x) is int for x in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1          # the normal form
+    assert (got.re, got.im) == (ref.re, ref.im)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert hash(got) == hash((ref.re, ref.im))
+    assert str(got) == str(ref)
+    assert repr(got) == f"GaussianRational({ref.re!r}, {ref.im!r})"
+    want = complex(ref.re) + 1j * complex(ref.im)
+    assert repr(got.to_complex()) == repr(want)      # bit for bit, signs too
+
+
+def test_gaussian_matches_fraction_pair_reference():
+    rng = random.Random(2024)
+    for trial in range(600):
+        big = trial % 2 == 1
+        x, y = (_PairRef(_rand_rational(rng, big),
+                         _rand_rational(rng, big) if rng.random() < 0.6
+                         else 0) for _ in range(2))
+        a, b = GR(x.re, x.im), GR(y.re, y.im)
+        _assert_matches(a, x)
+        _assert_matches(a + b, x + y)
+        _assert_matches(a - b, x - y)
+        _assert_matches(a * b, x * y)
+        _assert_matches(-a, _PairRef(-x.re, -x.im))
+        k = rng.randint(-4, 4)
+        if b:
+            _assert_matches(a / b, x / y)
+        if a or k >= 0:
+            _assert_matches(a ** k, x ** k)
+        # int and Fraction operands, on either side
+        n, q = rng.randint(-50, 50), _rand_rational(rng, big)
+        for other in (n, q):
+            o = _PairRef(other)
+            _assert_matches(a + other, x + o)
+            _assert_matches(other + a, o + x)
+            _assert_matches(other - a, o - x)
+            _assert_matches(a * other, x * o)
+            if other:
+                _assert_matches(a / other, x / o)
+            if a:
+                _assert_matches(other / a, o / x)
+        # == against ints and Fractions; the hash is that of (re, im)
+        real = GR(x.re)
+        assert real == x.re and hash(real) == hash((x.re, Fraction(0)))
+        assert GR(n) == n and GR(n) == Fraction(n)
+        assert hash(GR(n)) == hash((Fraction(n), Fraction(0))) == hash((n, 0))
+        assert (a == x.re) == (not x.im)
+        assert (a != b) == ((x.re, x.im) != (y.re, y.im))
+    # tiny and huge parts: underflow to signed zeros, exact rounding
+    for re_, im in [(Fraction(-1, 10 ** 400), Fraction(1, 3)),
+                    (Fraction(1, 3), Fraction(-1, 10 ** 400)),
+                    (Fraction(10 ** 300 + 1, 7), Fraction(-2 ** 1000, 3)),
+                    (Fraction(0), Fraction(-1, 10 ** 400))]:
+        _assert_matches(GR(re_, im), _PairRef(re_, im))
+
+
+def test_gaussian_errors():
+    a = GR(Fraction(1, 2), 3)
+    for zero in (GR(0), 0, Fraction(0), GR(Fraction(0, 5), 0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / GR(0)
+    with pytest.raises(ZeroDivisionError):
+        GR(0) ** -1
+    with pytest.raises(TypeError):
+        GR.coerce(1.5)
+    with pytest.raises(TypeError):
+        a + 1.5
+    with pytest.raises(TypeError):
+        a * 2j
+    assert (a == 0.5) is False and a != "1/2+3i"
 
 
 @pytest.mark.parametrize("text,expected", [

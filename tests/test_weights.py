@@ -20,6 +20,7 @@ from smtlab.exact_algebra import (
 )
 from smtlab.groebner import Ideal, Variety, normal_form
 from smtlab.weights import (
+    _numerator_dim_degree,
     check_chow_lower_bound,
     check_evertse_ferretti,
     chow_weight_estimate,
@@ -277,6 +278,35 @@ def test_chow_weight_exact_closed_forms():
     for X, c, want in cases:
         value = chow_weight_estimate(X, WeightVector(c), u_max=8).value
         assert isinstance(value, Fraction) and value == want, (c, value)
+
+
+def test_numerator_dim_degree_against_bezout():
+    rng = random.Random(31)
+
+    def dense(deg):
+        return HomogPoly(3, deg, {m: Fraction(rng.randint(-3, 3))
+                                  for m in monomials_of_degree(3, deg)})
+
+    def ideal(n, *gens):
+        return Variety(Ideal(n, [parse_homog_poly(g, n) for g in gens]))
+
+    cases = [(ideal(3, "x0^10"), (1, 10)),
+             (Variety(Ideal(3, [dense(5), dense(5)])), (0, 25)),
+             (ideal(3, "x0*x1", "x0*x2"), (1, 1)),
+             (ideal(3, "x0", "x1", "x2"), (-1, 0)),
+             (ideal(3, "x0", "x1", "x2 - x0"), (-1, 0)),
+             (conic(), (1, 2)), (twisted_cubic(), (1, 3)),
+             (projective_space(3), (3, 1))]
+    for X, want in cases:
+        assert _numerator_dim_degree(X) == want
+
+
+def test_chow_refuses_a_wrong_window_dimension():
+    # the window scan reads x0^10 in P^2 as (2, 1); the curve is (1, 10)
+    X = Variety(Ideal(3, [parse_homog_poly("x0^10", 3)]))
+    assert X.dim_degree() == (2, 1)
+    with pytest.raises(CertificationError, match=r"\(1, 10\)"):
+        chow_weight_estimate(X, WeightVector([1, 2, 3]), u_max=12)
 
 
 def test_chow_validation():
