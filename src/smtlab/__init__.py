@@ -33,6 +33,7 @@ from .nevanlinna import (
     proximity,
 )
 from .position_geometry import (
+    check_norm_domination,
     check_remark_bound,
     distributive_constant,
     subgeneral_position,
@@ -82,6 +83,7 @@ __all__ = [
     "characteristic",
     "check_chow_lower_bound",
     "check_evertse_ferretti",
+    "check_norm_domination",
     "check_remark_bound",
     "check_ru_sibony",
     "chow_weight_estimate",

@@ -1,7 +1,9 @@
 """Command line front end: scenario files in, CSV or JSON reports out.
 
-Each subcommand loads one scenario, runs the matching library routine,
-and writes a single report to --output (stdout when omitted).  Exit code
+Each subcommand loads one scenario, reads the quantities its report needs
+from it, and writes a single report to --output (stdout when omitted).
+The quantities are computed once per loaded scenario, so back-to-back
+reports on one file in one process share them (see ``scenario``).  Exit code
 0 means the run completed with nothing falsified, 2 flags a falsified
 inequality or a broken defect relation, and 1 covers every error,
 including bad usage.  Reports are deterministic: the same scenario and
@@ -22,8 +24,7 @@ from typing import Any, Dict, List, Tuple
 
 from .errors import SmtlabError
 from .exact_algebra import WeightVector
-from .nevanlinna import _fmt_residuals, build_profile
-from .position_geometry import distributive_constant
+from .nevanlinna import _fmt_residuals
 from .scenario import Scenario, load_scenario
 from .smt_verifier import (
     SMTConstants,
@@ -74,9 +75,7 @@ def _cmd_constants(scenario: Scenario, args: argparse.Namespace) -> Report:
 
 
 def _cmd_distributive(scenario: Scenario, args: argparse.Namespace) -> Report:
-    report = distributive_constant(scenario.variety, scenario.family,
-                                   samples=args.samples,
-                                   seed=scenario.seed)
+    report = scenario.distributive(args.samples)
     payload = {
         "value": str(report.value),
         "witness": list(report.witness),
@@ -121,9 +120,8 @@ def _cmd_nevanlinna(scenario: Scenario, args: argparse.Namespace) -> Report:
     residual d T - m - N; truncation level comes from the scenario and
     defaults to 1."""
     trunc = scenario.truncation if scenario.truncation is not None else 1
-    profile = build_profile(scenario.curve, scenario.family, scenario.grid,
-                            trunc, tol=args.quad_tol,
-                            strict_origin=args.strict_jensen)
+    profile = scenario.session.profile(trunc, tol=args.quad_tol,
+                                       strict_origin=args.strict_jensen)
     data = profile.rows(scenario.family.degrees)
     header = ["r", "T"]
     for j in range(len(scenario.family)):
@@ -139,8 +137,7 @@ def _cmd_nevanlinna(scenario: Scenario, args: argparse.Namespace) -> Report:
 def _cmd_fmt_check(scenario: Scenario, args: argparse.Namespace) -> Report:
     """Residuals d T - m - N per hypersurface, read off the grid profile
     (T once per radius, each divisor once)."""
-    profile = build_profile(scenario.curve, scenario.family, scenario.grid,
-                            math.inf, tol=args.quad_tol)
+    profile = scenario.session.profile(math.inf, tol=args.quad_tol)
     columns, spreads = zip(*_fmt_residuals(profile, scenario.family.degrees))
     residual_rows: List[List[Any]] = [
         [r, *row] for r, row in zip(scenario.grid.values, zip(*columns))]

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, GaussianRational, parse_gaussian
+from .scalars import ONE, ZERO, GaussianRational, parse_gaussian
 
 _tuple_new = tuple.__new__
 
@@ -90,13 +90,6 @@ def weighted_key(c: WeightVector) -> Callable:
         return (sum(m), -sum(a * b for a, b in zip(w, m)), tuple(reversed(m)))
 
     return key
-
-
-def monomial_count(num_vars: int, degree: int) -> int:
-    """Number of monomials of exact degree u in num_vars variables."""
-    if degree < 0:
-        return 0
-    return math.comb(num_vars - 1 + degree, degree)
 
 
 def monomials_of_degree(num_vars: int, degree: int) -> List[Monomial]:
@@ -213,18 +206,6 @@ class HomogPoly:
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
-    def scale(self, coeff) -> "HomogPoly":
-        coeff = GaussianRational.coerce(coeff)
-        if coeff.is_zero():
-            return HomogPoly.zero(self.num_vars, self.degree)
-        return HomogPoly(self.num_vars, self.degree,
-                         {m: c * coeff for m, c in self.terms.items()})
-
-    def mul_monomial(self, mono: Monomial, coeff=1) -> "HomogPoly":
-        coeff = GaussianRational.coerce(coeff)
-        return HomogPoly(self.num_vars, self.degree + mono.degree,
-                         {m.mul(mono): c * coeff for m, c in self.terms.items()})
-
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if self.num_vars != other.num_vars:
             raise ValueError("mixed variable counts")
@@ -290,60 +271,6 @@ def _homog(num_vars: int, degree: int,
     return p
 
 
-def poly_eval(poly: HomogPoly, point: Sequence) -> object:
-    """Evaluate at a point; exact when every coordinate is GaussianRational.
-
-    Any other numeric coordinates fall back to complex arithmetic.
-    """
-    if len(point) != poly.num_vars:
-        raise ValueError("point arity mismatch")
-    exact = all(isinstance(p, GaussianRational) for p in point)
-    if exact:
-        total = GaussianRational(0)
-        for mono, coeff in poly.terms.items():
-            value = coeff
-            for base, e in zip(point, mono):
-                if e:
-                    value = value * base ** e
-            total = total + value
-        return total
-    pt = [p.to_complex() if isinstance(p, GaussianRational) else complex(p)
-          for p in point]
-    total_c = 0j
-    for mono, coeff in poly.terms.items():
-        value_c = coeff.to_complex()
-        for base, e in zip(pt, mono):
-            if e:
-                value_c *= base ** e
-        total_c += value_c
-    return total_c
-
-
-def substitute_linear(poly: HomogPoly, matrix: Sequence[Sequence]) -> HomogPoly:
-    """Apply x_i -> sum_j matrix[i][j] * x_j; preserves homogeneity."""
-    n = poly.num_vars
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError("matrix shape mismatch")
-    images = []
-    for row in matrix:
-        terms = {}
-        for j, entry in enumerate(row):
-            entry = GaussianRational.coerce(entry)
-            if not entry.is_zero():
-                exps = [0] * n
-                exps[j] = 1
-                terms[Monomial(exps)] = entry
-        images.append(HomogPoly(n, 1, terms))
-    result = HomogPoly.zero(n, poly.degree)
-    for mono, coeff in poly.terms.items():
-        part = HomogPoly(n, 0, {Monomial([0] * n): coeff})
-        for i, e in enumerate(mono):
-            if e:
-                part = part * images[i] ** e
-        result = result + part
-    return result
-
-
 class WeightVector:
     """Non-negative rational weights, one per variable."""
 
@@ -383,55 +310,34 @@ class WeightVector:
         return f"WeightVector({list(self.entries)!r})"
 
 
-class ExactEchelon:
-    """Incremental Gaussian elimination over Q(i) on sparse dict vectors.
+def rank_of_vectors(vectors: Iterable[Dict],
+                    keyfunc: Callable = grevlex_key) -> int:
+    """Rank over Q(i) of sparse dict vectors (key -> coefficient).
 
-    Rows are kept with their pivot coefficient normalized to 1, pivots
-    chosen as the largest key under ``keyfunc``, so the result of a
-    reduction is canonical for a fixed insertion order.
+    Incremental Gaussian elimination: each vector is reduced by the rows
+    kept so far, pivot first, where a row's pivot is its largest key under
+    ``keyfunc`` and carries coefficient 1; a nonzero residual is kept as a
+    new row.
     """
-
-    def __init__(self, keyfunc: Callable = grevlex_key):
-        self.keyfunc = keyfunc
-        self.rows: Dict[object, Dict[object, GaussianRational]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: Dict) -> Dict:
-        v = {k: GaussianRational.coerce(c) for k, c in vec.items()
-             if not GaussianRational.coerce(c).is_zero()}
+    rows: Dict[object, Dict[object, GaussianRational]] = {}
+    for vec in vectors:
+        v = {k: c for k, c in ((k, GaussianRational.coerce(c))
+                               for k, c in vec.items()) if not c.is_zero()}
         while v:
-            pivot = max(v, key=self.keyfunc)
-            row = self.rows.get(pivot)
+            pivot = max(v, key=keyfunc)
+            row = rows.get(pivot)
             if row is None:
+                lead = v[pivot]
+                rows[pivot] = {k: c / lead for k, c in v.items()}
                 break
             factor = v[pivot]
             for k, c in row.items():
-                acc = v.get(k, GaussianRational(0)) - factor * c
+                acc = v.get(k, ZERO) - factor * c
                 if acc.is_zero():
                     v.pop(k, None)
                 else:
                     v[k] = acc
-        return v
-
-    def insert(self, vec: Dict) -> bool:
-        """Reduce vec and store the residual; True iff vec was independent."""
-        residual = self.reduce(vec)
-        if not residual:
-            return False
-        pivot = max(residual, key=self.keyfunc)
-        lead = residual[pivot]
-        self.rows[pivot] = {k: c / lead for k, c in residual.items()}
-        return True
-
-
-def rank_of_vectors(vectors: Iterable[Dict], keyfunc: Callable = grevlex_key) -> int:
-    ech = ExactEchelon(keyfunc)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------

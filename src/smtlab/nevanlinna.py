@@ -404,26 +404,77 @@ class NevanlinnaProfile:
                 for T, m, N in zip(self.T, self.m[j], self.N_full[j])]
 
 
+class GridSession:
+    """One curve against one family on one grid: T, the composed Q_j(f),
+    their divisors and the proximity rows, each computed on first use.
+
+    Values are stored as immutable tuples or frozen objects; a computation
+    that raises stores nothing, so the next request raises again.  T and
+    the proximity rows are kept per quadrature tolerance.
+    """
+
+    def __init__(self, curve: Curve, family: HypersurfaceFamily,
+                 grid: RadialGrid):
+        self.curve, self.family, self.grid = curve, family, grid
+        self._memo: dict = {}
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def characteristic(self, tol: float) -> Tuple[float, ...]:
+        """T on the grid."""
+        return self._once(("T", tol), lambda: tuple(
+            characteristic(self.curve, r, tol) for r in self.grid.values))
+
+    def composed(self, j: int) -> AnalyticFunction:
+        """Q_j(f), rejected when it vanishes identically."""
+        return self._once(("Q(f)", j), lambda: _compose(
+            self.curve, self.family[j], j))
+
+    def divisor(self, j: int) -> Divisor:
+        """Zeros of Q_j(f) a little beyond the grid's last radius."""
+        return self._once(("divisor", j), lambda: _divisor_with_pad(
+            self.composed(j), self.grid.values[-1]))
+
+    def proximity(self, j: int, tol: float) -> Tuple[float, ...]:
+        """m_f(r, Q_j) on the grid."""
+        def row():
+            div, g = self.divisor(j), self.composed(j)
+            return tuple(proximity(self.curve, self.family[j], r, tol,
+                                   divisor=div, composed=g)
+                         for r in self.grid.values)
+        return self._once(("m", j, tol), row)
+
+    def profile(self, truncations: Union[int, float,
+                                         Sequence[Union[int, float]]],
+                tol: float = 1e-8,
+                strict_origin: bool = False) -> NevanlinnaProfile:
+        """The profile of :func:`build_profile`, from the stored pieces."""
+        family, grid = self.family, self.grid
+        if isinstance(truncations, (int, float)):
+            truncations = [truncations] * len(family)
+        truncations = list(truncations)
+        if len(truncations) != len(family):
+            raise ValidationError("one truncation level per hypersurface")
+        T = self.characteristic(tol)
+        m_rows, full_rows, trunc_rows, divisors = [], [], [], []
+        for j, k in enumerate(truncations):
+            div = self.divisor(j)
+            divisors.append(div)
+            m_rows.append(self.proximity(j, tol))
+            full_rows.append(tuple(counting(div, grid, math.inf,
+                                            strict_origin)))
+            trunc_rows.append(tuple(counting(div, grid, k, strict_origin)))
+        return NevanlinnaProfile(grid, T, tuple(m_rows), tuple(full_rows),
+                                 tuple(trunc_rows), tuple(truncations),
+                                 tuple(divisors))
+
+
 def build_profile(curve: Curve, family: HypersurfaceFamily, grid: RadialGrid,
                   truncations: Union[int, float, Sequence[Union[int, float]]],
                   tol: float = 1e-8,
                   strict_origin: bool = False) -> NevanlinnaProfile:
-    if isinstance(truncations, (int, float)):
-        truncations = [truncations] * len(family)
-    truncations = list(truncations)
-    if len(truncations) != len(family):
-        raise ValidationError("one truncation level per hypersurface")
-    T = tuple(characteristic(curve, r, tol) for r in grid.values)
-    m_rows, full_rows, trunc_rows, divisors = [], [], [], []
-    for j, (Q, k) in enumerate(zip(family, truncations)):
-        g = _compose(curve, Q, j)
-        div = _divisor_with_pad(g, grid.values[-1])
-        divisors.append(div)
-        m_rows.append(tuple(
-            proximity(curve, Q, r, tol, divisor=div, composed=g)
-            for r in grid.values))
-        full_rows.append(tuple(counting(div, grid, math.inf, strict_origin)))
-        trunc_rows.append(tuple(counting(div, grid, k, strict_origin)))
-    return NevanlinnaProfile(grid, T, tuple(m_rows), tuple(full_rows),
-                             tuple(trunc_rows), tuple(truncations),
-                             tuple(divisors))
+    return GridSession(curve, family, grid).profile(truncations, tol,
+                                                    strict_origin)

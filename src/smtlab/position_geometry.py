@@ -84,6 +84,8 @@ def _sample_points(family: HypersurfaceFamily, count: int,
 def _fixed_or_sampled(V: Variety, family: HypersurfaceFamily, samples: int,
                       seed: int) -> List[Tuple[Optional[GaussianRational],
                                                List[HomogPoly]]]:
+    if samples < 1:
+        raise ValidationError(f"need at least one sample point, got {samples}")
     if not family.is_moving:
         forms = _snapshot_family(family, GaussianRational(0))
         if forms is None:
@@ -103,14 +105,15 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
     by a subset extends the cut by its prefix (all but its last member),
     which was built one size earlier, so each subset costs one seeded
     Groebner basis extension; only the previous size's cuts are held.
-    A prefix absent from them was empty, so the subset is pruned too.
+    A subset contains an empty one exactly when one of its parents (the
+    subsets one member smaller, all scanned one size earlier) is empty;
+    such a subset is pruned.
     """
     n = V.dim
     if n < 1:
         raise ValidationError(f"variety must have dimension >= 1, got {n}")
     q = len(forms)
     dims: Dict[FrozenSet[int], int] = {}
-    empties: List[FrozenSet[int]] = []
     best = Fraction(0)
     witness: Tuple[int, ...] = ()
     table: List[Tuple[Tuple[int, ...], int, Fraction]] = []
@@ -119,20 +122,18 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
         level: Dict[Tuple[int, ...], Variety] = {}
         for combo in combinations(range(q), size):
             s = frozenset(combo)
-            if any(e <= s for e in empties):
+            parents = [dims[s - {j}] for j in combo] if size > 1 else []
+            if -1 in parents:
                 dims[s] = -1
                 table.append((combo, -1, Fraction(0)))
                 continue
             cut = cuts[combo[:-1]].cut([forms[combo[-1]]])
             d = cut.dim
-            for j in combo:
-                parent = s - {j}
-                if len(parent) and parent in dims and d > dims[parent]:
-                    raise CertificationError(
-                        "intersection dimension grew under refinement")
+            if any(d > p for p in parents):
+                raise CertificationError(
+                    "intersection dimension grew under refinement")
             dims[s] = d
             if d == -1:
-                empties.append(s)
                 table.append((combo, -1, Fraction(0)))
                 continue
             if d >= n:
@@ -201,7 +202,8 @@ def check_norm_domination(V: Variety, family: HypersurfaceFamily,
                           radii: Sequence[float], theta_samples: int = 64,
                           samples: int = 3, seed: int = 0
                           ) -> List[Tuple[float, float]]:
-    """Sup of ||f||^d / max_s |Q_s(f)|^{d/d_s} on each circle.
+    """The paper's norm-domination check: sup of
+    ||f||^d / max_s |Q_s(f)|^{d/d_s} on each circle.
 
     The subfamily must miss V (checked first); the curve must lie on V.
     Members are normalized when their x0^d coefficient allows it.  Returns

@@ -9,9 +9,12 @@ Representation: a GaussianRational holds (a + b*i)/d as three Python ints
 in normal form, d > 0 and gcd(a, b, d) = 1 (zero is (0, 0, 1)).  The
 normal form is unique, so equality compares the three ints, and each
 arithmetic result is brought to it by one three-argument gcd.  The real
-and imaginary parts are read as Fractions (``re``, ``im``); the hash is
-that of the pair (re, im), as for the same value stored as two Fractions,
-so sets and dicts of coefficients iterate in the same order either way.
+and imaginary parts are read as Fractions (``re``, ``im``).  A real value
+hashes as the int or Fraction it equals, any other value as the pair
+(re, im), so equal numbers hash equal across the three types.
+
+Parts are ints, Fractions or rational literals; a float is refused, as
+by ``coerce`` and the operators, so no binary float enters exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
+            if isinstance(re, float) or isinstance(im, float):
+                raise TypeError("GaussianRational parts must be exact, "
+                                "not float")
             # over the lcm of the two reduced denominators the triple is
             # already in normal form
             re, im = Fraction(re), Fraction(im)
@@ -156,6 +162,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
+        if not self._b:    # as the int or Fraction this value equals
+            return hash(self._a if self._d == 1 else self.re)
         if self._d == 1:   # hash(Fraction(n)) == hash(n)
             return hash((self._a, self._b))
         return hash((self.re, self.im))

@@ -3,22 +3,32 @@
 Exact data (rationals, polynomial coefficients) travels as strings so no
 float ever contaminates the algebraic side.  Radii and tolerances are
 plain numbers.
+
+A loaded Scenario is also the session its reports share: the
+distributive-constant scan and, through ``session``, T, Q_j(f), the
+divisors and the proximity rows are computed once each, on first use.
+``load_scenario`` keeps the last scenario it loaded and hands it out
+again while the file's bytes stay the same.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .analytic import Curve, parse_function, poles
 from .errors import ValidationError
 from .exact_algebra import parse_homog_poly
 from .groebner import Ideal, Variety
 from .hypersurfaces import HypersurfaceFamily, parse_hypersurface
-from .nevanlinna import RadialGrid
+from .nevanlinna import GridSession, RadialGrid
+from .position_geometry import DistributiveReport, distributive_constant
+
+# grid points a scenario may ask for; shipped scenarios use at most 40
+MAX_GRID_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -33,10 +43,25 @@ class Scenario:
     truncation: Optional[int]
     seed: int
     growth_model: Optional[Fraction]
+    session: GridSession = field(init=False, repr=False, compare=False)
+    _scans: Dict[int, DistributiveReport] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "session",
+                           GridSession(self.curve, self.family, self.grid))
+        object.__setattr__(self, "_scans", {})
 
     @property
     def domain_radius(self) -> float:
         return self.curve.domain_radius
+
+    def distributive(self, samples: int) -> DistributiveReport:
+        """The distributive-constant scan at `samples` points, run once."""
+        if samples not in self._scans:
+            self._scans[samples] = distributive_constant(
+                self.variety, self.family, samples=samples, seed=self.seed)
+        return self._scans[samples]
 
 
 def _field(data: dict, name: str, required: bool = True, default=None):
@@ -76,6 +101,14 @@ def _radius(value, name: str) -> float:
     return r
 
 
+def _points(count: int) -> int:
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"scenario field 'grid': between 1 and {MAX_GRID_POINTS} "
+            f"points allowed, got {count}")
+    return count
+
+
 def _build_grid(spec, r0: float, R: float) -> RadialGrid:
     if spec is None:
         if math.isinf(R):
@@ -89,16 +122,19 @@ def _build_grid(spec, r0: float, R: float) -> RadialGrid:
                 RadialGrid.geometric(
                     float(spec.get("r_min", 2.0)),
                     float(spec.get("r_max", 1e3)),
-                    int(spec.get("points", 40)), r0).values,
+                    _points(int(spec.get("points", 40))), r0).values,
                 R)
         if kind == "finite":
             if math.isinf(R):
                 raise ValidationError(
                     "scenario field 'grid': finite grid needs a finite "
                     "domain radius")
-            return RadialGrid.finite(R, int(spec.get("points", 20)), r0)
+            return RadialGrid.finite(R, _points(int(spec.get("points", 20))),
+                                     r0)
         if kind == "explicit":
-            return RadialGrid(r0, tuple(float(v) for v in spec["values"]), R)
+            values = spec["values"]
+            _points(len(values))
+            return RadialGrid(r0, tuple(float(v) for v in values), R)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
@@ -212,14 +248,41 @@ def scenario_from_dict(data: dict) -> Scenario:
                     grid, truncation, seed, growth_model)
 
 
+# the last scenario loaded, with the bytes it was loaded from
+_last: Optional[Tuple[bytes, Scenario]] = None
+
+
 def load_scenario(path: str) -> Scenario:
+    """The scenario in the file at path.
+
+    When the file holds the same bytes as at the previous call, the
+    Scenario that call returned comes back, with everything its reports
+    have computed so far; any other file replaces it.
+    """
+    global _last
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
         raise ValidationError(f"cannot read scenario {path}: {err}")
+    last = _last
+    if last is not None and last[0] == raw:
+        return last[1]
+    _last = None
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"scenario {path} is not UTF-8 text: {err}")
     except json.JSONDecodeError as err:
         raise ValidationError(
             f"scenario {path} is not well-formed JSON "
             f"(line {err.lineno}, column {err.colno}): {err.msg}")
-    return scenario_from_dict(data)
+    scenario = scenario_from_dict(data)
+    _last = (raw, scenario)
+    return scenario
+
+
+def _forget() -> None:
+    """Drop the kept scenario, so the next load starts a cold session."""
+    global _last
+    _last = None

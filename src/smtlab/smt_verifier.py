@@ -27,15 +27,12 @@ from .errors import (
 )
 from .exact_algebra import monomials_of_degree, rank_of_vectors
 from .nevanlinna import (
-    characteristic,
+    characteristic,  # noqa: F401  (perfbench traces it under this name too)
     counting,
     growth_index_model,
     growth_index_sampled,
-    _compose,
-    _divisor_with_pad,
     _top_decile_defect,
 )
-from .position_geometry import distributive_constant
 from .scalars import GaussianRational
 from .scenario import Scenario
 
@@ -365,8 +362,7 @@ def _scenario_numbers(scenario: Scenario, samples: int = 3
     if n < 1:
         raise DegenerateInputError(f"variety has dimension {n}")
     family = scenario.family
-    delta = distributive_constant(scenario.variety, family, samples=samples,
-                                  seed=scenario.seed).value
+    delta = scenario.distributive(samples).value
     return n, degV, len(family), family.common_degree, delta
 
 
@@ -375,8 +371,7 @@ def _scenario_setup(scenario: Scenario, quad_tol: float) -> Tuple[
     """What both scenario reports start from: the numbers above, T on the
     grid and the growth index (0 for maps from the plane)."""
     numbers = _scenario_numbers(scenario)
-    T = [characteristic(scenario.curve, r, quad_tol)
-         for r in scenario.grid.values]
+    T = scenario.session.characteristic(quad_tol)
     if math.isinf(scenario.domain_radius):
         c_f = 0.0
     elif scenario.growth_model is not None:
@@ -397,8 +392,10 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
     """
     flags: List[str] = []
     family = scenario.family
+    session = scenario.session
     plane = math.isinf(scenario.domain_radius)
-    composed = [_compose(scenario.curve, Q, j) for j, Q in enumerate(family)]
+    for j in range(len(family)):   # a target holding the curve fails first
+        session.composed(j)
     _spot_check_nondegenerate(scenario, flags)
     n, degV, q, d, delta, T, c_f = _scenario_setup(scenario, quad_tol)
     constants = _scenario_constants(scenario, n, degV, d, q, delta)
@@ -428,7 +425,7 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
     if k_used is None or k_used > 10 ** 9:
         k_used = math.inf
 
-    divisors = [_divisor_with_pad(g, grid.values[-1]) for g in composed]
+    divisors = [session.divisor(j) for j in range(q)]
     if plane:
         weights = [Fraction(1, Q.degree) for Q in family]
         scaled = divisors
@@ -521,8 +518,9 @@ def defect_relation_report(scenario: Scenario,
     L = constants.L
 
     grid = scenario.grid
-    composed = [_compose(scenario.curve, Q, j) for j, Q in enumerate(family)]
-    divisors = [_divisor_with_pad(g, grid.values[-1]) for g in composed]
+    for j in range(q):   # every target checked before any divisor
+        scenario.session.composed(j)
+    divisors = [scenario.session.divisor(j) for j in range(q)]
     max_mult = max((m for div in divisors for _, m in div.points), default=0)
     defects = [(j, _top_decile_defect(grid, counting(div, grid, L - 1), T,
                                       Q.degree))

@@ -245,6 +245,44 @@ def test_fmt_check_composes_and_characterizes_once(monkeypatch, capsys):
     grid = [row[0] for row in json.loads(out)["rows"]]
     assert sorted(composed.values()) == [1, 1, 1, 1]   # four targets
     assert sorted(radii) == grid and set(radii.values()) == {1}
+    # a second report on the same scenario adds no call
+    before = (Counter(composed), Counter(radii))
+    assert run(capsys, "fmt-check", "--scenario", CONIC)[1] == out
+    assert (composed, radii) == before
+
+
+@pytest.mark.parametrize("command", ["distributive", "constants"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+@pytest.mark.parametrize("moving", [True, False])
+def test_samples_below_one_rejected(tmp_path, capsys, command, samples,
+                                    moving):
+    data = json.loads(Path(THREE_POINTS).read_text())
+    if moving:
+        data["hypersurfaces"][1] = {
+            "degree": 1, "moving": True,
+            "coefficients": {"x1": "1", "x0": "poly: -1 - z"}}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--scenario", str(path),
+                         "--samples", samples)
+    assert (code, out) == (1, "")
+    assert err == f"error: need at least one sample point, got {samples}\n"
+    code, out, _ = run(capsys, command, "--scenario", str(path),
+                       "--samples", "1")
+    assert code == 0 and out
+
+
+def test_huge_grid_rejected_at_load(tmp_path, capsys):
+    data = json.loads(Path(THREE_POINTS).read_text())
+    data["grid"]["points"] = 10 ** 6
+    path = tmp_path / "huge_grid.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nevanlinna", "--scenario", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: scenario field 'grid': between 1 and")
+    assert len(err.splitlines()) == 1
 
 
 def test_curve_with_zero_component(tmp_path, capsys):

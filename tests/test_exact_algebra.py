@@ -8,17 +8,13 @@ import pytest
 
 from smtlab.scalars import GaussianRational, parse_gaussian
 from smtlab.exact_algebra import (
-    ExactEchelon,
     HomogPoly,
     Monomial,
     WeightVector,
     grevlex_key,
-    monomial_count,
     monomials_of_degree,
     parse_homog_poly,
-    poly_eval,
     rank_of_vectors,
-    substitute_linear,
 )
 
 GR = GaussianRational
@@ -157,7 +153,7 @@ def _assert_matches(got, ref):
     assert d > 0 and math.gcd(a, b, d) == 1          # the normal form
     assert (got.re, got.im) == (ref.re, ref.im)
     assert type(got.re) is Fraction and type(got.im) is Fraction
-    assert hash(got) == hash((ref.re, ref.im))
+    assert hash(got) == (hash((ref.re, ref.im)) if ref.im else hash(ref.re))
     assert str(got) == str(ref)
     assert repr(got) == f"GaussianRational({ref.re!r}, {ref.im!r})"
     want = complex(ref.re) + 1j * complex(ref.im)
@@ -194,11 +190,11 @@ def test_gaussian_matches_fraction_pair_reference():
                 _assert_matches(a / other, x / o)
             if a:
                 _assert_matches(other / a, o / x)
-        # == against ints and Fractions; the hash is that of (re, im)
+        # == against ints and Fractions, with the hash of the real value
         real = GR(x.re)
-        assert real == x.re and hash(real) == hash((x.re, Fraction(0)))
+        assert real == x.re and hash(real) == hash(x.re)
         assert GR(n) == n and GR(n) == Fraction(n)
-        assert hash(GR(n)) == hash((Fraction(n), Fraction(0))) == hash((n, 0))
+        assert hash(GR(n)) == hash(Fraction(n)) == hash(n)
         assert (a == x.re) == (not x.im)
         assert (a != b) == ((x.re, x.im) != (y.re, y.im))
     # tiny and huge parts: underflow to signed zeros, exact rounding
@@ -225,6 +221,33 @@ def test_gaussian_errors():
     with pytest.raises(TypeError):
         a * 2j
     assert (a == 0.5) is False and a != "1/2+3i"
+
+
+def test_gaussian_constructor_refuses_floats():
+    # the same contract as coerce and the operators
+    rng = random.Random(8)
+    for _ in range(50):
+        x = _rand_rational(rng, True)
+        for args in ((float(x),), (x, float(x)), (float(x), x), (0.0, 0)):
+            with pytest.raises(TypeError):
+                GR(*args)
+    assert GR(Fraction(1, 10)) == GR("1/10") == Fraction(1, 10)
+
+
+def test_gaussian_hash_agrees_with_equality():
+    rng = random.Random(9)
+    for trial in range(300):
+        x = _rand_rational(rng, trial % 2 == 1)
+        real = GR(x)
+        assert real == x and hash(real) == hash(x)
+        assert len({real: "a", x: "b"}) == len({real, x}) == 1
+        if x.denominator == 1:
+            n = int(x)
+            assert hash(GR(n)) == hash(n) and len({GR(n), n}) == 1
+        y = _rand_rational(rng, False) or Fraction(1)
+        z = GR(x, y)
+        same = GR(Fraction(x.numerator * 3, x.denominator * 3), y)
+        assert z == same and hash(z) == hash(same) == hash((x, y))
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -259,7 +282,7 @@ def test_monomials_count_matches_binomial():
     for v in range(1, 6):
         for u in range(0, 7):
             monos = monomials_of_degree(v, u)
-            assert len(monos) == monomial_count(v, u)
+            assert len(monos) == math.comb(v - 1 + u, u)
             assert len(set(monos)) == len(monos)
             assert all(m.degree == u for m in monos)
 
@@ -321,30 +344,6 @@ def test_parse_roundtrip_random():
         assert q == p
 
 
-def test_poly_eval_exact_frozen():
-    # (1+i)^2 + 2^2 = 4+2i
-    p = parse_homog_poly("x0^2 + x1^2", 2)
-    value = poly_eval(p, [GR(1, 1), GR(2)])
-    assert value == GR(4, 2)
-
-
-def test_poly_eval_float_path():
-    p = parse_homog_poly("x0^2 + x1^2", 2)
-    value = poly_eval(p, [1 + 1j, 2.0])
-    assert isinstance(value, complex)
-    assert abs(value - (4 + 2j)) < 1e-12
-
-
-def test_poly_eval_matches_exact_on_rational_points():
-    rng = random.Random(13)
-    for _ in range(10):
-        p = rand_poly(rng, 3, 2)
-        pt = [rand_gauss(rng) for _ in range(3)]
-        exact = poly_eval(p, pt)
-        approx = poly_eval(p, [z.to_complex() for z in pt])
-        assert abs(exact.to_complex() - approx) < 1e-9
-
-
 def test_ring_axioms_random():
     rng = random.Random(3)
     for _ in range(30):
@@ -370,14 +369,6 @@ def test_pow_matches_repeated_mul():
     assert p ** 3 == p * p * p
     one = p ** 0
     assert one.degree == 0 and not one.is_zero()
-
-
-def test_substitute_linear_frozen():
-    p = parse_homog_poly("x0^2 + x1^2", 2)
-    swapped = substitute_linear(p, [[0, 1], [1, 0]])
-    assert swapped == p
-    sheared = substitute_linear(p, [[1, 1], [0, 1]])
-    assert sheared == parse_homog_poly("x0^2 + 2*x0*x1 + 2*x1^2", 2)
 
 
 def test_leading_monomial_grevlex():
@@ -418,9 +409,10 @@ def test_echelon_rank_against_sympy():
 
 
 def test_echelon_reduce_membership():
-    ech = ExactEchelon(keyfunc=lambda k: k)
-    ech.insert({0: GR(1), 1: GR(2)})
-    ech.insert({1: GR(1), 2: GR(1)})
-    # (1,2,0) + (0,1,1) = (1,3,1) lies in the span
-    assert ech.reduce({0: GR(1), 1: GR(3), 2: GR(1)}) == {}
-    assert ech.reduce({2: GR(1)}) != {}
+    def rank(*vecs):
+        return rank_of_vectors([{k: GR(c) for k, c in enumerate(v) if c}
+                                for v in vecs], keyfunc=lambda k: k)
+    # (1,2,0) + (0,1,1) = (1,3,1) lies in the span, (0,0,1) does not
+    assert rank((1, 2, 0), (0, 1, 1), (1, 3, 1)) == 2
+    assert rank((1, 2, 0), (0, 1, 1), (0, 0, 1)) == 3
+    assert rank((0, 0, 0), (0, 0, 0)) == 0

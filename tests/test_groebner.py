@@ -1,6 +1,7 @@
 """Groebner engine against hand reductions and rank-based Hilbert oracles."""
 
 import heapq
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,6 @@ from smtlab.exact_algebra import (
     Monomial,
     WeightVector,
     grevlex_key,
-    monomial_count,
     monomials_of_degree,
     parse_homog_poly,
     rank_of_vectors,
@@ -48,6 +48,11 @@ WEIGHTS = [WeightVector([0, 0, 0, 0]), WeightVector([1, 2, 3, 4]),
            WeightVector([4, 0, 0, 1]), WeightVector([Fraction(1, 2), 3, 0, 3])]
 
 
+def scale(g, c):
+    """c times g."""
+    return g * HomogPoly.monomial(g.num_vars, (0,) * g.num_vars, c)
+
+
 def hilbert_rank_oracle(idl, u):
     """H(u) by exact linear algebra: codimension of the degree-u slice.
 
@@ -59,8 +64,10 @@ def hilbert_rank_oracle(idl, u):
         if g.degree > u:
             continue
         for m in monomials_of_degree(idl.num_vars, u - g.degree):
-            vectors.append(dict(g.mul_monomial(m).terms))
-    return monomial_count(idl.num_vars, u) - rank_of_vectors(vectors)
+            vectors.append(dict((g * HomogPoly.monomial(idl.num_vars, m))
+                                .terms))
+    return (math.comb(idl.num_vars - 1 + u, u)
+            - rank_of_vectors(vectors))
 
 
 # -- basis computation ------------------------------------------------------
@@ -272,9 +279,12 @@ def ref_reduce(p, triples, steps, key):
 def ref_s_poly(f, g, key):
     lf, lg = f.leading_monomial(key), g.leading_monomial(key)
     l = _mono(max(a, b) for a, b in zip(lf, lg))
-    a = f.mul_monomial(_mono(x - y for x, y in zip(l, lf)))
-    b = g.mul_monomial(_mono(x - y for x, y in zip(l, lg)))
-    return a.scale(1 / f.terms[lf]) - b.scale(1 / g.terms[lg])
+    n = f.num_vars
+    a = HomogPoly.monomial(n, _mono(x - y for x, y in zip(l, lf)),
+                           1 / f.terms[lf])
+    b = HomogPoly.monomial(n, _mono(x - y for x, y in zip(l, lg)),
+                           1 / g.terms[lg])
+    return a * f - b * g
 
 
 def ref_groebner_basis(idl, key=grevlex_key, seed=()):
@@ -364,7 +374,7 @@ def test_kernel_matches_dividing_reference(monkeypatch):
                                        want_steps, key, seed=seed)
             assert (got, steps) == (want, want_steps), (base, extra)
             # a seed off by a unit is made monic on entry
-            scaled = [g.scale(two_i) for g in seed]
+            scaled = [scale(g, two_i) for g in seed]
             assert groebner_basis(Ideal(n, extra), want_steps, key,
                                   seed=scaled) == want
 
@@ -373,7 +383,7 @@ def test_normal_form_by_non_monic_basis_matches_reference():
     rng = random.Random(12)
     for n, base, extra in seeded_families(20, 13):
         unit = GaussianRational(rng.randint(1, 3), rng.randint(-2, 2))
-        basis = [g.scale(unit)
+        basis = [scale(g, unit)
                  for g in ref_groebner_basis(Ideal(n, base + extra))[0]]
         triples = [(g.leading_monomial(), g.leading_coefficient(), g)
                    for g in basis]

@@ -10,7 +10,7 @@ import pytest
 
 from smtlab.analytic import AnalyticFunction, Curve, Poly1
 from smtlab.errors import DegenerateInputError, ValidationError
-from smtlab.exact_algebra import parse_homog_poly, substitute_linear
+from smtlab.exact_algebra import HomogPoly, Monomial, parse_homog_poly
 from smtlab.groebner import Ideal, Variety
 from smtlab.hypersurfaces import (
     HypersurfaceFamily,
@@ -99,7 +99,7 @@ def test_moving_family_generic_agreement():
 
 def test_coordinate_change_invariance():
     rng = random.Random(7)
-    base_fam = ["x0", "x1", "x0 + x1"]
+    base_fam = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]    # x0, x1, x0 + x1
     for _ in range(3):
         # random product of integer shears: exactly invertible
         mat = [[Fraction(1 if i == j else 0) for j in range(3)]
@@ -109,10 +109,14 @@ def test_coordinate_change_invariance():
             c = Fraction(rng.randint(-3, 3))
             for k in range(3):
                 mat[i][k] += c * mat[j][k]
+        # x_i -> sum_j mat[i][j] x_j takes sum_i c_i x_i to sum_j (c mat)_j x_j
         fam = HypersurfaceFamily([
-            MovingHypersurface.from_homog(
-                substitute_linear(parse_homog_poly(t, 3), mat))
-            for t in base_fam])
+            MovingHypersurface.from_homog(HomogPoly(3, 1, {
+                Monomial(tuple(int(i == j) for i in range(3))):
+                    sum(c[i] * mat[i][j] for i in range(3))
+                for j in range(3)
+                if sum(c[i] * mat[i][j] for i in range(3))}))
+            for c in base_fam])
         rep = distributive_constant(projective_space(2), fam)
         assert rep.value == Fraction(3, 2)
 
@@ -181,6 +185,28 @@ def test_scan_matches_fresh_varieties_with_pruning(monkeypatch):
     assert got == want
     assert built < len(want[2])
 
+
+
+def test_scan_prunes_exactly_below_empty_parents(monkeypatch):
+    # points of P^1, some repeated: a pair of distinct points is empty, a
+    # repeated point is not, so empty and nonempty subsets mix at every
+    # size; the scan builds a cut for a subset exactly when none of its
+    # parents (one member fewer) is empty, and otherwise matches a
+    # fresh-Variety scan with no pruning
+    rng = random.Random(4)
+    one, other = Monomial((1, 0)), Monomial((0, 1))
+    for _ in range(6):
+        roots = [rng.randint(-2, 2) for _ in range(rng.randint(3, 6))]
+        forms = [HomogPoly(2, 1, {one: 1, other: -r} if r else {one: 1})
+                 for r in roots]
+        got, want, built = scan_both(projective_space(1), forms, monkeypatch)
+        assert got == want
+        dims = {frozenset(c): d for c, d, _ in want[2]}
+        assert any(d == -1 for c, d, _ in want[2] if len(c) == 2)
+        assert built == sum(
+            1 for c in dims
+            if all(dims[c - {j}] != -1 for j in c if len(c) > 1))
+        monkeypatch.undo()
 
 def test_family_size_guard():
     fam = fixed_family(3, *(["x0"] * 17))

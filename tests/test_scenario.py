@@ -3,13 +3,15 @@
 import json
 import math
 import re
+import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from smtlab.errors import ValidationError
-from smtlab.scenario import load_scenario, scenario_from_dict
+from smtlab.scenario import MAX_GRID_POINTS, load_scenario, scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -136,6 +138,51 @@ def test_grid_kinds():
     data["grid"] = {"kind": "finite", "points": 5}
     with pytest.raises(ValidationError, match="grid"):
         scenario_from_dict(data)  # infinite domain cannot take a finite grid
+
+
+@pytest.mark.parametrize("grid", [
+    {"kind": "geometric", "points": 1000000},
+    {"kind": "geometric", "points": 0},
+    {"kind": "explicit", "values": [2.0 + k for k in range(1001)]},
+])
+def test_grid_points_capped(grid):
+    data = _three_points()
+    data["grid"] = grid
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="'grid': between 1 and 1000"):
+        scenario_from_dict(data)
+    assert time.perf_counter() - start < 1.0
+    data["grid"] = {"kind": "geometric", "points": MAX_GRID_POINTS}
+    assert len(scenario_from_dict(data).grid.values) == MAX_GRID_POINTS
+
+
+def test_load_keeps_one_scenario_by_bytes(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_three_points()))
+    b.write_text(json.dumps(_three_points()) + " ")
+    first = load_scenario(str(a))
+    assert load_scenario(str(a)) is first
+    # another file with the same bytes is the same scenario
+    twin = tmp_path / "twin.json"
+    twin.write_bytes(a.read_bytes())
+    assert load_scenario(str(twin)) is first
+    other = load_scenario(str(b))
+    assert other is not first
+    again = load_scenario(str(a))
+    assert again is not first and again.grid == first.grid
+    # a rewritten file is read afresh
+    a.write_text(json.dumps(dict(_three_points(), epsilon="1/3")))
+    assert load_scenario(str(a)).epsilon == Fraction(1, 3)
+    # a replaced seed starts its own session
+    seeded = replace(again, seed=5)
+    assert seeded.session is not again.session
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"ambient_N": 1, "epsilon": "\xe9"}')   # latin-1 e-acute
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        load_scenario(str(p))
 
 
 def test_malformed_json_reports_location(tmp_path):

@@ -1,0 +1,113 @@
+"""Sessions: a loaded scenario computes each quantity once, and reports
+read in one process, in any order, equal those of fresh processes."""
+
+import contextlib
+import io
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+from smtlab import cli, hypersurfaces, nevanlinna
+from smtlab import scenario as scenario_mod
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
+CONIC = str(ROOT / "scenarios" / "conic_four_lines.json")
+THREE_POINTS = str(ROOT / "scenarios" / "line_three_points.json")
+ANALYTIC = ("nevanlinna", "fmt-check", "verify", "defects")
+
+
+def in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_process(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                               if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "smtlab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of the session's expensive steps, by kind."""
+    calls = Counter()
+    radii = Counter()
+
+    def wrap(owner, name, kind):
+        inner = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[kind] += 1
+            if kind == "characteristic":
+                radii[args[1]] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    wrap(nevanlinna, "characteristic", "characteristic")
+    wrap(hypersurfaces.MovingHypersurface, "compose", "compose")
+    wrap(nevanlinna, "_divisor_with_pad", "divisor")
+    wrap(scenario_mod, "distributive_constant", "distributive")
+    return calls, radii
+
+
+def test_analytic_reports_compute_once_per_session(counted):
+    calls, radii = counted
+    first = [in_process([c, "--scenario", CONIC]) for c in ANALYTIC]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]
+    grid = scenario_mod.load_scenario(CONIC).grid.values
+    q = len(scenario_mod.load_scenario(CONIC).family)
+    assert sorted(radii) == sorted(grid) and set(radii.values()) == {1}
+    assert calls == Counter(characteristic=len(grid), compose=q, divisor=q,
+                            distributive=1)
+    # the same reports again add nothing
+    assert [in_process([c, "--scenario", CONIC]) for c in ANALYTIC] == first
+    assert calls == Counter(characteristic=len(grid), compose=q, divisor=q,
+                            distributive=1)
+    # another scenario drops the session; the first is then recomputed
+    in_process(["verify", "--scenario", THREE_POINTS])
+    calls.clear()
+    radii.clear()
+    assert [in_process([c, "--scenario", CONIC]) for c in ANALYTIC] == first
+    assert calls == Counter(characteristic=len(grid), compose=q, divisor=q,
+                            distributive=1)
+    # a --seed override starts a fresh session on every report
+    for _ in range(2):
+        calls.clear()
+        in_process(["verify", "--scenario", CONIC, "--seed", "0"])
+        assert calls == Counter(characteristic=len(grid), compose=q,
+                                divisor=q, distributive=1)
+
+
+def test_reports_in_one_process_match_fresh_processes():
+    jobs = [[command, "--scenario", str(path)]
+            for path in SCENARIOS for command in cli._COMMANDS]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = dict(zip(map(tuple, jobs), pool.map(fresh_process, jobs)))
+    rng = random.Random(10)
+    # each scenario's reports back to back in a shuffled order, then all
+    # reports shuffled together
+    grouped = []
+    for k in range(0, len(jobs), len(cli._COMMANDS)):
+        group = jobs[k:k + len(cli._COMMANDS)]
+        rng.shuffle(group)
+        grouped.extend(group)
+    shuffled = rng.sample(jobs, len(jobs))
+    for order in (jobs, grouped, shuffled):
+        scenario_mod._forget()
+        for argv in order:
+            assert in_process(argv) == fresh[tuple(argv)], argv

@@ -8,7 +8,6 @@ import pytest
 
 from smtlab.errors import CertificationError, ValidationError
 from smtlab.exact_algebra import (
-    ExactEchelon,
     HomogPoly,
     Monomial,
     WeightVector,
@@ -72,14 +71,15 @@ def greedy_weight(X, u, c):
                         key=lambda m: (c.dot(m), grevlex_key(m)),
                         reverse=True)
     target = X.hilbert_function(u)
-    chosen = []
-    echelon = ExactEchelon()
+    chosen, residues = [], []
     for m in candidates:
         if len(chosen) == target:
             break
         residue = normal_form(HomogPoly.monomial(X.num_vars, m), X.groebner)
-        if not residue.is_zero() and echelon.insert(dict(residue.terms)):
+        if (not residue.is_zero() and rank_of_vectors(
+                residues + [dict(residue.terms)]) > len(residues)):
             chosen.append(m)
+            residues.append(dict(residue.terms))
     assert len(chosen) == target
     return sum((c.dot(m) for m in chosen), Fraction(0)), tuple(chosen)
 
