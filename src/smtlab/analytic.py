@@ -24,7 +24,9 @@ polynomial whose roots Newton's method polishes, and crowded discs are
 split.  This is numerical, and so are its checks: a small-circle winding
 per zero and an outer count for the total (the moment walk's own when it
 settled on the requested circle), each stopping when two doubling levels
-agree, are convergence checks rather than certificates.
+agree, are convergence checks rather than certificates.  Every walk stops
+at _WINDING_NODES = 2^18 nodes, or at once on a node where |f| < 1e-280;
+a located zero within 1e-9 of the requested circle is an error at once.
 """
 
 from __future__ import annotations
@@ -740,59 +742,45 @@ class Curve:
 # ---------------------------------------------------------------------------
 
 _TINY = 1e-280
+_WINDING_NODES = 2 ** 18   # node cap of every winding and moment walk
 
 
-def _scaled_ratio(num, den):
-    """w_num exp(s_num) / (w_den exp(s_den)) on a point or on nodes."""
-    (wn, sn), (wd, sd) = num, den
-    ops = _ops(wd)
-    if ops.any(wd == 0):
-        raise ZeroDivisionError("ratio with zero denominator")
-    shift = sn - sd
-    if ops.any(shift > 700):
-        raise OverflowError("ratio overflow")
-    return (wn / wd) * ops.exp(shift) if ops.any(shift != 0) else wn / wd
-
-
-def _circle_levels(f, fp, t: float, max_nodes: int, centre: complex = 0j):
+def _circle_levels(f, fp, t: float, centre: complex = 0j):
     """Yield (u, g) per doubling level of nodes on |z - centre| = t, 64 up
-    to max_nodes: the unit nodes u and the trapezoid integrand
-    g = t u f'/f at centre + t u, or None if |f| < _TINY at some node."""
+    to _WINDING_NODES: the unit nodes u and the trapezoid integrand
+    g = t u f'/f at centre + t u.  Stops at the first level with
+    |f| < _TINY at a node: every later level holds that node too.  f' has
+    no exponential rate that f lacks, so exp(s_f' - s_f) <= 1."""
     nodes = 64
-    while nodes <= max_nodes:
+    while nodes <= _WINDING_NODES:
         u = np.exp(2j * np.pi * np.arange(nodes) / nodes)
         z = t * u
-        wf = f.eval_scaled(z + centre)
-        if np.any(np.abs(wf[0]) < _TINY):
-            yield u, None
-        else:
-            yield u, _scaled_ratio(fp.eval_scaled(z + centre), wf) * z
+        wf, sf = f.eval_scaled(z + centre)
+        if np.any(np.abs(wf) < _TINY):
+            return
+        wp, sp = fp.eval_scaled(z + centre)
+        yield u, wp / wf * np.exp(sp - sf) * z
         nodes *= 2
 
 
 def winding_circle(f: AnalyticFunction, t: float,
-                   max_nodes: int = 2 ** 18,
                    centre: complex = 0j) -> Tuple[int, int]:
     """Winding of f around |z - centre| = t by the argument principle.
 
     Trapezoid sums on the levels of _circle_levels until two successive
-    levels round to the same integer with residual < 0.25; a level with
-    |f| < _TINY at a node is rejected.  The stop is a numerical
-    convergence check, not a certificate.  Returns (count, nodes_used);
-    raises CertificationError at the node cap.
+    levels round to the same integer with residual < 0.25.  The stop is a
+    numerical convergence check, not a certificate.  Returns (count,
+    nodes_used); raises CertificationError when the levels stop first:
+    at the node cap, or at a node where |f| < _TINY.
     """
     prev: Optional[int] = None
-    for u, g in _circle_levels(f, f.derivative(), t, max_nodes, centre):
-        if g is None:
-            prev = None
-            continue
+    for u, g in _circle_levels(f, f.derivative(), t, centre):
         w = complex(np.sum(g)) / len(g)
         k = round(w.real)
         if prev == k and abs(w - k) < 0.25:
             return k, len(g)
         prev = k
-    raise CertificationError(
-        f"winding on |z| = {t} did not converge within {max_nodes} nodes")
+    raise CertificationError(f"winding on |z| = {t} did not converge")
 
 
 # One circle's moments locate at most _MOMENT_CAP zeros: for e^z - 2 the
@@ -809,17 +797,14 @@ _COVER = (0j,) + tuple(cmath.rect(math.sqrt(3) / 2, j * math.pi / 3)
 _MAX_DEPTH = 12
 
 
-def _disc_moments(f, fp, centre: complex, t: float, max_nodes: int):
+def _disc_moments(f, fp, centre: complex, t: float):
     """(k, s): the count k of zeros of f in |z - centre| < t, settled as
     in winding_circle, and their power sums s_p = sum w^p, p = 0..k, in
     w = (z - centre)/t: trapezoid sums of u^p g, one power at a time.
     s is None if k > _MOMENT_CAP; both are None if the count or the
-    moments do not settle (to _MOMENT_TOL) by max_nodes."""
+    moments do not settle (to _MOMENT_TOL) before the levels stop."""
     prev: Optional[List[complex]] = None
-    for u, g in _circle_levels(f, fp, t, max_nodes, centre):
-        if g is None:
-            prev = None
-            continue
+    for u, g in _circle_levels(f, fp, t, centre):
         s = [complex(np.sum(g)) / len(g)]
         k = round(s[0].real)
         acc = g
@@ -838,8 +823,8 @@ def _disc_moments(f, fp, centre: complex, t: float, max_nodes: int):
 
 
 def _moment_points(f: AnalyticFunction, fp: AnalyticFunction,
-                   centre: complex, t: float, s: List[complex],
-                   max_nodes: int) -> Optional[List[Tuple[complex, int, bool]]]:
+                   centre: complex, t: float, s: List[complex]
+                   ) -> Optional[List[Tuple[complex, int, bool]]]:
     """Zeros in |z - centre| < t from power sums s: Newton's identities
     give their monic polynomial; roots within _CLUSTER t of each other are
     one zero of that multiplicity, polished from the cluster centre (kept
@@ -870,17 +855,14 @@ def _moment_points(f: AnalyticFunction, fp: AnalyticFunction,
                 continue
         points.append((z0, len(cl), False) if z is None
                       else (z, len(cl), True))
-    if any(abs(z - centre) >= t for z, _, _ in points):
-        return None
-    try:
-        _verify_multiplicities(f, points, max_nodes)
-    except CertificationError:
+    if any(abs(z - centre) >= t for z, _, _ in points) or \
+            not _multiplicities_hold(f, points):
         return None
     return points
 
 
 def _locate(f: AnalyticFunction, fp: AnalyticFunction, centre: complex,
-            t: float, max_nodes: int, depth: int = 0
+            t: float, depth: int = 0
             ) -> Tuple[Optional[int], List[Tuple[complex, int, bool]]]:
     """(k, zeros): the disc's settled count k (None if it did not settle)
     and the zeros of f in |z - centre| < t as (z, mult, polished): from
@@ -888,11 +870,10 @@ def _locate(f: AnalyticFunction, fp: AnalyticFunction, centre: complex,
     each kept once, whose total must match k.  A disc whose count or
     moments do not settle (a zero near its circle) is split uncounted;
     its zeros then come back for the caller's count to check."""
-    k, s = _disc_moments(f, fp, centre, t, max_nodes)
+    k, s = _disc_moments(f, fp, centre, t)
     if k == 0:
         return k, []
-    points = None if s is None else _moment_points(f, fp, centre, t, s,
-                                                   max_nodes)
+    points = None if s is None else _moment_points(f, fp, centre, t, s)
     if points is not None:
         return k, points
     if depth == _MAX_DEPTH:
@@ -901,8 +882,9 @@ def _locate(f: AnalyticFunction, fp: AnalyticFunction, centre: complex,
     found: List[Tuple[complex, int, bool]] = []
     for offset in _COVER:
         for z, m, polished in _locate(f, fp, centre + offset * t,
-                                      0.55 * t, max_nodes, depth + 1)[1]:
-            if abs(z - centre) < t + 1e-9 and all(   # nudge band kept
+                                      0.55 * t, depth + 1)[1]:
+            # zeros just outside reach the caller's contour check
+            if abs(z - centre) < t + 1e-9 and all(
                     abs(z - w) >= _UNPOLISHED_RHO for w, _, _ in found):
                 found.append((z, m, polished))
     total = sum(m for _, m, _ in found)
@@ -915,9 +897,9 @@ def _locate(f: AnalyticFunction, fp: AnalyticFunction, centre: complex,
 def _newton_polish(f: AnalyticFunction, fp: AnalyticFunction,
                    z: complex, reach: float, mult: int = 1
                    ) -> Optional[complex]:
-    """Newton steps z - mult f/f'; None if they stall, meet f' = 0 or
-    stray more than reach from the start."""
-    start = z
+    """Newton steps z - mult f/f'; None if a step fails to shrink (as at a
+    multiple zero's noise floor), meets f' = 0 or strays past reach."""
+    start, last = z, math.inf
     for _ in range(60):
         wf, sf = f.eval_scaled(z)
         wp, sp = fp.eval_scaled(z)
@@ -929,6 +911,9 @@ def _newton_polish(f: AnalyticFunction, fp: AnalyticFunction,
             return None
         if abs(step) < 1e-13 * max(1.0, abs(z)):
             return z
+        if abs(step) >= last:
+            return None
+        last = abs(step)
     return None
 
 
@@ -941,25 +926,18 @@ class Divisor:
     """Zeros of a function in a closed disc, with multiplicities.
 
     points are sorted by (modulus, argument); exp-poly zeros are numerical.
-    radius is the effective contour radius (nudged outward when a zero fell
-    within 1e-9 of the requested circle).  residual_count_check is the total
-    from an outer winding count, a numerical check, and always equals the
-    sum of multiplicities: on the moment path it is the count the moment
-    walk settled on the requested circle, otherwise a winding_circle walk.
+    radius is the closed disc's radius; zeros_in_disc leaves no zero within
+    1e-9 of that circle, and its multiplicities add up to an outer winding
+    count on it.
     """
 
     points: Tuple[Tuple[complex, int], ...]
     radius: float
-    nudged: bool
-    residual_count_check: int
 
     def total(self, kind_cap: Optional[int] = None) -> int:
         if kind_cap is None:
             return sum(m for _, m in self.points)
         return sum(min(m, kind_cap) for _, m in self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 def _sort_points(points: List[Tuple[complex, int]]) -> Tuple[Tuple[complex, int], ...]:
@@ -994,13 +972,14 @@ def poles(f: AnalyticFunction) -> List[complex]:
 
 
 def zeros_in_disc(f: AnalyticFunction, t: float,
-                  force_winding: bool = False,
-                  max_nodes: int = 2 ** 18) -> Divisor:
+                  force_winding: bool = False) -> Divisor:
     """Divisor of zeros of f in the closed disc |z| <= t.
 
     Rational functions contribute the zeros of their reduced numerator.
     The moment path can be forced for cross-checking the algebraic path.
-    Either way the located total must match the outer winding count.
+    Either way the located total must match the outer winding count.  A
+    zero within 1e-9 of |z| = t raises CertificationError at once: no
+    trapezoid walk resolves the circle through it.
     """
     if f.is_zero():
         raise DegenerateInputError("zero function has no zero divisor")
@@ -1015,44 +994,46 @@ def zeros_in_disc(f: AnalyticFunction, t: float,
     count = None
     if core.kind == "poly" and not force_winding:
         if core.data.degree == 0:
-            return Divisor((), t, False, 0)
+            return Divisor((), t)
         located = _poly_zeros(core.data)
     else:
-        count, found = _locate(core, core.derivative(), 0j, t, max_nodes)
+        count, found = _locate(core, core.derivative(), 0j, t)
         located = [(z, m) for z, m, _ in found]
-    t_eff, nudged = t, False
-    if any(abs(abs(z) - t) < 1e-9 for z, _ in located):
-        t_eff += 1e-8
-        nudged = True
-    inside = [(z, m) for z, m in located if abs(z) <= t_eff]
-    if count is None or nudged:
+    on_circle = [z for z, _ in located if abs(abs(z) - t) < 1e-9]
+    if on_circle:
+        raise CertificationError(
+            f"zero at {on_circle[0]} within 1e-9 of the contour |z| = {t}")
+    inside = [(z, m) for z, m in located if abs(z) <= t]
+    if count is None:
         # the moment walk's settled count is the trapezoid sum this
         # walk would repeat on the same nodes; walk only if it has none
-        count, _ = winding_circle(core, t_eff, max_nodes)
+        count, _ = winding_circle(core, t)
     total = sum(m for _, m in inside)
     if total != count:
         raise CertificationError(
             f"located multiplicity total {total} != outer winding {count}")
-    return Divisor(_sort_points(inside), t_eff, nudged, count)
+    return Divisor(_sort_points(inside), t)
 
 
-def _verify_multiplicities(f: AnalyticFunction,
-                           points: List[Tuple[complex, int, bool]],
-                           max_nodes: int):
-    """Check each located zero by winding on a small centred circle.
-
-    The circle must dominate the location error: polished (Newton) zeros
-    are good to ~1e-13, centres whose polishing stalled to ~sqrt(eps).
-    """
+def _multiplicities_hold(f: AnalyticFunction,
+                         points: List[Tuple[complex, int, bool]]) -> bool:
+    """Whether each located zero winds m times around a small centred
+    circle.  The circle must dominate the location error: polished
+    (Newton) zeros are good to ~1e-13, centres whose polishing stalled to
+    ~sqrt(eps).  Near an m-fold zero |f| ~ rho^m must clear the
+    cancellation noise, so rho grows to 1e-12^(1/m) past m = 3, below a
+    quarter of the gap to the nearest other zero."""
     for i, (z, m, polished) in enumerate(points):
         dist = min((abs(z - w) for j, (w, _, _) in enumerate(points) if j != i),
                    default=1.0)
         floor = 1e-8 if polished else _UNPOLISHED_RHO
-        rho = max(floor, min(1e-4, 0.25 * dist))
-        k, _ = winding_circle(f, rho, max_nodes, centre=z)
-        if k != m:
-            raise CertificationError(
-                f"multiplicity at {z}: located {m}, small circle gives {k}")
+        rho = max(floor, min(max(1e-4, 1e-12 ** (1 / m)), 0.25 * dist))
+        try:
+            if winding_circle(f, rho, centre=z)[0] != m:
+                return False
+        except CertificationError:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,13 @@ import sys
 from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
-from .errors import SmtlabError
+from .errors import CertificationError, SmtlabError
 from .exact_algebra import WeightVector
 from .nevanlinna import _fmt_residuals
 from .scenario import Scenario, load_scenario
 from .smt_verifier import (
     SMTConstants,
     _scenario_constants,
-    _scenario_numbers,
-    constants_theoremB,
     defect_relation_report,
     verify_main_inequality,
 )
@@ -57,9 +55,7 @@ def _constants_to_dict(c: SMTConstants) -> Dict[str, Any]:
 def _cmd_constants(scenario: Scenario, args: argparse.Namespace) -> Report:
     """Truncation constants for the scenario's variant, with the slower
     bound alongside for comparison."""
-    n, deg_V, q, d, delta = _scenario_numbers(scenario, args.samples)
-    primary = _scenario_constants(scenario, n, deg_V, d, q, delta)
-    other = constants_theoremB(n, deg_V, d, q, delta, scenario.epsilon)
+    primary, other = _scenario_constants(scenario, args.samples)
     improvement = other.log10_L - primary.log10_L
     payload = {
         "constants": _constants_to_dict(primary),
@@ -214,9 +210,12 @@ _COMMANDS = {
 
 def _scrub(x: Any) -> Any:
     """Strict-JSON form: infinities become the string "inf", matching the
-    scenario grammar."""
+    scenario grammar; a NaN fails the report in either format."""
     if isinstance(x, float) and math.isinf(x):
         return "inf"
+    if isinstance(x, float) and math.isnan(x):
+        raise CertificationError("a report value is NaN (a float "
+                                 "computation overflowed)")
     if isinstance(x, (list, tuple)):
         return [_scrub(v) for v in x]
     if isinstance(x, dict):
@@ -226,8 +225,9 @@ def _scrub(x: Any) -> Any:
 
 def _emit(payload: Dict[str, Any], rows: List[List[Any]],
           args: argparse.Namespace) -> None:
+    payload = _scrub(payload)
     if args.format == "json":
-        text = json.dumps(_scrub(payload), indent=2, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)

@@ -7,6 +7,10 @@ integral N(r) = int_{r0}^r (n(t) - n(0)) dt/t exactly: zeros at the origin
 contribute nothing.  A strict-Jensen switch restores the classical
 n(0) log(r/r0) term for users who want it; shipped scenarios avoid origin
 zeros so the two agree there.
+
+Circle averages stop at _QUAD_NODES = 2^16 nodes.  Divisors are taken on
+a radius padded past the grid's last circle (three pads are tried), and
+m_f(r, Q) refuses a circle within 1e-9 of a zero of Q(f) before any node.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .exact_algebra import monomials_of_degree, rank_of_vectors
 from .scalars import GaussianRational
 
 _ORIGIN_TOL = 1e-12
+_QUAD_NODES = 2 ** 16   # node cap of every circle average
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,15 @@ class RadialGrid:
     @staticmethod
     def finite(R: float, points: int = 20,
                r0: Optional[float] = None) -> "RadialGrid":
+        """Circles at R(1 - 2^-j), j = 1..points.  These round to R from
+        j = 54 at R = 2 on, so a longer grid is refused."""
         vals = tuple(R * (1 - 2.0 ** (-j)) for j in range(1, points + 1))
+        fits = next((j for j, v in enumerate(vals)
+                     if v >= R or (j and v <= vals[j - 1])), points)
+        if fits < points:
+            raise ValidationError(
+                f"a finite grid of {points} points does not fit below R = "
+                f"{R}: at most {fits} circles R(1 - 2^-j) stay distinct")
         return RadialGrid(R / 4 if r0 is None else r0, vals, R)
 
     def top_decile(self) -> Tuple[int, ...]:
@@ -74,8 +87,7 @@ class RadialGrid:
 
 
 def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
-                   tol: float = 1e-8, max_nodes: int = 2 ** 16
-                   ) -> Tuple[float, int]:
+                   tol: float = 1e-8) -> Tuple[float, int]:
     """Trapezoid average of fn over |z| = r, doubling nodes until stable.
 
     fn is an array integrand: it takes a 1-D complex array of nodes on the
@@ -85,7 +97,7 @@ def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
     trapezoid error itself is not bounded.  Periodic analytic integrands
     converge spectrally; integrands with corners (maxima of smooth
     families) still converge, just slower.  Returns (average, nodes used);
-    raises CertificationError at the node cap.
+    raises CertificationError at the node cap _QUAD_NODES.
     """
     def level_sum(steps: np.ndarray, count: int) -> float:
         z = r * np.exp(2j * math.pi * steps / count)
@@ -98,7 +110,7 @@ def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
     nodes = 64
     total = level_sum(np.arange(nodes), nodes)
     prev = total / nodes
-    while nodes < max_nodes:
+    while nodes < _QUAD_NODES:
         total += level_sum(2 * np.arange(nodes) + 1, 2 * nodes)
         nodes *= 2
         cur = total / nodes
@@ -107,16 +119,15 @@ def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
         prev = cur
     raise CertificationError(
         f"circle average on |z| = {r} did not reach tolerance {tol} "
-        f"within {max_nodes} nodes")
+        f"within {_QUAD_NODES} nodes")
 
 
-def characteristic(curve: Curve, r: float, tol: float = 1e-8,
-                   max_nodes: int = 2 ** 16) -> float:
+def characteristic(curve: Curve, r: float, tol: float = 1e-8) -> float:
     """T_f(r): circle average of log ||f|| minus its value at the origin."""
     if not 0 < r < curve.domain_radius:
         raise ValidationError(
             f"radius {r} outside the curve domain (R = {curve.domain_radius})")
-    avg, _ = circle_average(curve.log_norm, r, tol, max_nodes)
+    avg, _ = circle_average(curve.log_norm, r, tol)
     return avg - curve.log_norm(0j)
 
 
@@ -148,26 +159,27 @@ def counting(divisor: Divisor, grid: RadialGrid,
 
 
 def proximity(curve: Curve, Q: MovingHypersurface, r: float,
-              tol: float = 1e-8, max_nodes: int = 2 ** 16,
+              tol: float = 1e-8,
               divisor: Optional[Divisor] = None,
               composed: Optional[AnalyticFunction] = None) -> float:
     """m_f(r, Q): average of log(||f||^d ||Q(z)|| / |Q(f)(z)|).
 
     The exponent is d = deg Q, forced by degree homogeneity.  When the
-    divisor of Q(f) is supplied, a zero within 1e-9 of the circle nudges
-    r by +1e-8 (the quadrature cannot certify through a closer zero and
-    fails loudly instead).
+    divisor of Q(f) is supplied, a zero within 1e-9 of the circle raises
+    CertificationError before any quadrature: the log singularity there
+    keeps the average from converging.
     """
     g = _compose(curve, Q) if composed is None else composed
     if divisor is not None and any(
             abs(abs(z) - r) < 1e-9 for z, _ in divisor.points):
-        r = r + 1e-8
+        raise CertificationError(
+            f"zero of Q(f) within 1e-9 of the circle |z| = {r}")
     d = Q.degree
 
     def integrand(z: np.ndarray) -> np.ndarray:
         return d * curve.log_norm(z) + np.log(Q.norm_at(z)) - g.log_abs(z)
 
-    avg, _ = circle_average(integrand, r, tol, max_nodes)
+    avg, _ = circle_average(integrand, r, tol)
     return avg
 
 
@@ -184,6 +196,9 @@ def _compose(curve: Curve, Q: MovingHypersurface,
 def _top_decile_defect(grid: RadialGrid, N: Sequence[float],
                        T: Sequence[float], degree: int) -> float:
     """1 - max of N/(degree T) over the grid's top decile."""
+    if any(T[i] <= 0 for i in grid.top_decile()):
+        raise ValidationError("characteristic must be positive on the "
+                              "grid's top decile (a constant curve?)")
     return 1.0 - max(N[i] / (degree * T[i]) for i in grid.top_decile())
 
 
@@ -321,8 +336,8 @@ def _independent_tuples(hyperplanes: Sequence[MovingHypersurface],
 
 
 def check_ru_sibony(curve: Curve, hyperplanes: Sequence[MovingHypersurface],
-                    grid: RadialGrid, tol: float = 1e-8,
-                    max_nodes: int = 2 ** 16) -> List[Tuple[float, float, float]]:
+                    grid: RadialGrid, tol: float = 1e-8
+                    ) -> List[Tuple[float, float, float]]:
     """Margin rows (r, margin, T) for the hyperplane second main theorem.
 
     margin = (n+1) T - [avg over the circle of max_K sum_{j in K}
@@ -358,8 +373,8 @@ def check_ru_sibony(curve: Curve, hyperplanes: Sequence[MovingHypersurface],
 
     rows = []
     for i, r in enumerate(grid.values):
-        T = characteristic(curve, r, tol, max_nodes)
-        avg, _ = circle_average(integrand, r, tol, max_nodes)
+        T = characteristic(curve, r, tol)
+        avg, _ = circle_average(integrand, r, tol)
         margin = (n + 1) * T - (avg + N_W[i])
         rows.append((r, margin, T))
     return rows
@@ -406,7 +421,8 @@ class NevanlinnaProfile:
 
 class GridSession:
     """One curve against one family on one grid: T, the composed Q_j(f),
-    their divisors and the proximity rows, each computed on first use.
+    their divisors and the proximity rows, each computed on first use;
+    through ``once``, whatever else a scenario computes once.
 
     Values are stored as immutable tuples or frozen objects; a computation
     that raises stores nothing, so the next request raises again.  T and
@@ -418,24 +434,25 @@ class GridSession:
         self.curve, self.family, self.grid = curve, family, grid
         self._memo: dict = {}
 
-    def _once(self, key, compute):
+    def once(self, key, compute):
+        """compute(), run on the first request for key and then kept."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
 
     def characteristic(self, tol: float) -> Tuple[float, ...]:
         """T on the grid."""
-        return self._once(("T", tol), lambda: tuple(
+        return self.once(("T", tol), lambda: tuple(
             characteristic(self.curve, r, tol) for r in self.grid.values))
 
     def composed(self, j: int) -> AnalyticFunction:
         """Q_j(f), rejected when it vanishes identically."""
-        return self._once(("Q(f)", j), lambda: _compose(
+        return self.once(("Q(f)", j), lambda: _compose(
             self.curve, self.family[j], j))
 
     def divisor(self, j: int) -> Divisor:
         """Zeros of Q_j(f) a little beyond the grid's last radius."""
-        return self._once(("divisor", j), lambda: _divisor_with_pad(
+        return self.once(("divisor", j), lambda: _divisor_with_pad(
             self.composed(j), self.grid.values[-1]))
 
     def proximity(self, j: int, tol: float) -> Tuple[float, ...]:
@@ -445,7 +462,7 @@ class GridSession:
             return tuple(proximity(self.curve, self.family[j], r, tol,
                                    divisor=div, composed=g)
                          for r in self.grid.values)
-        return self._once(("m", j, tol), row)
+        return self.once(("m", j, tol), row)
 
     def profile(self, truncations: Union[int, float,
                                          Sequence[Union[int, float]]],

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .analytic import Curve, parse_function, poles
 from .errors import ValidationError
@@ -44,13 +44,10 @@ class Scenario:
     seed: int
     growth_model: Optional[Fraction]
     session: GridSession = field(init=False, repr=False, compare=False)
-    _scans: Dict[int, DistributiveReport] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "session",
                            GridSession(self.curve, self.family, self.grid))
-        object.__setattr__(self, "_scans", {})
 
     @property
     def domain_radius(self) -> float:
@@ -58,10 +55,9 @@ class Scenario:
 
     def distributive(self, samples: int) -> DistributiveReport:
         """The distributive-constant scan at `samples` points, run once."""
-        if samples not in self._scans:
-            self._scans[samples] = distributive_constant(
-                self.variety, self.family, samples=samples, seed=self.seed)
-        return self._scans[samples]
+        return self.session.once(("scan", samples), lambda: (
+            distributive_constant(self.variety, self.family,
+                                  samples=samples, seed=self.seed)))
 
 
 def _field(data: dict, name: str, required: bool = True, default=None):
@@ -96,8 +92,9 @@ def _radius(value, name: str) -> float:
         r = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"scenario field {name!r} must be a number or 'inf'")
-    if r <= 0:
-        raise ValidationError(f"scenario field {name!r} must be positive")
+    if not 0 < r < math.inf:   # also refuses nan
+        raise ValidationError(
+            f"scenario field {name!r} must be positive and finite, or 'inf'")
     return r
 
 
@@ -161,18 +158,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(N, int) or N < 1:
         raise ValidationError("scenario field 'ambient_N' must be an integer >= 1")
 
-    gens = []
-    for i, text in enumerate(_typed(_field(data, "variety_generators",
-                                           required=False, default=[]),
-                                    list, "variety_generators")):
-        name = f"variety_generators[{i}]"
-        text = _typed(text, str, name)
-        try:
-            gens.append(parse_homog_poly(text, N + 1))
-        except (ValueError, ValidationError, ZeroDivisionError) as err:
-            raise ValidationError(f"scenario field {name!r}: {err}")
-    variety = Variety(Ideal(N + 1, gens))
-
     curve_spec = _typed(_field(data, "curve"), dict, "curve")
     R = _radius(curve_spec.get("domain_R", "inf"), "curve.domain_R")
     comps = []
@@ -190,6 +175,19 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"scenario field 'curve.components': expected {N + 1} entries, "
             f"got {len(comps)}")
     curve = Curve(tuple(comps), R)
+
+    # N + 1 now matches a list in the file, so N is bounded by its size
+    gens = []
+    for i, text in enumerate(_typed(_field(data, "variety_generators",
+                                           required=False, default=[]),
+                                    list, "variety_generators")):
+        name = f"variety_generators[{i}]"
+        text = _typed(text, str, name)
+        try:
+            gens.append(parse_homog_poly(text, N + 1))
+        except (ValueError, ValidationError, ZeroDivisionError) as err:
+            raise ValidationError(f"scenario field {name!r}: {err}")
+    variety = Variety(Ideal(N + 1, gens))
 
     members = []
     for i, spec in enumerate(_typed(_field(data, "hypersurfaces"), list,

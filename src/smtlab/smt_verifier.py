@@ -261,17 +261,28 @@ def constants_plane(n: int, degV: int, d: int, q: int, delta: Fraction,
     return _fixed_target(n, degV, d, q, delta, eps, "Plane", doubled=True)
 
 
-def _scenario_constants(scenario: Scenario, n: int, degV: int, d: int,
-                        q: int, delta: Fraction) -> SMTConstants:
-    """The theorem variant a scenario falls under: plane domain, else
-    moving or fixed targets on the disc."""
-    eps = scenario.epsilon
-    if math.isinf(scenario.domain_radius):
-        return constants_plane(n, degV, d, q, delta, eps,
-                               scenario.family.is_moving)
-    if scenario.family.is_moving:
-        return constants_moving(n, degV, d, q, delta, eps)
-    return constants_fixed(n, degV, d, delta, eps, q=q)
+def _scenario_constants(scenario: Scenario, samples: int = 3
+                        ) -> Tuple[SMTConstants, SMTConstants]:
+    """The constants of the theorem variant a scenario falls under (plane
+    domain, else moving or fixed targets on the disc) and of Theorem B,
+    with Delta_V from `samples` points; computed once per samples value
+    in the scenario's session."""
+    def compute():
+        n, degV = scenario.variety.dim_degree()
+        if n < 1:
+            raise DegenerateInputError(f"variety has dimension {n}")
+        family, eps = scenario.family, scenario.epsilon
+        q, d = len(family), family.common_degree
+        delta = scenario.distributive(samples).value
+        if math.isinf(scenario.domain_radius):
+            primary = constants_plane(n, degV, d, q, delta, eps,
+                                      family.is_moving)
+        elif family.is_moving:
+            primary = constants_moving(n, degV, d, q, delta, eps)
+        else:
+            primary = constants_fixed(n, degV, d, delta, eps, q=q)
+        return primary, constants_theoremB(n, degV, d, q, delta, eps)
+    return scenario.session.once(("constants", samples), compute)
 
 
 # -- scenario verification ------------------------------------------------------
@@ -348,29 +359,15 @@ def _spot_check_nondegenerate(scenario: Scenario, flags: List[str]) -> None:
 
 
 def _scaled(div: Divisor, factor: int) -> Divisor:
-    if factor == 1:
-        return div
     return Divisor(tuple((z, m * factor) for z, m in div.points),
-                   div.radius, div.nudged,
-                   div.residual_count_check * factor)
-
-
-def _scenario_numbers(scenario: Scenario, samples: int = 3
-                      ) -> Tuple[int, int, int, int, Fraction]:
-    """(n, deg V, q, d, Delta_V) of a scenario, with n >= 1 enforced."""
-    n, degV = scenario.variety.dim_degree()
-    if n < 1:
-        raise DegenerateInputError(f"variety has dimension {n}")
-    family = scenario.family
-    delta = scenario.distributive(samples).value
-    return n, degV, len(family), family.common_degree, delta
+                   div.radius)
 
 
 def _scenario_setup(scenario: Scenario, quad_tol: float) -> Tuple[
-        int, int, int, int, Fraction, List[float], float]:
-    """What both scenario reports start from: the numbers above, T on the
-    grid and the growth index (0 for maps from the plane)."""
-    numbers = _scenario_numbers(scenario)
+        SMTConstants, SMTConstants, Tuple[float, ...], float]:
+    """What both scenario reports start from: the constants above, T on
+    the grid and the growth index (0 for maps from the plane)."""
+    constants = _scenario_constants(scenario)
     T = scenario.session.characteristic(quad_tol)
     if math.isinf(scenario.domain_radius):
         c_f = 0.0
@@ -379,7 +376,7 @@ def _scenario_setup(scenario: Scenario, quad_tol: float) -> Tuple[
                                  scenario.domain_radius).value
     else:
         c_f = growth_index_sampled(scenario.grid, T).value
-    return (*numbers, T, c_f)
+    return (*constants, T, c_f)
 
 
 def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
@@ -397,8 +394,8 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
     for j in range(len(family)):   # a target holding the curve fails first
         session.composed(j)
     _spot_check_nondegenerate(scenario, flags)
-    n, degV, q, d, delta, T, c_f = _scenario_setup(scenario, quad_tol)
-    constants = _scenario_constants(scenario, n, degV, d, q, delta)
+    constants, other, T, c_f = _scenario_setup(scenario, quad_tol)
+    n, q, d, delta = constants.n, constants.q, constants.d, constants.delta_V
     eps = scenario.epsilon
     # N^[L] in the plane case, N^[L-1] on the disc
     trunc_nominal = (constants.L if plane or constants.L is None
@@ -472,7 +469,6 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
                     Q.degree))
                for j, (Q, div) in enumerate(zip(family, divisors))]
 
-    other = constants_theoremB(n, degV, d, q, delta, eps)
     comparison = {
         "log10_L": constants.log10_L,
         "log10_L_theoremB": other.log10_L,
@@ -511,10 +507,10 @@ def defect_relation_report(scenario: Scenario,
     if family.is_moving:
         raise ValidationError("the defect relation needs fixed hypersurfaces")
     flags: List[str] = []
-    n, degV, q, d, delta, T, c_f = _scenario_setup(scenario, quad_tol)
+    constants, _, T, c_f = _scenario_setup(scenario, quad_tol)
+    n, q, d, delta = constants.n, constants.q, constants.d, constants.delta_V
     eps = scenario.epsilon
-    constants = _scenario_constants(scenario, n, degV, d, q, delta)
-    u_bound = _u_ceiling(n, degV, d, delta, eps, doubled=True)
+    u_bound = _u_ceiling(n, constants.deg_V, d, delta, eps, doubled=True)
     L = constants.L
 
     grid = scenario.grid

@@ -334,7 +334,7 @@ def test_derivative_order():
 def test_zeros_polynomial_with_multiplicity():
     f = fn_poly(0, 1) * fn_poly(1, -1) * fn_poly(1, -1)  # z(z-1)^2
     div = zeros_in_disc(f, 2.0)
-    assert div.residual_count_check == 3
+    assert div.total() == 3
     assert len(div.points) == 2
     (z0, m0), (z1, m1) = div.points
     assert abs(z0) < 1e-12 and m0 == 1
@@ -352,7 +352,7 @@ def test_zeros_rational_uses_numerator():
 def test_zeros_exp_minus_one():
     f = AF.exppoly({GR(0): P(-1), GR(1): P(1)})  # e^z - 1
     div = zeros_in_disc(f, 7.0)
-    assert div.residual_count_check == 3
+    assert div.total() == 3
     expect = [0j, 2j * math.pi, -2j * math.pi]
     assert len(div.points) == 3
     for z, m in div.points:
@@ -363,7 +363,7 @@ def test_zeros_exp_minus_one():
 def test_zeros_pure_exponential_empty():
     f = AF.exppoly({GR(1): P(1)})  # e^z
     div = zeros_in_disc(f, 5.0)
-    assert div.points == () and div.residual_count_check == 0
+    assert div.points == () and div.total() == 0
 
 
 def test_zeros_zero_function_rejected():
@@ -376,7 +376,7 @@ def test_zeros_double_zero_winding_path():
     base = AF.exppoly({GR(0): P(-1), GR(1): P(1)})
     f = base * base
     div = zeros_in_disc(f, 1.0)
-    assert div.residual_count_check == 2
+    assert div.total() == 2
     assert len(div.points) == 1
     z, m = div.points[0]
     assert m == 2 and abs(z) < 1e-6
@@ -394,7 +394,7 @@ def test_polynomial_vs_winding_agreement():
         t = 2.5
         alg = zeros_in_disc(f, t)
         win = zeros_in_disc(f, t, force_winding=True)
-        assert alg.residual_count_check == win.residual_count_check
+        assert alg.total() == win.total()
         assert len(alg.points) == len(win.points)
         for (za, ma), (zw, mw) in zip(alg.points, win.points):
             assert ma == mw
@@ -422,7 +422,7 @@ def exp_minus(c):
 def test_moments_locate_exp_minus_two():
     div = zeros_in_disc(exp_minus(2), 40.0)
     expect = [math.log(2) + 2j * math.pi * k for k in range(-6, 7)]
-    assert div.residual_count_check == 13 and len(div.points) == 13
+    assert div.total() == 13 and len(div.points) == 13
     for z, m in div.points:
         assert m == 1
         assert min(abs(z - w) for w in expect) < 1e-12
@@ -432,7 +432,7 @@ def test_moments_locate_exp_minus_two():
 
 def test_moments_cluster_triple_zero():
     div = zeros_in_disc(exp_minus(1) ** 3, 1.0)
-    assert div.residual_count_check == 3
+    assert div.total() == 3
     assert len(div.points) == 1
     z, m = div.points[0]
     assert m == 3 and abs(z) < 1e-6
@@ -455,7 +455,7 @@ def test_moments_split_above_cap_counts_each_zero_once():
     assert 31 > _MOMENT_CAP  # so the disc must be split
     div = zeros_in_disc(f, 100.0)
     expect = [2j * math.pi * k for k in range(-15, 16)]
-    assert div.residual_count_check == 31 and len(div.points) == 31
+    assert div.total() == 31 and len(div.points) == 31
     hits = [min(range(31), key=lambda i: abs(z - expect[i]))
             for z, _ in div.points]
     assert sorted(hits) == list(range(31))
@@ -467,7 +467,7 @@ def test_moments_residuals_of_z_exp_z_minus_one():
     f = AF.exppoly({GR(0): P(-1), GR(1): P(0, 1)})  # z e^z - 1
     div = zeros_in_disc(f, 10.0)
     count, _ = winding_circle(f, 10.0)
-    assert div.total() == count == div.residual_count_check
+    assert div.total() == count
     assert len(div.points) == count
     for z, m in div.points:
         assert m == 1 and abs(f.eval_complex(z)) <= 1e-12
@@ -488,26 +488,80 @@ def test_moment_location_cost(monkeypatch):
         calls["array" if isinstance(z, np.ndarray) else "point"] += 1
         return plain(self, z)
 
-    def recorded(f, t, max_nodes=2 ** 18, centre=0j):
+    def recorded(f, t, centre=0j):
         walks.append(t)
-        return winding(f, t, max_nodes, centre)
+        return winding(f, t, centre)
 
     monkeypatch.setattr(AF, "eval_scaled", counted)
     monkeypatch.setattr(analytic, "winding_circle", recorded)
     div = zeros_in_disc(exp_minus(2), 40.0)
-    assert len(div.points) == 13 and div.residual_count_check == 13
+    assert len(div.points) == 13 and div.total() == 13
     assert calls["array"] <= 2 * 3 * (1 + 13)
     assert calls["point"] <= 60 * 13
     assert len(walks) == 13 and max(walks) <= 1e-4
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_moments_zeros_of_multiplicity_four_and_five(m):
+    # the small circle grows with m so that |f| ~ rho^m clears the
+    # cancellation noise of (e^z - 1)^m
+    for t, ks in ((1.0, [0]), (8.0, [-1, 0, 1])):
+        div = zeros_in_disc(exp_minus(1) ** m, t)
+        assert [mult for _, mult in div.points] == [m] * len(ks)
+        for z, _ in div.points:
+            assert min(abs(z - 2j * math.pi * k) for k in ks) < 1e-10
+
+
+def test_newton_stops_at_a_stalled_step(monkeypatch):
+    # Newton on a double zero stalls at the noise floor; polishing stops
+    # at the first step that does not shrink instead of running on
+    points = []
+    plain = AF.eval_scaled
+
+    def counted(self, z):
+        if not isinstance(z, np.ndarray):
+            points.append(z)
+        return plain(self, z)
+
+    monkeypatch.setattr(AF, "eval_scaled", counted)
+    div = zeros_in_disc(exp_minus(1) ** 2 * exp_minus(2), 20.0)
+    assert sorted(m for _, m in div.points) == [1] * 7 + [2] * 7
+    for z, m in div.points:
+        c = 0.0 if m == 2 else math.log(2)
+        k = round(z.imag / (2 * math.pi))
+        assert abs(z - complex(c, 2 * math.pi * k)) < 1e-7
+    assert len(points) <= 600
+
+
 def test_contour_zero_fails_certification():
-    # A zero on the contour stays within ~1e-8 of it after the recorded
-    # nudge, far below what the capped trapezoid ladder can resolve.
+    # No trapezoid ladder resolves a circle through a zero.
     from smtlab.errors import CertificationError
     f = fn_poly(-1, 1)  # z - 1, zero exactly on |z| = 1
     with pytest.raises(CertificationError):
         zeros_in_disc(f, 1.0)
+
+
+def test_contour_zero_fails_before_any_node_walk(monkeypatch):
+    # the located zero on |z| = 1 refuses the disc with no node array
+    # evaluated; a winding whose first level meets f = 0 stops there,
+    # since every later level holds that node too
+    from smtlab.errors import CertificationError
+    arrays = []
+    plain = AF.eval_scaled
+
+    def counted(self, z):
+        if isinstance(z, np.ndarray):
+            arrays.append(len(z))
+        return plain(self, z)
+
+    monkeypatch.setattr(AF, "eval_scaled", counted)
+    f = fn_poly(-1, 1)  # z - 1
+    with pytest.raises(CertificationError, match="contour"):
+        zeros_in_disc(f, 1.0)
+    assert arrays == []
+    with pytest.raises(CertificationError):
+        winding_circle(f, 1.0)   # the node z = 1 is exact
+    assert arrays == [64]
 
 
 # -- curves ----------------------------------------------------------------------

@@ -285,6 +285,42 @@ def test_huge_grid_rejected_at_load(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("points", [54, 1000])
+def test_finite_grid_past_rounding_exits_one(tmp_path, capsys, points):
+    data = json.loads(Path(DISC).read_text())
+    data["grid"]["points"] = points
+    path = tmp_path / "long_finite_grid.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "nevanlinna", "--scenario", str(path))
+    assert_one_error_line(code, out, err)
+    assert f"{points} points" in err and "at most 53 circles" in err
+
+
+@pytest.mark.parametrize("command", ["nevanlinna", "fmt-check", "defects"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nan_in_a_report_exits_one(tmp_path, capsys, command, fmt):
+    # circles out near R = 1e308 overflow T to NaN
+    data = json.loads(Path(DISC).read_text())
+    data["curve"]["domain_R"] = 1e308
+    path = tmp_path / "huge_disc.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--scenario", str(path),
+                         "--format", fmt)
+    assert_one_error_line(code, out, err)
+    assert "NaN" in err
+
+
+def test_constant_curve_defects_exit_one(tmp_path, capsys):
+    # T = 0 on the grid: a truncated defect 1 - N/(d T) is undefined
+    data = json.loads(Path(DISC).read_text())
+    data["curve"]["components"][1] = "-1"
+    path = tmp_path / "constant_curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "defects", "--scenario", str(path))
+    assert_one_error_line(code, out, err)
+    assert "characteristic must be positive" in err
+
+
 def test_curve_with_zero_component(tmp_path, capsys):
     # (1, 0, z) in the plane x1 = 0: the zero component adds nothing to T
     scenario = json.loads(Path(THREE_POINTS).read_text())

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from smtlab import nevanlinna
 from smtlab.analytic import AnalyticFunction, Curve, Divisor, Poly1
 from smtlab.errors import (
     CertificationError,
@@ -77,6 +78,18 @@ def test_grid_constructors():
     assert h.r0 == 0.25
 
 
+def test_finite_grid_stops_where_radii_round_to_R():
+    # R(1 - 2^-j) rounds to R = 2 from j = 54 on, to R = 10 from j = 53
+    g = RadialGrid.finite(2.0, 53)
+    assert g.values == tuple(2.0 * (1 - 2.0 ** -j) for j in range(1, 54))
+    for R, points, fits in ((2.0, 54, 53), (2.0, 55, 53), (2.0, 60, 53),
+                            (2.0, 1000, 53), (10.0, 53, 52)):
+        with pytest.raises(ValidationError,
+                           match=f"grid of {points} points .* at most {fits} "):
+            RadialGrid.finite(R, points)
+    assert len(RadialGrid.finite(10.0, 52).values) == 52
+
+
 # -- quadrature and characteristic ------------------------------------------
 
 def test_circle_average_constant_and_harmonic():
@@ -137,11 +150,12 @@ def test_circle_average_jensen(lead, roots):
         assert abs(val - want) <= 1e-10
 
 
-def test_circle_average_node_cap():
+def test_circle_average_node_cap(monkeypatch):
     # a spike too narrow to resolve forces the certification failure
+    monkeypatch.setattr(nevanlinna, "_QUAD_NODES", 256)
     with pytest.raises(CertificationError):
         circle_average(lambda z: np.exp(-abs(z - 1.0) ** 2 * 1e12),
-                       1.0, tol=1e-12, max_nodes=256)
+                       1.0, tol=1e-12)
 
 
 def test_characteristic_frozen_line():
@@ -149,8 +163,7 @@ def test_characteristic_frozen_line():
     for r in (1.0, 3.0, 10.0):
         want = 0.5 * math.log(1 + r * r)
         assert abs(characteristic(LINE, r) - want) <= 1e-9
-    val, nodes = circle_average(LINE.log_norm, 3.0, tol=1e-9,
-                                max_nodes=4096)
+    val, nodes = circle_average(LINE.log_norm, 3.0, tol=1e-9)
     assert nodes <= 4096
     assert abs(val - 0.5 * math.log(10)) <= 1e-9
 
@@ -187,7 +200,7 @@ def test_characteristic_and_proximity_with_zero_component():
 # -- counting ----------------------------------------------------------------
 
 def test_counting_frozen_single_zero():
-    div = Divisor(((0.5 + 0j, 3),), 5.0, False, 3)
+    div = Divisor(((0.5 + 0j, 3),), 5.0)
     grid = RadialGrid(0.1, (2.0,))
     assert abs(counting(div, grid, 2)[0] - 2 * math.log(4)) <= 1e-12
     assert abs(counting(div, grid, math.inf)[0] - 3 * math.log(4)) <= 1e-12
@@ -195,7 +208,7 @@ def test_counting_frozen_single_zero():
 
 
 def test_counting_origin_convention():
-    div = Divisor(((0j, 2),), 5.0, False, 2)
+    div = Divisor(((0j, 2),), 5.0)
     grid = RadialGrid(0.1, (2.0, 4.0))
     assert counting(div, grid, math.inf) == [0.0, 0.0]
     strict = counting(div, grid, math.inf, strict_origin=True)
@@ -204,7 +217,7 @@ def test_counting_origin_convention():
 
 
 def test_counting_zero_below_r0():
-    div = Divisor(((0.05 + 0j, 1),), 5.0, False, 1)
+    div = Divisor(((0.05 + 0j, 1),), 5.0)
     grid = RadialGrid(0.1, (1.0,))
     assert abs(counting(div, grid, math.inf)[0] - math.log(10)) <= 1e-12
 
@@ -212,7 +225,7 @@ def test_counting_zero_below_r0():
 def test_counting_slope_between_zeros():
     # between consecutive zero moduli, N grows linearly in log r with
     # slope equal to the truncated count inside
-    div = Divisor(((1.0 + 0j, 2), (2.0 + 0j, 5)), 5.0, False, 7)
+    div = Divisor(((1.0 + 0j, 2), (2.0 + 0j, 5)), 5.0)
     grid = RadialGrid(0.5, (1.5, 1.7))
     for k, slope in ((math.inf, 2), (1, 1)):
         vals = counting(div, grid, k)
@@ -221,7 +234,7 @@ def test_counting_slope_between_zeros():
 
 
 def test_counting_validation():
-    div = Divisor(((0.5 + 0j, 1),), 2.0, False, 1)
+    div = Divisor(((0.5 + 0j, 1),), 2.0)
     with pytest.raises(ValidationError):
         counting(div, RadialGrid(0.1, (3.0,)), math.inf)
     with pytest.raises(ValidationError):
@@ -245,13 +258,33 @@ def test_proximity_curve_in_hypersurface():
 
 
 def test_proximity_zero_on_circle_fails_certification():
-    # zero of z - 1 sits on |z| = 1; the nudge moves the contour by 1e-8
-    # but the quadrature cannot certify through the near-singularity
+    # zero of z - 1 sits on |z| = 1; the quadrature cannot converge
+    # through the log singularity
     from smtlab.analytic import zeros_in_disc
     g = X1_MINUS_X0.compose(LINE.components)
     div = zeros_in_disc(g, 1.5)
     with pytest.raises(CertificationError):
         proximity(LINE, X1_MINUS_X0, 1.0, divisor=div)
+
+
+def test_proximity_zero_on_circle_fails_before_quadrature(monkeypatch):
+    # the divisor point on |z| = 1 refuses the circle before any node
+    # array is evaluated
+    from smtlab.analytic import zeros_in_disc
+    g = X1_MINUS_X0.compose(LINE.components)
+    div = zeros_in_disc(g, 1.5)
+    arrays = []
+    plain = AnalyticFunction.eval_scaled
+
+    def counted(self, z):
+        if isinstance(z, np.ndarray):
+            arrays.append(len(z))
+        return plain(self, z)
+
+    monkeypatch.setattr(AnalyticFunction, "eval_scaled", counted)
+    with pytest.raises(CertificationError, match="within 1e-9"):
+        proximity(LINE, X1_MINUS_X0, 1.0, divisor=div)
+    assert arrays == []
 
 
 # -- first main theorem residual ---------------------------------------------

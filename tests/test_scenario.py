@@ -239,3 +239,24 @@ def test_bad_literals_name_field(mutate, path):
 def test_non_object_rejected():
     with pytest.raises(ValidationError):
         scenario_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize("value", ["nan", math.nan, math.inf, "1e999", -1.0])
+@pytest.mark.parametrize("field", ["r0", "domain_R"])
+def test_radius_must_be_finite(field, value):
+    data = minimal()
+    (data["curve"] if field == "domain_R" else data)[field] = value
+    with pytest.raises(ValidationError,
+                       match="must be positive and finite, or 'inf'"):
+        scenario_from_dict(data)
+    data["curve"]["domain_R"] = "inf"   # the spelling of the plane
+    data["r0"] = 0.25
+    assert math.isinf(scenario_from_dict(data).domain_radius)
+
+
+def test_huge_ambient_dimension_fails_on_the_component_count():
+    data = minimal()
+    data["ambient_N"] = 2 ** 70
+    data["variety_generators"] = ["x0"]
+    with pytest.raises(ValidationError, match="expected .* entries, got 2"):
+        scenario_from_dict(data)

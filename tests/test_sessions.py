@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from smtlab import cli, hypersurfaces, nevanlinna
+from smtlab import cli, hypersurfaces, nevanlinna, smt_verifier
 from smtlab import scenario as scenario_mod
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +91,33 @@ def test_analytic_reports_compute_once_per_session(counted):
         in_process(["verify", "--scenario", CONIC, "--seed", "0"])
         assert calls == Counter(characteristic=len(grid), compose=q,
                                 divisor=q, distributive=1)
+
+
+def test_truncation_constants_once_per_samples_value(monkeypatch):
+    calls = Counter()
+
+    def wrap(name):
+        inner = getattr(smt_verifier, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(smt_verifier, name, counting)
+
+    for name in ("constants_plane", "constants_moving", "constants_fixed",
+                 "constants_theoremB"):
+        wrap(name)
+    disc = str(ROOT / "scenarios" / "disc_model_growth.json")
+    for path, variant in ((CONIC, "constants_plane"),
+                          (disc, "constants_fixed")):
+        calls.clear()
+        for command in ("constants", "verify", "defects", "constants"):
+            assert in_process([command, "--scenario", path])[0] == 0
+        assert calls == Counter({variant: 1, "constants_theoremB": 1})
+        # another samples value is another Delta_V scan
+        in_process(["constants", "--scenario", path, "--samples", "1"])
+        assert calls == Counter({variant: 2, "constants_theoremB": 2})
 
 
 def test_reports_in_one_process_match_fresh_processes():
