@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .exact_algebra import _split_terms
-from .scalars import GaussianRational, parse_gaussian
+from .scalars import MOD_I, MOD_PRIME, GaussianRational, parse_gaussian
 
 COEFF_BUDGET = 10 ** 4  # max stored coefficients in any expansion
 
@@ -275,13 +275,6 @@ def poly_gcd(a: Poly1, b: Poly1) -> Poly1:
     return a.monic()
 
 
-# A prime q = 1 (mod 4) and a square root of -1 modulo it: Z[i] maps onto
-# F_q by i -> _SQF_I, and so does every Gaussian rational whose
-# denominator q does not divide.
-_SQF_PRIME = 2147483629
-_SQF_I = 1518275076
-
-
 def _rem_mod(a: List[int], b: List[int], q: int) -> List[int]:
     """a mod b over F_q, coefficients ascending, b trimmed."""
     a = list(a)
@@ -299,21 +292,21 @@ def _rem_mod(a: List[int], b: List[int], q: int) -> List[int]:
 
 
 def _squarefree_mod_q(f: Poly1) -> bool:
-    """True when f's image mod _SQF_PRIME certifies that f is square-free.
+    """True when f's image mod MOD_PRIME certifies that f is square-free.
 
     If q divides no denominator, the image keeps f's degree and is
     coprime to its own derivative, then the reduction of the resultant
     Res(f, f') is nonzero, so disc(f) != 0.  False means no certificate,
     not that f has a repeated factor."""
-    image = [c.residue(_SQF_PRIME, _SQF_I) for c in f.coeffs]
+    image = [c.residue(MOD_PRIME, MOD_I) for c in f.coeffs]
     if None in image or not image[-1]:
         return False
     a = image
-    b = [k * c % _SQF_PRIME for k, c in enumerate(image)][1:]
+    b = [k * c % MOD_PRIME for k, c in enumerate(image)][1:]
     while b and not b[-1]:
         b.pop()
     while b:
-        a, b = b, _rem_mod(a, b, _SQF_PRIME)
+        a, b = b, _rem_mod(a, b, MOD_PRIME)
     return len(a) == 1
 
 

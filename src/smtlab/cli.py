@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
-from .errors import CertificationError, SmtlabError
+from .errors import NAN_REPORT, CertificationError, SmtlabError
 from .exact_algebra import WeightVector
 from .nevanlinna import _fmt_residuals
 from .scenario import Scenario, load_scenario
@@ -214,8 +214,7 @@ def _scrub(x: Any) -> Any:
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     if isinstance(x, float) and math.isnan(x):
-        raise CertificationError("a report value is NaN (a float "
-                                 "computation overflowed)")
+        raise CertificationError(NAN_REPORT)
     if isinstance(x, (list, tuple)):
         return [_scrub(v) for v in x]
     if isinstance(x, dict):

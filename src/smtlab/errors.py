@@ -5,6 +5,9 @@ honest: a failed certification or a blown budget must abort the computation
 that asked for it.
 """
 
+# why a report holding a NaN (or a T or N past the float range) fails
+NAN_REPORT = "a report value is NaN (a float computation overflowed)"
+
 
 class SmtlabError(Exception):
     """Base class for package errors."""

@@ -80,11 +80,10 @@ def weighted_key(c: WeightVector) -> Callable:
     by the reversed exponent tuple (the reverse of grevlex within a degree).
     Inside one degree this is a term order, and its standard monomials are
     exactly the greedy choice "largest c-weight first, grevlex-largest on
-    ties".  The denominators of c are cleared once, so keys compare
-    integers; a positive rescaling of c gives the same order.
+    ties".  Keys compare c's integer numerators over its common
+    denominator; a positive rescaling of c gives the same order.
     """
-    scale = math.lcm(*(e.denominator for e in c))
-    w = tuple(int(e * scale) for e in c)
+    w = c._scaled
 
     def key(m: Sequence[int]):
         return (sum(m), -sum(a * b for a, b in zip(w, m)), tuple(reversed(m)))
@@ -272,15 +271,23 @@ def _homog(num_vars: int, degree: int,
 
 
 class WeightVector:
-    """Non-negative rational weights, one per variable."""
+    """Non-negative rational weights, one per variable.
 
-    __slots__ = ("entries",)
+    The entries are also kept as integer numerators over their least
+    common denominator, so sums and dot products add integers and build
+    one Fraction.
+    """
+
+    __slots__ = ("entries", "_scaled", "_scale")
 
     def __init__(self, entries: Iterable):
         vals = tuple(Fraction(e) for e in entries)
         if any(v < 0 for v in vals):
             raise ValueError("weight entries must be non-negative")
         self.entries = vals
+        self._scale = math.lcm(*(v.denominator for v in vals))
+        self._scaled = tuple(v.numerator * (self._scale // v.denominator)
+                             for v in vals)
 
     def __len__(self):
         return len(self.entries)
@@ -292,11 +299,11 @@ class WeightVector:
         return self.entries[i]
 
     def dot(self, mono: Sequence[int]) -> Fraction:
-        return sum((Fraction(e) * c for e, c in zip(mono, self.entries)),
-                   Fraction(0))
+        return Fraction(sum(e * w for e, w in zip(mono, self._scaled)),
+                        self._scale)
 
     def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
+        return Fraction(sum(self._scaled), self._scale)
 
     def max_entry(self) -> Fraction:
         return max(self.entries)
@@ -348,39 +355,43 @@ _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _NUM_RE = re.compile(r"^(\d+(?:/\d+)?)(i?)$")
 
 
+_SPLIT_RE = re.compile(r"[()+-]")
+
+
 def _split_terms(text: str) -> List[Tuple[int, str]]:
     """Split on top-level +/- into (sign, chunk) pairs.
 
     A sign with no term before it negates the sign in force, so
     "x0 - - x1" reads x0 + x1; a sign right after "*" or "^" belongs to
     the factor.  Shared by the polynomial and function-literal grammars.
+    Only parentheses and signs are visited; the chunk in progress is
+    text[start:i].
     """
     out = []
     depth = 0
     sign = 1
-    current: List[str] = []
-    for ch in text:
+    start = 0
+    for m in _SPLIT_RE.finditer(text):
+        ch, i = m.group(), m.start()
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and ch in "+-":
-            if not any(c.strip() for c in current):
+        elif not depth:
+            current = text[start:i]
+            if not current.strip():
                 if ch == "-":
                     sign = -sign
-                current = []
-                continue
-            if current[-1] not in "*^(":
-                out.append((sign, "".join(current).strip()))
+                start = i + 1
+            elif current[-1] not in "*^(":
+                out.append((sign, current.strip()))
                 sign = 1 if ch == "+" else -1
-                current = []
-                continue
-        current.append(ch)
+                start = i + 1
     if depth:
         raise ValueError(f"unbalanced parentheses in {text!r}")
-    chunk = "".join(current).strip()
+    chunk = text[start:].strip()
     if chunk:
         out.append((sign, chunk))
     return out
@@ -388,17 +399,12 @@ def _split_terms(text: str) -> List[Tuple[int, str]]:
 
 def _parse_term(chunk: str, num_vars: int):
     """One product of factors -> (Monomial, GaussianRational)."""
-    coeff = GaussianRational(1)
+    coeff = ONE
     exps = [0] * num_vars
-    for factor in (f.strip() for f in chunk.split("*")):
+    for factor in chunk.split("*"):
+        factor = factor.strip()
         if not factor:
             raise ValueError(f"empty factor in term {chunk!r}")
-        if factor.startswith("(") and factor.endswith(")"):
-            coeff = coeff * parse_gaussian(factor[1:-1])
-            continue
-        if factor == "i":
-            coeff = coeff * GaussianRational(0, 1)
-            continue
         m = _VAR_RE.match(factor)
         if m:
             idx = int(m.group(1))
@@ -407,14 +413,18 @@ def _parse_term(chunk: str, num_vars: int):
                     f"variable x{idx} out of range for {num_vars} variables")
             exps[idx] += int(m.group(2) or 1)
             continue
-        m = _NUM_RE.match(factor)
-        if m:
+        if factor.startswith("(") and factor.endswith(")"):
+            value = parse_gaussian(factor[1:-1])
+        elif factor == "i":
+            value = GaussianRational(0, 1)
+        else:
+            m = _NUM_RE.match(factor)
+            if not m:
+                raise ValueError(f"cannot parse factor {factor!r}")
             value = GaussianRational(Fraction(m.group(1)))
             if m.group(2):
                 value = value * GaussianRational(0, 1)
-            coeff = coeff * value
-            continue
-        raise ValueError(f"cannot parse factor {factor!r}")
+        coeff = value if coeff is ONE else coeff * value
     return Monomial(exps), coeff
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -98,12 +99,21 @@ def _reduce_full(p: HomogPoly, basis: Sequence[HomogPoly],
 
 def _reduce(p: HomogPoly, reducers: Sequence[Tuple[Monomial, HomogPoly]],
             budget: Optional[_Budget], key: Callable) -> HomogPoly:
-    """:func:`_reduce_full` on (leading monomial, monic polynomial) pairs."""
+    """:func:`_reduce_full` on (leading monomial, monic polynomial) pairs.
+
+    The pending monomials are kept sorted by ``key``, largest last, so the
+    next term is a pop; a term that cancels stays listed until it is
+    popped and skipped.  Reduction only adds terms below the one it
+    reduces, so a popped monomial never comes back.
+    """
     result_terms: Dict[Monomial, object] = {}
     work = dict(p.terms)
-    while work:
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
+    pending = sorted(work, key=key)
+    while pending:
+        mono = pending.pop()
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue
         for lm, g in reducers:
             if lm.divides(mono):
                 break
@@ -112,23 +122,31 @@ def _reduce(p: HomogPoly, reducers: Sequence[Tuple[Monomial, HomogPoly]],
             continue
         if budget is not None:
             budget.spend()
-        _subtract(work, coeff, g, lm, mono.quotient(lm))
+        for m in _subtract(work, coeff, g, lm, mono.quotient(lm)):
+            insort(pending, m, key=key)
     return _homog(p.num_vars, p.degree, result_terms)
 
 
 def _subtract(work: Dict[Monomial, object], coeff, g: HomogPoly,
-              lm: Monomial, quot: Monomial) -> None:
-    """work -= coeff * quot * (g without its leading term at lm), in place."""
+              lm: Monomial, quot: Monomial) -> List[Monomial]:
+    """work -= coeff * quot * (g without its leading term at lm), in place;
+    returns the monomials that were not in work before."""
+    added = []
     for gm, gc in g.terms.items():
         if gm == lm:
             continue
         m = gm.mul(quot)
         cur = work.get(m)
-        new = -(coeff * gc) if cur is None else cur - coeff * gc
+        if cur is None:
+            work[m] = -(coeff * gc)
+            added.append(m)
+            continue
+        new = cur - coeff * gc
         if new.is_zero():
             del work[m]
         else:
             work[m] = new
+    return added
 
 
 def _s_poly(f: HomogPoly, g: HomogPoly,
@@ -280,10 +298,11 @@ class Variety:
     def __init__(self, ideal: Ideal, budget: int = DEFAULT_REDUCTION_BUDGET):
         self.ideal = ideal
         self._budget = budget
-        # the basis is built as groebner_basis(_added, seed=_seed): the
-        # whole ideal from scratch, or a parent's basis plus a cut's forms
+        # the basis is built as groebner_basis(_added, seed=_parent's
+        # basis): the whole ideal from scratch, or a cut's forms on top of
+        # the variety it cuts
         self._added = ideal
-        self._seed: Sequence[HomogPoly] = ()
+        self._parent: Optional[Variety] = None
         self._basis: Optional[List[HomogPoly]] = None
         self._leading: Optional[FrozenSet[Monomial]] = None
         self._weighted_leading: Dict[Tuple, FrozenSet[Monomial]] = {}
@@ -302,8 +321,9 @@ class Variety:
     @property
     def groebner(self) -> List[HomogPoly]:
         if self._basis is None:
+            seed = () if self._parent is None else self._parent.groebner
             self._basis = groebner_basis(self._added, self._budget,
-                                         seed=self._seed)
+                                         seed=seed)
             self._leading = frozenset(
                 g.leading_monomial() for g in self._basis)
         return self._basis
@@ -312,16 +332,17 @@ class Variety:
         """V cut by the given forms.
 
         The child's Groebner basis extends ``self.groebner`` by the forms,
-        so only the pairs they bring are checked.  The child shares this
-        variety's Hilbert-numerator memo, whose entries depend on nothing
-        but their key.
+        so only the pairs they bring are checked; neither basis is built
+        before the child's is asked for.  The child shares this variety's
+        Hilbert-numerator memo, whose entries depend on nothing but their
+        key.
         """
         added = Ideal(self.num_vars, forms)
         child = Variety(Ideal(self.num_vars,
                               self.ideal.generators + added.generators),
                         self._budget)
         child._added = added
-        child._seed = self.groebner
+        child._parent = self
         child._hilbert_memo = self._hilbert_memo
         return child
 
@@ -346,15 +367,19 @@ class Variety:
         gens = self._leading if c is None else self.weighted_leading(c)
         return _numerator(self.num_vars, gens, self._hilbert_memo)
 
+    def coarse_numerator(self) -> Dict[int, int]:
+        """The numerator of the ordinary Hilbert series, by degree."""
+        if self._coarse is None:
+            self._coarse = _by_degree(self.numerator())
+        return self._coarse
+
     def hilbert_function(self, u: int) -> int:
         if u < 0:
             raise ValueError("Hilbert function argument must be >= 0")
-        if self._coarse is None:
-            self._coarse = _by_degree(self.numerator())
         # sum of K_d C(u - d + n - 1, n - 1), zero past u
         n = self.num_vars
         return sum(v * math.comb(u - d + n - 1, n - 1)
-                   for d, v in self._coarse.items() if d <= u)
+                   for d, v in self.coarse_numerator().items() if d <= u)
 
     def dim_degree(self) -> Tuple[int, int]:
         if self._dim_degree is None:
@@ -370,37 +395,20 @@ class Variety:
         return self.dim_degree()[1]
 
 
-def variety_dim_degree(X: Variety, u_cap: int = 60) -> Tuple[int, int]:
-    """Dimension and degree from the Hilbert function's eventual polynomial.
+def variety_dim_degree(X: Variety) -> Tuple[int, int]:
+    """(dim, degree) of X from the grevlex Hilbert numerator K(t).
 
-    Scans u upward until, for some k, the (k+1)-st finite differences vanish
-    at k_max+2 consecutive points.  The stable k-th difference is then
-    delta * k! / k! = delta.  All-zero values mean the empty variety.
+    The Hilbert series is K(t) / (1 - t)^n, so if K(t) = (1 - t)^m L(t)
+    with L(1) != 0, then dim = n - 1 - m and degree = L(1), where
+    (-1)^m L(1) = K^(m)(1) / m! = sum_d K_d C(d, m).  (-1, 0) for an
+    empty X, where m >= n or K = 0.
     """
-    k_max = X.ambient_dim
-    need = k_max + 2
-    values: List[int] = []
-    for u in range(u_cap + 1):
-        values.append(X.hilbert_function(u))
-        for k in range(k_max + 1):
-            # (k+1)-st differences of the last `need + k + 1` values
-            window = values[-(need + k + 1):]
-            if len(window) < need + k + 1:
-                continue
-            diffs = window
-            for _ in range(k + 1):
-                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            if any(diffs):
-                continue
-            kth = window
-            for _ in range(k):
-                kth = [b - a for a, b in zip(kth, kth[1:])]
-            delta = kth[-1]
-            if delta == 0:
-                return (-1, 0)
-            return (k, delta)
-    raise BudgetExceededError(
-        f"Hilbert function did not stabilize for u <= {u_cap}")
+    K, n = X.coarse_numerator(), X.num_vars
+    for m in range(n):
+        top = sum(v * math.comb(d, m) for d, v in K.items())
+        if top:
+            return n - 1 - m, (-1) ** m * top
+    return -1, 0
 
 
 def intersection_dim(V: Variety, forms: Sequence[HomogPoly]) -> int:

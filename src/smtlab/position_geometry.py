@@ -2,10 +2,13 @@
 
 The distributive constant maxes #Gamma / (dim V - dim(V cut by Gamma)) over
 nonempty subsets Gamma of the family, with the empty intersection counting
-as ratio 0.  The scan is incremental: V cut by a subset is the cut by its
-prefix cut once more (:meth:`~smtlab.groebner.Variety.cut`), whose
-Groebner basis is seeded with the prefix's reduced basis.  Moving families
-are snapshotted at exact Gaussian-rational sample points; agreement across
+as ratio 0.  Each subset's dimension is first certified modulo a prime
+(:class:`_ModularCuts`): its parents bound it from below, and a Macaulay
+matrix of full rank mod q bounds it from above.  Only a subset whose
+certificate fails gets a Groebner basis: V cut by the subset is the cut by
+its prefix cut once more (:meth:`~smtlab.groebner.Variety.cut`), whose
+basis is seeded with the prefix's reduced basis.  Moving families are
+snapshotted at exact Gaussian-rational sample points; agreement across
 independent samples stands in for the paper-level "generic z", and the
 report records the points used.
 """
@@ -17,7 +20,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .analytic import Curve
 from .errors import (
@@ -29,10 +35,26 @@ from .errors import (
 from .exact_algebra import HomogPoly
 from .groebner import Variety, intersection_dim
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
-from .scalars import GaussianRational
+from .scalars import MOD_I, MOD_PRIME, GaussianRational
 
 MAX_FAMILY_SIZE = 16
 RESAMPLE_BUDGET = 60
+# a Macaulay matrix with more cells is not built; its subset takes the
+# exact path
+MACAULAY_CELL_CAP = 250_000
+# matrices of one shape are eliminated together in numpy, in stacks of at
+# most this many cells, unless there are fewer of them than columns and
+# each has at most _SPARSE_CELLS cells: numpy's per-call cost then
+# outweighs the work, and Python ints keep a sparse matrix sparse
+_STACK_CELLS = 1 << 16
+_SPARSE_CELLS = 2_500
+# below this many rows an elimination step updates every lower row
+# rather than finding those with an entry in the pivot column
+_STACK_DENSE_ROWS = 16
+# probe k is x_{n-1-k} = sum_i t^(i+1) x_i with t = _PROBE_NODE + k; a
+# large t puts the common zeros of the probes at coordinates growing like
+# powers of t, off every form with small integer coefficients
+_PROBE_NODE = 10_001
 
 
 @dataclass(frozen=True)
@@ -96,39 +118,297 @@ def _fixed_or_sampled(V: Variety, family: HypersurfaceFamily, samples: int,
             for z, forms in _sample_points(family, samples, rng)]
 
 
+# a form mod q: exponent tuple -> nonzero residue
+Terms = Dict[Tuple[int, ...], int]
+# (degree, terms, (monomial code, residue) pairs) of a form mod q
+Part = Tuple[int, Terms, List[Tuple[int, int]]]
+
+
+def _lazard_degree(degrees: Sequence[int], num_vars: int) -> int:
+    """Sum of d_i - 1, plus one, over the num_vars largest degrees: the
+    degree from which forms of those degrees with no common zero in
+    projective space span every form (Lazard, EUROCAL 1983)."""
+    top = sorted(degrees, reverse=True)[:num_vars]
+    return sum(d - 1 for d in top) + 1
+
+
+def _substitute(terms: Terms, line: Sequence[int]) -> Terms:
+    """The form in k + 1 variables with x_k = sum_i line[i] x_i, mod q."""
+    q = MOD_PRIME
+    k = len(line)
+    powers: List[Terms] = [{(0,) * k: 1}]     # powers of the linear form
+    out: Terms = {}
+    for exps, r in terms.items():
+        e, head = exps[-1], exps[:-1]
+        while len(powers) <= e:
+            nxt: Terms = {}
+            for a, v in powers[-1].items():
+                for i, c in enumerate(line):
+                    b = a[:i] + (a[i] + 1,) + a[i + 1:]
+                    nxt[b] = (nxt.get(b, 0) + v * c) % q
+            powers.append(nxt)
+        for a, v in powers[e].items():
+            b = tuple(map(add, head, a))
+            out[b] = (out.get(b, 0) + r * v) % q
+    return {a: v for a, v in out.items() if v}
+
+
+def _eliminate(rows: List[Dict[int, int]], ncols: int) -> bool:
+    """True when the rows (column -> nonzero residue, consumed) span
+    F_q^ncols: incremental elimination on Python ints, each pivot row at
+    its lowest column and scaled to 1 there."""
+    q = MOD_PRIME
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, q)
+                pivots[c] = {k: v * inv % q for k, v in row.items()}
+                if len(pivots) == ncols:
+                    return True
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                x = (row.get(k, 0) - f * v) % q
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+    return False
+
+
+def _full_rank(M: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack (B, R, C) of int64 entries in [0, q) have
+    full column rank mod q.  Fraction-free elimination: each row below the
+    pivot p becomes p * row - f * pivot row, which keeps the row space
+    since p != 0, so no inverse is taken.  q < 2^31, so both products stay
+    below 2^62 and their difference inside int64."""
+    q = MOD_PRIME
+    B, R, C = M.shape
+    if R < C:
+        return np.zeros(B, dtype=bool)
+    ok = np.ones(B, dtype=bool)
+    stack = np.arange(B)
+    for c in range(C):
+        nonzero = M[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        r = nonzero.argmax(axis=1)
+        if r.any():                     # some matrix swaps in its pivot
+            r += c
+            top = M[stack, r]
+            M[stack, r] = M[stack, c]
+            M[stack, c] = top
+        else:
+            top = M[:, c].copy()
+        if R - c > _STACK_DENSE_ROWS:   # skip rows with no entry to clear
+            below = c + 1 + np.flatnonzero(
+                (M[:, c + 1:, c] != 0).any(axis=0))
+        else:
+            below = slice(c + 1, R)
+        block = M[:, below, c:]         # a copy when below is an array
+        f = block[:, :, :1] * top[:, None, c:]
+        block *= top[:, None, c, None]
+        block -= f
+        block %= q
+        M[:, below, c:] = block
+    return ok
+
+
+class _ModularCuts:
+    """Upper bounds on dim(V cut by a subset of the family), mod q.
+
+    If V's generators, the subset's forms and lb + 1 linear forms have no
+    common zero, the subset cuts V in dimension at most lb.  The linear
+    forms are fixed probes L_k = x_{n-1-k} - sum_{i < n-1-k} t_k^(i+1) x_i;
+    on their common zeros the last lb + 1 variables are linear in the
+    others, so the question becomes whether V's generators and the
+    subset's forms, with those variables substituted, have a common zero
+    in n - lb - 1 variables.  They have none when their Macaulay matrix
+    at some degree D (every form times every monomial of the
+    complementary degree, against the degree-D monomials) has full column
+    rank: then their ideal holds every degree-D form.  Full rank mod
+    q = MOD_PRIME (i -> MOD_I) implies full rank over Q(i), since a
+    nonzero minor mod q lifts to a nonzero minor; D is Lazard's degree,
+    where forms with no common zero always reach full rank, so a generic
+    cut is certified there.  A coefficient whose denominator q divides, a
+    rank that falls short or a matrix past MACAULAY_CELL_CAP gives no
+    certificate, never a wrong one.
+
+    Residues are computed once per form, and each substitution once per
+    form and lb.  Monomials are coded as integers in a radix above every
+    exponent used, so a product of monomials is a sum of codes.  The
+    requests of one call that share lb and part degrees share a matrix
+    shape and are eliminated as one numpy stack (:func:`_full_rank`),
+    unless there are fewer of them than columns and they are small
+    (:func:`_eliminate`, on Python ints).
+    """
+
+    def __init__(self, V: Variety, forms: Sequence[HomogPoly]):
+        n = self.num_vars = V.num_vars
+        gens = V.ideal.generators
+        degrees = [g.degree for g in gens] + [f.degree for f in forms]
+        radix = _lazard_degree(degrees, n) + 1
+        self.codes = [radix ** i for i in range(n)]
+        self.num_gens = len(gens)
+        # lb -> V's generators, then the members, on the common zeros of
+        # the first lb + 1 probes (lb = -1: as given)
+        self.levels: Dict[int, List[Optional[Part]]] = {
+            -1: [self._residues(f) for f in (*gens, *forms)]}
+        self.layers: Dict[Tuple[int, int], List[int]] = {}
+
+    def _part(self, degree: int, terms: Terms) -> Part:
+        return degree, terms, [(sum(e * w for e, w in zip(a, self.codes)), r)
+                               for a, r in terms.items()]
+
+    def _residues(self, form: HomogPoly) -> Optional[Part]:
+        """None when q divides a denominator."""
+        terms: Terms = {}
+        for mono, coeff in form.terms.items():
+            r = coeff.residue(MOD_PRIME, MOD_I)
+            if r is None:
+                return None
+            if r:
+                terms[tuple(mono)] = r
+        return self._part(form.degree, terms)
+
+    def _level(self, lb: int) -> List[Optional[Part]]:
+        got = self.levels.get(lb)
+        if got is None:
+            k = self.num_vars - 1 - lb      # x_k is substituted
+            line = [pow(_PROBE_NODE + lb, j + 1, MOD_PRIME) for j in range(k)]
+            got = self.levels[lb] = [
+                None if p is None else self._part(p[0], _substitute(p[1], line))
+                for p in self._level(lb - 1)]
+        return got
+
+    def _monomials(self, m: int, degree: int) -> List[int]:
+        """Codes of the monomials of the given degree in x_0..x_{m-1},
+        ascending."""
+        key = (m, degree)
+        if key not in self.layers:
+            self.layers[key] = [0] if degree == 0 else sorted(
+                {c + w for c in self._monomials(m, degree - 1)
+                 for w in self.codes[:m]})
+        return self.layers[key]
+
+    def _blocks(self, lb: int, D: int, degree: int) -> np.ndarray:
+        """The Macaulay rows at degree D of every form on level lb, as a
+        stack (forms, rows, columns); forms of another degree are 0."""
+        m = self.num_vars - lb - 1
+        columns = self._monomials(m, D)
+        col = {c: k for k, c in enumerate(columns)}
+        shifts = self._monomials(m, D - degree)
+        level = self._level(lb)
+        cells = len(shifts) * len(columns)
+        where: List[int] = []
+        values: List[int] = []
+        for i, part in enumerate(level):
+            if part is not None and part[0] == degree:
+                for j, s in enumerate(shifts):
+                    base = i * cells + j * len(columns)
+                    where.extend(base + col[s + c] for c, _ in part[2])
+                    values.extend(r for _, r in part[2])
+        out = np.zeros(len(level) * cells, dtype=np.int64)
+        out[where] = values
+        return out.reshape(len(level), len(shifts), len(columns))
+
+    def bounds(self, requests: Sequence[Tuple[Sequence[int], int]]
+               ) -> List[bool]:
+        """For each (combo, lb): True when V cut by the members in combo
+        is certified to have dimension at most lb."""
+        out = [False] * len(requests)
+        groups: Dict[Tuple[int, Tuple[int, ...]],
+                     List[Tuple[int, List[int]]]] = {}
+        G = self.num_gens
+        for k, (combo, lb) in enumerate(requests):
+            level = self._level(lb)
+            parts = [*range(G), *(G + j for j in combo)]
+            if len(parts) < self.num_vars - lb - 1 or (None in level and any(
+                    level[i] is None for i in parts)):
+                continue
+            degrees = tuple(level[i][0] for i in parts)
+            groups.setdefault((lb, degrees), []).append((k, parts))
+        for (lb, degrees), batch in groups.items():
+            m = self.num_vars - lb - 1
+            D = _lazard_degree(degrees, m)
+            C = len(self._monomials(m, D))
+            R = sum(len(self._monomials(m, D - d)) for d in degrees)
+            if R * C > MACAULAY_CELL_CAP:
+                continue
+            if len(batch) < C and R * C <= _SPARSE_CELLS:
+                level = self._level(lb)
+                col = {c: k for k, c in enumerate(self._monomials(m, D))}
+                for k, parts in batch:
+                    out[k] = _eliminate(
+                        [{col[s + c]: r for c, r in level[i][2]}
+                         for i in parts
+                         for s in self._monomials(m, D - level[i][0])], C)
+                continue
+            blocks = {d: self._blocks(lb, D, d) for d in set(degrees)}
+            step = max(1, _STACK_CELLS // (R * C))
+            for start in range(0, len(batch), step):
+                chunk = batch[start:start + step]
+                index = np.array([parts for _, parts in chunk])
+                if len(blocks) == 1:            # one gather, no concatenate
+                    M = blocks[degrees[0]][index].reshape(len(chunk), R, C)
+                else:
+                    M = np.concatenate([blocks[d][index[:, p]]
+                                        for p, d in enumerate(degrees)],
+                                       axis=1)
+                for (k, _), ok in zip(chunk, _full_rank(M)):
+                    out[k] = bool(ok)
+        return out
+
+
 def _scan_subsets(V: Variety, forms: List[HomogPoly]
                   ) -> Tuple[Fraction, Tuple[int, ...],
                              List[Tuple[Tuple[int, ...], int, Fraction]]]:
     """Exhaustive subset scan with superset-of-empty pruning.
 
-    Subsets go size by size, each size in lexicographic order.  The cut
-    by a subset extends the cut by its prefix (all but its last member),
-    which was built one size earlier, so each subset costs one seeded
-    Groebner basis extension; only the previous size's cuts are held.
-    A subset contains an empty one exactly when one of its parents (the
-    subsets one member smaller, all scanned one size earlier) is empty;
-    such a subset is pruned.
+    Subsets go size by size, each size in lexicographic order.  A subset
+    contains an empty one exactly when one of its parents (the subsets one
+    member smaller, all scanned one size earlier; V for a single member)
+    is empty; such a subset is pruned.  Otherwise each parent P bounds its
+    dimension d from below by dim P - 1 (Krull), so lb = max dim P - 1,
+    and a certificate of d <= lb (:class:`_ModularCuts`, for all subsets
+    of one size at once) gives d = lb.  A subset whose certificate fails
+    is cut exactly: V cut by its prefix
+    (all but its last member), built on demand the same way and kept for
+    the scan, cut once more.
     """
     n = V.dim
     if n < 1:
         raise ValidationError(f"variety must have dimension >= 1, got {n}")
     q = len(forms)
-    dims: Dict[FrozenSet[int], int] = {}
+    modular = _ModularCuts(V, forms)
+    dims: Dict[int, int] = {}    # subset as a bit mask -> dimension
     best = Fraction(0)
     witness: Tuple[int, ...] = ()
     table: List[Tuple[Tuple[int, ...], int, Fraction]] = []
     cuts: Dict[Tuple[int, ...], Variety] = {(): V}
+
+    def cut(combo: Tuple[int, ...]) -> Variety:
+        got = cuts.get(combo)
+        if got is None:
+            got = cuts[combo] = cut(combo[:-1]).cut([forms[combo[-1]]])
+        return got
+
     for size in range(1, q + 1):
-        level: Dict[Tuple[int, ...], Variety] = {}
+        level = []
         for combo in combinations(range(q), size):
-            s = frozenset(combo)
-            parents = [dims[s - {j}] for j in combo] if size > 1 else []
+            s = sum(1 << j for j in combo)
+            parents = [dims[s ^ 1 << j] for j in combo] if size > 1 else [n]
+            level.append((combo, s, parents, max(parents) - 1))
+        certified = iter(modular.bounds([(combo, lb) for combo, _, parents, lb
+                                         in level if -1 not in parents]))
+        for combo, s, parents, lb in level:
             if -1 in parents:
                 dims[s] = -1
                 table.append((combo, -1, Fraction(0)))
                 continue
-            cut = cuts[combo[:-1]].cut([forms[combo[-1]]])
-            d = cut.dim
+            d = lb if next(certified) else cut(combo).dim
             if any(d > p for p in parents):
                 raise CertificationError(
                     "intersection dimension grew under refinement")
@@ -140,12 +420,10 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
                 raise DegenerateInputError(
                     f"members {combo} contain the variety; "
                     "distributive constant undefined")
-            level[combo] = cut
             ratio = Fraction(size, n - d)
             table.append((combo, d, ratio))
             if ratio > best:
                 best, witness = ratio, combo
-        cuts = level
     return best, witness, table
 
 

@@ -228,7 +228,16 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-# literal grammar: "3/2", "-1/3+2i", "i", "2-i", "3i"
+# A prime q = 1 (mod 4), below 2^31 so that a product of two residues fits
+# in a signed 64-bit integer, and a square root of -1 modulo it: Z[i] maps
+# onto F_q by i -> MOD_I, and so does every Gaussian rational whose
+# denominator q does not divide (:meth:`GaussianRational.residue`).
+MOD_PRIME = 2147483629
+MOD_I = 1518275076
+
+# literal grammar: "3/2", "-1/3+2i", "i", "2-i", "3i"; a plain integer
+# ("-4") takes the _INT_RE shortcut
+_INT_RE = re.compile(r"[+-]?\d+")
 _GAUSS_RE = re.compile(
     r"^\s*(?P<first>[+-]?\s*(?:\d+(?:/\d+)?)?\s*i?|[+-]?\s*i)"
     r"\s*(?P<second>[+-]\s*(?:\d+(?:/\d+)?)?\s*i?)?\s*$"
@@ -255,6 +264,8 @@ def _parse_part(text: str) -> tuple[RationalLike, bool]:
 
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse literals like "3/2", "-i", "1/2+3i" into a GaussianRational."""
+    if _INT_RE.fullmatch(text):
+        return GaussianRational(int(text))
     m = _GAUSS_RE.match(text)
     if not m or not m.group("first").strip():
         raise ValueError(f"malformed Gaussian rational literal: {text!r}")

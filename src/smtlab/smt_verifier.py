@@ -20,6 +20,7 @@ from mpmath import iv, mp
 
 from .analytic import Divisor, wronskian
 from .errors import (
+    NAN_REPORT,
     CertificationError,
     DegenerateInputError,
     ExactEvalUnavailableError,
@@ -433,6 +434,8 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
 
     N_trunc = [counting(div, grid, k_used, strict_origin) for div in scaled]
     N_full = [counting(div, grid, math.inf, strict_origin) for div in scaled]
+    if not all(map(math.isfinite, itertools.chain(T, *N_trunc, *N_full))):
+        raise CertificationError(NAN_REPORT)   # NaN != NaN below
 
     max_mult = max((m for div in scaled for _, m in div.points), default=0)
     if (k_used == math.inf or max_mult <= k_used) and N_trunc != N_full:

@@ -14,14 +14,14 @@ polynomial in u of degree k+1 for large u (Mumford): an exact rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import CertificationError, ValidationError
 from .exact_algebra import (HomogPoly, Monomial, WeightVector, _tuple_new,
                             weighted_key)
-from .groebner import Variety, _by_degree, normal_form
+from .groebner import Variety, normal_form
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
 
 WeightedNumerator = Dict[int, Tuple[int, Fraction]]
@@ -38,9 +38,12 @@ class HilbertWeightResult:
 @dataclass(frozen=True)
 class ChowEstimate:
     """The exact Chow weight e_X(c), with the ladder of normalized weights
-    s_u = (k+1) delta S_X(u, c) / (u H_X(u)) that tends to it."""
+    s_u = (k+1) delta S_X(u, c) / (u H_X(u)) that tends to it, and the
+    weight vector and :func:`_weighted_numerator` they were read from."""
     value: Fraction
     sequence: Tuple[Tuple[int, float], ...]
+    weights: WeightVector = field(compare=False, repr=False)
+    numerator: WeightedNumerator = field(compare=False, repr=False)
 
 
 def _weighted_numerator(X: Variety, c: WeightVector) -> WeightedNumerator:
@@ -54,7 +57,7 @@ def _weighted_numerator(X: Variety, c: WeightVector) -> WeightedNumerator:
     for a, v in X.numerator(c).items():
         k, w = out.get(d := sum(a), (0, 0))
         out[d] = (k + v, w + v * c.dot(a))
-    if {d: k for d, (k, _) in out.items() if k} != _by_degree(X.numerator()):
+    if {d: k for d, (k, _) in out.items() if k} != X.coarse_numerator():
         raise CertificationError(
             "in_c(I) and the grevlex leading ideal have different "
             "Hilbert series")
@@ -102,20 +105,6 @@ def _ladder(start: int, u_max: int) -> List[int]:
     return out
 
 
-def _numerator_dim_degree(X: Variety) -> Tuple[int, int]:
-    """(dim, degree) of X from the grevlex Hilbert numerator K(t): the
-    Hilbert series is K(t) / (1 - t)^n, so if K(t) = (1 - t)^m L(t) with
-    L(1) != 0, then dim = n - 1 - m and degree = L(1), where
-    (-1)^m L(1) = K^(m)(1) / m! = sum_d K_d C(d, m).  (-1, 0) for an
-    empty X, where m >= n or K = 0."""
-    K, n = _by_degree(X.numerator()), X.num_vars
-    for m in range(n):
-        top = sum(v * math.comb(d, m) for d, v in K.items())
-        if top:
-            return n - 1 - m, (-1) ** m * top
-    return -1, 0
-
-
 def chow_weight_estimate(X: Variety, c: WeightVector,
                          u_max: int = 40) -> ChowEstimate:
     """Exact e_X(c), with s_u = (k+1) delta S_X(u,c) / (u H_X(u)) along a
@@ -124,16 +113,8 @@ def chow_weight_estimate(X: Variety, c: WeightVector,
     From u0 = max |a| over the numerator of in_c(I) on, every binomial
     of :func:`_weight_sum` is a polynomial in u, so e_X(c) =
     (k+1)! [u^(k+1)] S_X is the (k+1)-st difference of S_X at u0.
-    That difference is exact only for the true k, so a (k, delta) from
-    ``X.dim_degree()`` that differs from :func:`_numerator_dim_degree`
-    raises :class:`CertificationError`.
     """
     k, delta = X.dim_degree()
-    exact = _numerator_dim_degree(X)
-    if (k, delta) != exact:
-        raise CertificationError(
-            f"Hilbert-window dimension and degree {(k, delta)} differ from "
-            f"the Hilbert numerator's {exact}")
     if k < 0:
         raise ValidationError("Chow weight of the empty variety is undefined")
     if u_max < k + 3:
@@ -145,7 +126,7 @@ def chow_weight_estimate(X: Variety, c: WeightVector,
     u0 = max(K)
     value = sum((-1) ** (k + 1 - j) * math.comb(k + 1, j)
                 * _weight_sum(K, c, u0 + j) for j in range(k + 2))
-    return ChowEstimate(value, tuple(seq))
+    return ChowEstimate(value, tuple(seq), c, K)
 
 
 def check_evertse_ferretti(X: Variety, u: int, c: WeightVector,
@@ -153,12 +134,15 @@ def check_evertse_ferretti(X: Variety, u: int, c: WeightVector,
     """Margin of the weight inequality at level u.
 
     margin = S/(uH) - [e/((k+1) delta) - (2k+1) delta max(c) / u], exact
-    and rounded once; a negative margin falsifies.
+    and rounded once; a negative margin falsifies.  ``e_est`` is the
+    estimate of X for the same c, whose numerator S is read from.
     """
     k, delta = X.dim_degree()
     if u <= delta:
         raise ValidationError(f"need u > degree = {delta}")
-    S = _weight_sum(_weighted_numerator(X, c), c, u)
+    if e_est.weights != c:
+        raise ValidationError("Chow estimate is for another weight vector")
+    S = _weight_sum(e_est.numerator, c, u)
     H = X.hilbert_function(u)
     bound = (e_est.value / ((k + 1) * delta)
              - Fraction((2 * k + 1) * delta, u) * c.max_entry())

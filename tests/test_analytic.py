@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from smtlab import analytic
-from smtlab.scalars import GaussianRational
+from smtlab.scalars import MOD_I, MOD_PRIME, GaussianRational
 from smtlab.analytic import (
     AnalyticFunction,
     Curve,
@@ -111,7 +111,7 @@ def test_squarefree_matches_sympy_random():
         assert sorted(got, key=lambda fm: fm[1]) == _sympy_sqf(f)
 
 
-_Q = analytic._SQF_PRIME
+_Q = MOD_PRIME
 
 
 @pytest.mark.parametrize("f, want", [
@@ -146,7 +146,7 @@ def test_squarefree_certificate_skips_exact_gcd(monkeypatch):
     assert analytic._squarefree_mod_q(f.monic())
     monkeypatch.setattr(analytic, "poly_gcd", no_gcd)
     assert squarefree_decomposition(f) == [(f.monic(), 1)]
-    assert (analytic._SQF_I ** 2 + 1) % _Q == 0 and _Q % 4 == 1
+    assert (MOD_I ** 2 + 1) % _Q == 0 and _Q % 4 == 1 and _Q < 2 ** 31
 
 
 # -- arithmetic and promotion ------------------------------------------------

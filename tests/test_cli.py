@@ -128,16 +128,18 @@ def test_weights_sequence(capsys):
     assert data["ef_margin"] >= 0
 
 
-def test_weights_refuses_wrong_window_dimension(tmp_path, capsys):
-    # the Hilbert-window scan reads x0^10 in P^2 as a plane; the report
-    # ends in one error line instead of printing a Chow weight of 0
+def test_weights_report_on_x0_power(tmp_path, capsys):
+    # x0^10 in P^2 is a line of degree 10: its Chow weight for the ladder
+    # (1, 2, 3) is 10 (2 + 3), the degree times the two largest weights
     data = json.loads(Path(CONIC).read_text())
     data["variety_generators"] = ["x0^10"]
     path = tmp_path / "x0_power.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "weights", "--scenario", str(path))
-    assert_one_error_line(code, out, err)
-    assert "(1, 10)" in err
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert (data["dim"], data["degree"]) == (1, 10)
+    assert data["chow_weight"] == "50"
 
 
 def test_weights_large_max_u(capsys):
@@ -296,10 +298,12 @@ def test_finite_grid_past_rounding_exits_one(tmp_path, capsys, points):
     assert f"{points} points" in err and "at most 53 circles" in err
 
 
-@pytest.mark.parametrize("command", ["nevanlinna", "fmt-check", "defects"])
+@pytest.mark.parametrize("command", ["nevanlinna", "fmt-check", "defects",
+                                     "verify"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_nan_in_a_report_exits_one(tmp_path, capsys, command, fmt):
-    # circles out near R = 1e308 overflow T to NaN
+    # circles out near R = 1e308 overflow T and N to NaN; verify refuses
+    # the NaN before it compares counting functions (NaN != NaN)
     data = json.loads(Path(DISC).read_text())
     data["curve"]["domain_R"] = 1e308
     path = tmp_path / "huge_disc.json"

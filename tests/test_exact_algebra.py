@@ -388,6 +388,21 @@ def test_weight_vector_basics():
         WeightVector([1, -1])
 
 
+def test_weight_vector_sums_match_fraction_sums():
+    # dot and total add integer numerators over one denominator; the
+    # Fraction sums are the reference
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        c = WeightVector([Fraction(rng.randint(0, 9), rng.randint(1, 12))
+                          for _ in range(n)])
+        mono = [rng.randint(0, 7) for _ in range(n)]
+        assert c.dot(mono) == sum((Fraction(e) * w for e, w in
+                                   zip(mono, c.entries)), Fraction(0))
+        assert c.total() == sum(c.entries, Fraction(0))
+        assert type(c.dot(mono)) is Fraction and type(c.total()) is Fraction
+
+
 # -- exact elimination ----------------------------------------------------------
 
 def test_echelon_rank_against_sympy():

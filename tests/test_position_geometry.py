@@ -2,10 +2,12 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smtlab.analytic import AnalyticFunction, Curve, Poly1
@@ -17,15 +19,19 @@ from smtlab.hypersurfaces import (
     MovingHypersurface,
     parse_hypersurface,
 )
+from smtlab import groebner
 from smtlab.position_geometry import (
+    _eliminate,
     _fixed_or_sampled,
+    _full_rank,
+    _ModularCuts,
     _scan_subsets,
     check_norm_domination,
     check_remark_bound,
     distributive_constant,
     subgeneral_position,
 )
-from smtlab.scalars import GaussianRational
+from smtlab.scalars import MOD_PRIME, GaussianRational
 from smtlab.scenario import load_scenario
 
 GR = GaussianRational
@@ -136,18 +142,35 @@ def scan_reference(V, forms):
     return best, witness, table
 
 
-def scan_both(V, forms, monkeypatch):
-    """(scan, reference, number of cuts the scan built)."""
+def scan_both(V, forms, monkeypatch, certificates=None):
+    """(scan, reference, number of cuts the scan built); each modular
+    certificate the scan tried lands in ``certificates`` as
+    {subset: certified}."""
     built = []
     cut = Variety.cut
+    bounds = _ModularCuts.bounds
 
     def counting_cut(self, more):
         built.append(more)
         return cut(self, more)
 
+    def recorded_bounds(self, requests):
+        got = bounds(self, requests)
+        if certificates is not None:
+            for (combo, _), ok in zip(requests, got):
+                certificates[tuple(combo)] = ok
+        return got
+
     monkeypatch.setattr(Variety, "cut", counting_cut)
+    monkeypatch.setattr(_ModularCuts, "bounds", recorded_bounds)
     got = _scan_subsets(V, forms)
     return got, scan_reference(Variety(V.ideal), forms), len(built)
+
+
+def prefix_closure(combos):
+    """The nonempty prefixes of the given subsets: the cuts built for
+    them."""
+    return {c[:k] for c in combos for k in range(1, len(c) + 1)}
 
 
 @pytest.mark.parametrize("name", sorted(p.name
@@ -162,12 +185,18 @@ def test_scan_matches_fresh_varieties_on_shipped_scenarios(name,
 
 def test_scan_matches_fresh_varieties_concurrent_lines(monkeypatch):
     # four lines through one point: no pair, triple or quadruple drops
-    # the dimension below a point, and nothing is empty
+    # the dimension below a point, and nothing is empty.  Lines and pairs
+    # are certified; the triples and the quadruple, which do not drop to
+    # their lower bound -1, are cut exactly, with their prefixes
     forms = [parse_homog_poly(t, 3) for t in ("x0", "x1", "x0 + x1",
                                               "x0 - 2*x1")]
-    got, want, built = scan_both(projective_space(2), forms, monkeypatch)
+    tried = {}
+    got, want, built = scan_both(projective_space(2), forms, monkeypatch,
+                                 tried)
     assert got == want
-    assert built == 15
+    failed = {c for c, ok in tried.items() if not ok}
+    assert failed == {c for c in tried if len(c) >= 3}
+    assert built == len(prefix_closure(failed)) == 10
     assert got[0] == Fraction(4, 2) and got[1] == (0, 1, 2, 3)
 
 
@@ -190,23 +219,191 @@ def test_scan_matches_fresh_varieties_with_pruning(monkeypatch):
 def test_scan_prunes_exactly_below_empty_parents(monkeypatch):
     # points of P^1, some repeated: a pair of distinct points is empty, a
     # repeated point is not, so empty and nonempty subsets mix at every
-    # size; the scan builds a cut for a subset exactly when none of its
-    # parents (one member fewer) is empty, and otherwise matches a
-    # fresh-Variety scan with no pruning
+    # size; the scan tries a certificate for a subset exactly when none
+    # of its parents (one member fewer) is empty, cuts exactly the
+    # subsets whose certificate failed (and their prefixes), and matches
+    # a fresh-Variety scan with no pruning
     rng = random.Random(4)
     one, other = Monomial((1, 0)), Monomial((0, 1))
     for _ in range(6):
         roots = [rng.randint(-2, 2) for _ in range(rng.randint(3, 6))]
         forms = [HomogPoly(2, 1, {one: 1, other: -r} if r else {one: 1})
                  for r in roots]
-        got, want, built = scan_both(projective_space(1), forms, monkeypatch)
+        tried = {}
+        got, want, built = scan_both(projective_space(1), forms, monkeypatch,
+                                     tried)
         assert got == want
         dims = {frozenset(c): d for c, d, _ in want[2]}
         assert any(d == -1 for c, d, _ in want[2] if len(c) == 2)
-        assert built == sum(
-            1 for c in dims
-            if all(dims[c - {j}] != -1 for j in c if len(c) > 1))
+        assert {frozenset(c) for c in tried} == {
+            c for c in dims
+            if all(dims[c - {j}] != -1 for j in c if len(c) > 1)}
+        failed = [c for c, ok in tried.items() if not ok]
+        assert built == len(prefix_closure(failed))
         monkeypatch.undo()
+
+# -- modular certificates ----------------------------------------------------
+
+def linear(coeffs):
+    n = len(coeffs)
+    return HomogPoly(n, 1, {Monomial(tuple(int(i == j) for i in range(n))): c
+                            for j, c in enumerate(coeffs) if c})
+
+
+def product(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+def det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def general_lines(rng, count):
+    """count integer lines of P^2, no three through one point (and so no
+    two equal)."""
+    while True:
+        lines = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(count)]
+        if all(det3(*trio) for trio in combinations(lines, 3)):
+            return lines
+
+
+def certificate_families():
+    """(V, forms) for the scan: general position, three concurrent lines,
+    a repeated member, members sharing a component, a variety with
+    generators, and snapshots of a moving family."""
+    rng = random.Random(21)
+    P2, P3 = projective_space(2), projective_space(3)
+
+    def texts(n, *ts):
+        return [parse_homog_poly(t, n) for t in ts]
+
+    yield P2, [linear(h) for h in general_lines(rng, 5)]
+    yield P2, [product([linear(h) for h in general_lines(rng, 2)])
+               for _ in range(4)]
+    yield P3, [linear([rng.randint(-5, 5) for _ in range(4)])
+               for _ in range(6)]
+    yield P2, texts(3, "x0", "x1", "x0 + x1", "x2 - 3*x1")
+    yield P2, texts(3, "x0 - x1", "x2", "x0 - x1", "x1 + 2*x2")
+    yield P2, texts(3, "x0*x1", "x0*x2", "x1^2 - x2^2", "x0 + x1 + x2")
+    yield CONIC, texts(3, "x0", "x2", "x1", "x0 + x1 + x2", "x0 - x2")
+    quadric = Variety(Ideal(4, texts(4, "x0*x3 - x1*x2")))
+    yield quadric, texts(4, "x0", "x3", "x1 + x2", "x0 - x1 + x3", "x2")
+    moving = HypersurfaceFamily([
+        parse_hypersurface(3, 1, {"x0": "1", "x1": "poly: z"}),
+        parse_hypersurface(3, 1, {"x1": "1", "x2": "poly: z^2"}),
+        parse_hypersurface(3, 2, {"x0^2": "1", "x1*x2": "poly: z - 1/2"}),
+        parse_hypersurface(3, 1, {"x2": "1"}),
+    ])
+    for _, forms in _fixed_or_sampled(P2, moving, 3, 5):
+        yield P2, forms
+
+
+def test_certified_dims_match_fresh_varieties(monkeypatch):
+    certified = 0
+    for V, forms in certificate_families():
+        tried = {}
+        got, want, built = scan_both(V, forms, monkeypatch, tried)
+        assert got == want, forms
+        failed = [c for c, ok in tried.items() if not ok]
+        assert built == len(prefix_closure(failed))
+        certified += sum(tried.values())
+        monkeypatch.undo()
+    assert certified > 100
+
+
+def test_denominator_divisible_by_q_takes_the_exact_path(monkeypatch):
+    P2 = projective_space(2)
+    forms = [linear([1, 0, 0]), linear([0, Fraction(1, MOD_PRIME), 1]),
+             linear([1, 0, 1]), linear([2, 1, -1])]
+    assert _ModularCuts(P2, forms).levels[-1][1] is None
+    tried = {}
+    got, want, built = scan_both(P2, forms, monkeypatch, tried)
+    assert got == want
+    assert all(ok == (1 not in c) for c, ok in tried.items())
+    assert built == len(prefix_closure(c for c, ok in tried.items()
+                                       if not ok))
+    monkeypatch.undo()
+    # in a generator of V, no subset is certified
+    conic = Variety(Ideal(3, [parse_homog_poly(
+        f"x0*x2 - 1/{MOD_PRIME}*x1^2", 3)]))
+    tried = {}
+    got, want, _ = scan_both(conic, [forms[0], forms[2], forms[3]],
+                             monkeypatch, tried)
+    assert got == want and tried and not any(tried.values())
+
+
+def count_bases(monkeypatch):
+    calls = []
+    basis = groebner.groebner_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counting)
+    return calls
+
+
+@pytest.mark.parametrize("degree", [7, 8])
+def test_products_of_lines_certified_in_under_a_second(degree, monkeypatch):
+    # three plane curves, each a product of `degree` lines, no three of
+    # the 3 * degree lines concurrent: each curve is a curve, two meet in
+    # points and all three miss each other, so Delta = 1
+    lines = general_lines(random.Random(degree), 3 * degree)
+    family = HypersurfaceFamily([
+        MovingHypersurface.from_homog(product(
+            [linear(h) for h in lines[k * degree:(k + 1) * degree]]))
+        for k in range(3)])
+    calls = count_bases(monkeypatch)
+    t0 = time.perf_counter()
+    rep = distributive_constant(projective_space(2), family)
+    elapsed = time.perf_counter() - t0
+    assert rep.value == 1
+    assert [d for _, d, _ in rep.table] == [1, 1, 1, 0, 0, 0, -1]
+    assert len(calls) == 1     # V's basis; every cut is certified
+    assert elapsed < 1
+
+
+def test_fully_certified_scan_builds_only_the_basis_of_v(monkeypatch):
+    rng = random.Random(3)
+    quadric = Variety(Ideal(4, [parse_homog_poly("x0^2 + x1^2 - x2*x3",
+                                                 4)]))
+    forms = [linear([rng.randint(-5, 5) for _ in range(4)])
+             for _ in range(5)]
+    calls = count_bases(monkeypatch)
+    got = _scan_subsets(quadric, forms)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == scan_reference(quadric, forms)
+
+
+def test_stacked_elimination_matches_the_python_loop():
+    # numpy's fraction-free int64 elimination of a stack against the
+    # Python-int loop, matrix by matrix, on full-rank and rank-deficient
+    # matrices with residues up to q - 1
+    rng = random.Random(17)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 9)
+        stack = []
+        for _ in range(rng.randint(1, 6)):
+            rows = [[rng.choice((0, 1, MOD_PRIME - 1,
+                                 rng.randrange(MOD_PRIME)))
+                     for _ in range(ncols)] for _ in range(nrows)]
+            if rng.random() < 0.3 and nrows > 1:   # a dependent row
+                a, b = rng.sample(range(nrows), 2)
+                f = rng.randrange(MOD_PRIME)
+                rows[a] = [(f * v) % MOD_PRIME for v in rows[b]]
+            stack.append(rows)
+        want = [_eliminate([{k: v for k, v in enumerate(row) if v}
+                            for row in rows], ncols) for rows in stack]
+        got = _full_rank(np.array(stack, dtype=np.int64))
+        assert list(got) == want
+
 
 def test_family_size_guard():
     fam = fixed_family(3, *(["x0"] * 17))

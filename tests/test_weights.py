@@ -17,9 +17,9 @@ from smtlab.exact_algebra import (
     rank_of_vectors,
     weighted_key,
 )
-from smtlab.groebner import Ideal, Variety, normal_form
+from smtlab.groebner import Ideal, Variety, normal_form, variety_dim_degree
 from smtlab.weights import (
-    _numerator_dim_degree,
+    _weighted_numerator,
     check_chow_lower_bound,
     check_evertse_ferretti,
     chow_weight_estimate,
@@ -298,15 +298,28 @@ def test_numerator_dim_degree_against_bezout():
              (conic(), (1, 2)), (twisted_cubic(), (1, 3)),
              (projective_space(3), (3, 1))]
     for X, want in cases:
-        assert _numerator_dim_degree(X) == want
+        assert variety_dim_degree(X) == want
 
 
-def test_chow_refuses_a_wrong_window_dimension():
-    # the window scan reads x0^10 in P^2 as (2, 1); the curve is (1, 10)
+def test_chow_weight_of_x0_power_against_brute_force():
+    # x0^10 in P^2 is the line x0 = 0 ten times: (1, 10).  The ideal is
+    # monomial, so the standard monomials of degree u are those with
+    # a0 < 10, and S(u) is quadratic from u = 9 on: e = (k+1)! [u^2] S is
+    # its second difference
     X = Variety(Ideal(3, [parse_homog_poly("x0^10", 3)]))
-    assert X.dim_degree() == (2, 1)
-    with pytest.raises(CertificationError, match=r"\(1, 10\)"):
-        chow_weight_estimate(X, WeightVector([1, 2, 3]), u_max=12)
+    assert X.dim_degree() == (1, 10)
+    c = WeightVector([1, 2, 3])
+
+    def standard(u):
+        return [m for m in monomials_of_degree(3, u) if m[0] < 10]
+
+    def S(u):
+        return sum((c.dot(m) for m in standard(u)), Fraction(0))
+
+    est = chow_weight_estimate(X, c, u_max=12)
+    assert est.value == S(22) - 2 * S(21) + S(20) == 50
+    for u, s in est.sequence:
+        assert s == float(2 * 10 * S(u) / (u * len(standard(u))))
 
 
 def test_chow_validation():
@@ -323,6 +336,18 @@ def test_evertse_ferretti_frozen_p1():
     est = chow_weight_estimate(X, c, u_max=20)
     margin = check_evertse_ferretti(X, 5, c, est)
     assert abs(margin - Fraction(3, 5)) < 1e-12
+
+
+def test_evertse_ferretti_reads_the_estimates_numerator():
+    # S(u, c) comes from the estimate's own numerator, so an estimate for
+    # another weight vector is refused
+    X = conic()
+    c = WeightVector([2, 0, 1])
+    est = chow_weight_estimate(X, c, u_max=20)
+    assert est.weights == c
+    assert dict(est.numerator) == dict(_weighted_numerator(X, c))
+    with pytest.raises(ValidationError, match="another weight vector"):
+        check_evertse_ferretti(X, 5, WeightVector([1, 0, 0]), est)
 
 
 def test_evertse_ferretti_zero_weights():
