@@ -748,11 +748,13 @@ def _circle_levels(f, fp, t: float, centre: complex = 0j):
     while nodes <= _WINDING_NODES:
         u = np.exp(2j * np.pi * np.arange(nodes) / nodes)
         z = t * u
-        wf, sf = f.eval_scaled(z + centre)
-        if np.any(np.abs(wf) < _TINY):
-            return
-        wp, sp = fp.eval_scaled(z + centre)
-        yield u, wp / wf * np.exp(sp - sf) * z
+        with np.errstate(over="ignore", invalid="ignore"):
+            wf, sf = f.eval_scaled(z + centre)
+            if np.any(np.abs(wf) < _TINY):
+                return
+            wp, sp = fp.eval_scaled(z + centre)
+            g = wp / wf * np.exp(sp - sf) * z
+        yield u, g
         nodes *= 2
 
 
@@ -1065,6 +1067,7 @@ def _parse_poly1(text: str) -> Poly1:
         acc = coeffs.get(power, GaussianRational(0)) + coeff
         coeffs[power] = acc
     top = max(coeffs) if coeffs else 0
+    _check_budget(top + 1, "polynomial literal")
     return Poly1([coeffs.get(k, GaussianRational(0)) for k in range(top + 1)])
 
 

@@ -171,7 +171,12 @@ class HomogPoly:
     def monic(self, key: Callable = grevlex_key) -> "HomogPoly":
         if self.is_zero():
             return self
-        lc = self.leading_coefficient(key)
+        return self.monic_at(self.leading_monomial(key))
+
+    def monic_at(self, lead: Monomial) -> "HomogPoly":
+        """This polynomial divided by its coefficient at lead, its leading
+        monomial in the order at hand."""
+        lc = self.terms[lead]
         if lc == ONE:
             return self
         return _homog(self.num_vars, self.degree,

@@ -92,8 +92,8 @@ def _reduce_full(p: HomogPoly, basis: Sequence[HomogPoly],
     if p.is_zero() or not basis:
         return p
     order = _KeyMemo(key).__getitem__
-    basis = [g.monic(order) for g in basis]
-    return _reduce(p, [(g.leading_monomial(order), g) for g in basis],
+    leads = [g.leading_monomial(order) for g in basis]
+    return _reduce(p, [(lm, g.monic_at(lm)) for lm, g in zip(leads, basis)],
                    budget, order)
 
 
@@ -182,16 +182,16 @@ def groebner_basis(ideal: Ideal,
     """
     meter = _Budget(budget)
     order = _KeyMemo(key).__getitem__
-    basis: List[HomogPoly] = [g.monic(order) for g in seed]
-    leads = [g.leading_monomial(order) for g in basis]
+    leads = [g.leading_monomial(order) for g in seed]
+    basis = [g.monic_at(lm) for lm, g in zip(leads, seed)]
     reducers = list(zip(leads, basis))
     # heap of (lcm degree, k, i) for the pair (i, k), i < k: pairs are
     # formed in (k, i) order, so ties pop in the order they were formed
     pairs: List[Tuple[int, int, int]] = []
 
     def add(h: HomogPoly) -> None:
-        h = h.monic(order)
         lm = h.leading_monomial(order)
+        h = h.monic_at(lm)
         k = len(basis)
         for i, li in enumerate(leads):
             heapq.heappush(pairs, (li.lcm(lm).degree, k, i))

@@ -97,15 +97,22 @@ def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
     trapezoid error itself is not bounded.  Periodic analytic integrands
     converge spectrally; integrands with corners (maxima of smooth
     families) still converge, just slower.  Returns (average, nodes used);
-    raises CertificationError at the node cap _QUAD_NODES.
+    raises CertificationError at the node cap _QUAD_NODES, or at once on a
+    level whose sum is not finite (a float overflow in fn).
     """
     def level_sum(steps: np.ndarray, count: int) -> float:
         z = r * np.exp(2j * math.pi * steps / count)
-        values = np.asarray(fn(z), dtype=float)
-        if values.shape != z.shape:
-            raise ValueError("circle_average integrands return one value "
-                             "per node")
-        return float(np.sum(values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(fn(z), dtype=float)
+            if values.shape != z.shape:
+                raise ValueError("circle_average integrands return one "
+                                 "value per node")
+            total = float(np.sum(values))
+        if not math.isfinite(total):
+            raise CertificationError(
+                f"circle average on |z| = {r} is not finite (a float "
+                "computation overflowed)")
+        return total
 
     nodes = 64
     total = level_sum(np.arange(nodes), nodes)

@@ -475,6 +475,15 @@ def check_remark_bound(V: Variety, family: HypersurfaceFamily, ell: int,
     return Fraction(ell - n + 1) - report.value
 
 
+def check_curve_on_variety(V: Variety, curve: Curve) -> None:
+    """Refuse a curve off V: every generator of I(V), composed with the
+    curve's components, must vanish identically."""
+    for g in V.ideal.generators:
+        restricted = MovingHypersurface.from_homog(g).compose(curve.components)
+        if not restricted.is_zero():
+            raise DegenerateInputError("curve does not lie on the variety")
+
+
 def check_norm_domination(V: Variety, family: HypersurfaceFamily,
                           indices: Sequence[int], curve: Curve,
                           radii: Sequence[float], theta_samples: int = 64,
@@ -488,10 +497,7 @@ def check_norm_domination(V: Variety, family: HypersurfaceFamily,
     (radius, sup) rows; boundedness across radii is the sanity signal.
     """
     subfamily = HypersurfaceFamily([family[j] for j in indices])
-    for g in V.ideal.generators:
-        restricted = MovingHypersurface.from_homog(g).compose(curve.components)
-        if not restricted.is_zero():
-            raise DegenerateInputError("curve does not lie on the variety")
+    check_curve_on_variety(V, curve)
     for _, forms in _fixed_or_sampled(V, subfamily, samples, seed):
         if intersection_dim(V, forms) != -1:
             raise DegenerateInputError(

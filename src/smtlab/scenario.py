@@ -5,8 +5,9 @@ float ever contaminates the algebraic side.  Radii and tolerances are
 plain numbers.
 
 A loaded Scenario is also the session its reports share: the
-distributive-constant scan and, through ``session``, T, Q_j(f), the
-divisors and the proximity rows are computed once each, on first use.
+distributive-constant scan, the check that the curve lies on the variety
+and, through ``session``, T, Q_j(f), the divisors and the proximity rows
+are computed once each, on first use.
 ``load_scenario`` keeps the last scenario it loaded and hands it out
 again while the file's bytes stay the same.
 """
@@ -20,12 +21,16 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .analytic import Curve, parse_function, poles
-from .errors import ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .exact_algebra import parse_homog_poly
 from .groebner import Ideal, Variety
 from .hypersurfaces import HypersurfaceFamily, parse_hypersurface
 from .nevanlinna import GridSession, RadialGrid
-from .position_geometry import DistributiveReport, distributive_constant
+from .position_geometry import (
+    DistributiveReport,
+    check_curve_on_variety,
+    distributive_constant,
+)
 
 # grid points a scenario may ask for; shipped scenarios use at most 40
 MAX_GRID_POINTS = 1000
@@ -58,6 +63,12 @@ class Scenario:
         return self.session.once(("scan", samples), lambda: (
             distributive_constant(self.variety, self.family,
                                   samples=samples, seed=self.seed)))
+
+    def check_curve_on_variety(self) -> None:
+        """Refuse a curve that does not map into the variety; checked
+        once."""
+        self.session.once("curve on V", lambda: check_curve_on_variety(
+            self.variety, self.curve))
 
 
 def _field(data: dict, name: str, required: bool = True, default=None):
@@ -167,7 +178,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         text = _typed(text, str, name)
         try:
             comps.append(parse_function(text))
-        except (ValueError, ValidationError, ZeroDivisionError) as err:
+        except (BudgetExceededError, ValueError, ValidationError,
+                ZeroDivisionError) as err:
             raise ValidationError(f"scenario field {name!r}: {err}")
         _check_no_pole(comps[-1], R, name)
     if len(comps) != N + 1:
@@ -201,8 +213,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         try:
             member = parse_hypersurface(N + 1, int(spec["degree"]),
                                         coefficients)
-        except (KeyError, TypeError, ValueError, ValidationError,
-                ZeroDivisionError) as err:
+        except (BudgetExceededError, KeyError, TypeError, ValueError,
+                ValidationError, ZeroDivisionError) as err:
             raise ValidationError(f"scenario field {name!r}: {err}")
         declared_moving = bool(spec.get("moving", False))
         if member.is_moving != declared_moving:

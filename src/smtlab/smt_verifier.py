@@ -5,6 +5,11 @@ of the main disc theorem, the older factorial-growth bound they improve
 on, and the plane case (no correction term).  Every ceiling is exact
 rational arithmetic; every floor of a transcendental expression is
 certified by adaptive-precision interval arithmetic.
+
+Both scenario reports refuse a curve off the variety V.  `verify` then
+checks nondegeneracy up to degree 2: exactly for polynomial and rational
+curves, by the rank of the monomials in the components on their
+coefficients; a transcendental curve is flagged as not certified.
 """
 
 from __future__ import annotations
@@ -13,17 +18,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import mpmath
 from mpmath import iv, mp
 
-from .analytic import Divisor, wronskian
+from .analytic import Divisor, Poly1, poly_gcd, wronskian
 from .errors import (
     NAN_REPORT,
     CertificationError,
     DegenerateInputError,
-    ExactEvalUnavailableError,
     ValidationError,
 )
 from .exact_algebra import monomials_of_degree, rank_of_vectors
@@ -34,7 +38,6 @@ from .nevanlinna import (
     growth_index_sampled,
     _top_decile_defect,
 )
-from .scalars import GaussianRational
 from .scenario import Scenario
 
 _MAX_EXACT_BITS = 10 ** 6
@@ -303,60 +306,57 @@ class SMTReport:
         return any(f.startswith("falsification") for f in self.flags)
 
 
-def _sample_values(comps) -> Iterator[List[GaussianRational]]:
-    """The components' exact values at (3t+1)/(2t+3), t = 1, 2, ...,
-    skipping the finitely many points where a component has a pole."""
-    for t in itertools.count(1):
-        z = GaussianRational(Fraction(3 * t + 1, 2 * t + 3))
-        try:
-            values = [c.eval_exact(z) for c in comps]
-        except ZeroDivisionError:
-            continue
-        yield values
+def _cleared_denominators(comps) -> List[Poly1]:
+    """D f for polynomial or rational components f, D the lcm of their
+    denominators."""
+    fractions = [c._as_fraction() for c in comps]
+    D = Poly1.constant(1)
+    for _, den in fractions:
+        D = D * (den // poly_gcd(D, den))
+    return [num * (D // den) for num, den in fractions]
+
+
+def _monomial_rank(polys: List[Poly1], u: int) -> int:
+    """Rank over Q(i) of the degree-u monomials in polys, as coefficient
+    vectors."""
+    rows = []
+    for mono in monomials_of_degree(len(polys), u):
+        product = Poly1.constant(1)
+        for p, e in zip(polys, mono):
+            if e:
+                product = product * p ** e
+        rows.append(dict(enumerate(product.coeffs)))
+    return rank_of_vectors(rows, keyfunc=lambda k: k)
 
 
 def _spot_check_nondegenerate(scenario: Scenario, flags: List[str]) -> None:
-    """Cheap surrogates for algebraic nondegeneracy.
+    """No relations of degree 1 or 2 beyond the variety's own ideal.
 
-    Full certification is out of reach numerically; what can be checked
-    is that no member annihilates the curve and that monomial values up
-    to degree 2 satisfy no relations beyond the variety's own ideal.  The
-    relations are polynomial, so sample points at the poles of rational
-    components (outside the domain) are skipped.
+    Exact for polynomial and rational curves: with D the lcm of the
+    denominators, P(D f) = D^u P(f) for every degree-u form P, so f meets
+    only the relations of I(V) in degree u exactly when the degree-u
+    monomials in D f, as coefficient vectors, have rank H_V(u).  On
+    V = P^N the u = 1 rank decides linear independence.  Transcendental
+    curves are only flagged, and checked for linear independence by their
+    Wronskian on P^N.
     """
     comps = scenario.curve.components
-    try:
-        samples = _sample_values(comps)
-        points: List[List[GaussianRational]] = []  # component values
-        for u in (1, 2):
-            monos = monomials_of_degree(scenario.ambient_N + 1, u)
-            expected = scenario.variety.hilbert_function(u)
-            while len(points) < len(monos) + 5:
-                points.append(next(samples))
-            rows = []
-            for mono in monos:
-                vals = {}
-                for idx, values in enumerate(points):
-                    v = GaussianRational(1)
-                    for value, e in zip(values, mono):
-                        for _ in range(e):
-                            v = v * value
-                    vals[idx] = v
-                rows.append(vals)
-            # sampled rank only ever underestimates, so reaching the
-            # Hilbert function certifies the absence of extra relations
-            rank = rank_of_vectors(rows, keyfunc=lambda k: k)
-            if rank < expected:
-                raise DegenerateInputError(
-                    f"curve satisfies an unexpected degree-{u} relation "
-                    f"(monomial rank {rank} < {expected})")
-    except ExactEvalUnavailableError:
+    if any(c.kind == "exppoly" for c in comps):
         flags.append("nondegeneracy assumption not certified "
                      "(transcendental components); only Q_j(f) != 0 checked")
-    if not scenario.variety.ideal.generators:
-        if wronskian(list(comps)).is_zero():
+        if not scenario.variety.ideal.generators:
+            if wronskian(list(comps)).is_zero():
+                raise DegenerateInputError(
+                    "curve is linearly degenerate (Wronskian vanishes)")
+        return
+    polys = _cleared_denominators(comps)
+    for u in (1, 2):
+        rank = _monomial_rank(polys, u)
+        expected = scenario.variety.hilbert_function(u)
+        if rank < expected:
             raise DegenerateInputError(
-                "curve is linearly degenerate (Wronskian vanishes)")
+                f"curve satisfies an unexpected degree-{u} relation "
+                f"(monomial rank {rank} < {expected})")
 
 
 def _scaled(div: Divisor, factor: int) -> Divisor:
@@ -394,6 +394,7 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
     plane = math.isinf(scenario.domain_radius)
     for j in range(len(family)):   # a target holding the curve fails first
         session.composed(j)
+    scenario.check_curve_on_variety()
     _spot_check_nondegenerate(scenario, flags)
     constants, other, T, c_f = _scenario_setup(scenario, quad_tol)
     n, q, d, delta = constants.n, constants.q, constants.d, constants.delta_V
@@ -509,6 +510,7 @@ def defect_relation_report(scenario: Scenario,
     family = scenario.family
     if family.is_moving:
         raise ValidationError("the defect relation needs fixed hypersurfaces")
+    scenario.check_curve_on_variety()
     flags: List[str] = []
     constants, _, T, c_f = _scenario_setup(scenario, quad_tol)
     n, q, d, delta = constants.n, constants.q, constants.d, constants.delta_V

@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from smtlab import cli
+from smtlab.analytic import Curve
 from smtlab.smt_verifier import SMTConstants, SMTReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -388,8 +391,7 @@ def assert_one_error_line(code, out, err):
 
 
 def test_pole_at_spot_check_point_exits_one(tmp_path, capsys):
-    # 4/5 is the first nondegeneracy sample point (3t+1)/(2t+3), t = 1;
-    # on the plane the pole alone rejects the curve
+    # on the plane a pole anywhere rejects the curve at load
     path = _scenario_file(tmp_path, curve={
         "components": ["poly: 1", "rational: (1)/(z - 4/5)"],
         "domain_R": "inf"})
@@ -418,7 +420,9 @@ def test_pole_in_domain_exits_one(tmp_path, capsys, command):
 
 
 def test_pole_outside_disc_skips_sample_point(tmp_path, capsys):
-    # the pole 4/5 lies outside |z| < 0.7 but is the first sample point
+    # the pole 4/5 lies outside |z| < 0.7, so the curve is holomorphic on
+    # its disc; the nondegeneracy check clears the denominator and never
+    # evaluates the curve at a point
     data = json.loads(Path(DISC).read_text())
     data.update(curve={"components": ["poly: 1", "rational: (1)/(z - 4/5)"],
                        "domain_R": 0.7}, r0=0.05)
@@ -427,6 +431,75 @@ def test_pole_outside_disc_skips_sample_point(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--scenario", str(path))
     assert code == 0 and err == ""
     assert json.loads(out)["rows"]
+
+
+def test_interpolant_of_sample_parities_verifies(tmp_path, capsys):
+    # p interpolates t mod 2 at z_t = (3t+1)/(2t+3), t = 1..8, so p and
+    # p^2 agree at those points; the curve (1, p) still satisfies no
+    # quadratic relation, and verify must not report one
+    xs = [Fraction(3 * t + 1, 2 * t + 3) for t in range(1, 9)]
+    coeffs = [Fraction(0)] * len(xs)
+    for i, x in enumerate(xs):
+        if i % 2 == 1:       # t = i + 1 even
+            continue
+        basis, scale = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                scale /= x - xj
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    literal = " + ".join(f"({c})*z^{k}" for k, c in enumerate(coeffs))
+    path = _scenario_file(tmp_path, curve={
+        "components": ["poly: 1", "poly: " + literal], "domain_R": "inf"})
+    code, out, err = run(capsys, "verify", "--scenario", path)
+    assert code == 0 and err == ""
+    assert json.loads(out)["rows"]
+
+
+@pytest.mark.parametrize("command", ["verify", "defects"])
+def test_curve_off_the_variety_exits_one(tmp_path, capsys, command):
+    data = json.loads(Path(CONIC).read_text())
+    data["curve"]["components"] = ["poly: 1", "poly: z", "poly: z^3"]
+    path = tmp_path / "off_conic.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--scenario", str(path))
+    assert_one_error_line(code, out, err)
+    assert "curve does not lie on the variety" in err
+
+
+@pytest.mark.parametrize("command", ["nevanlinna", "verify"])
+def test_float_overflow_on_a_circle_exits_one_at_once(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # |f| overflows a double on these circles; numpy may not warn (the
+    # warning would be a second stderr line) and the walk stops at once
+    data = json.loads(Path(CONIC).read_text())
+    data["grid"] = {"kind": "geometric", "r_min": 1e300, "r_max": 1e307,
+                    "points": 40}
+    path = tmp_path / "huge_grid.json"
+    path.write_text(json.dumps(data))
+    levels = []
+    integrand = Curve.log_norm
+
+    def counted(self, z):
+        levels.append(len(z))
+        return integrand(self, z)
+    monkeypatch.setattr(Curve, "log_norm", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, "--scenario", str(path))
+    assert_one_error_line(code, out, err)
+    assert "circle average on |z| = 1e+300 is not finite" in err
+    assert levels == [64]
+
+
+def test_too_long_polynomial_literal_exits_one_at_load(tmp_path, capsys):
+    path = _scenario_file(tmp_path, curve={
+        "components": ["poly: 1", "poly: z^100000"], "domain_R": "inf"})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nevanlinna", "--scenario", path)
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(code, out, err)
+    assert "'curve.components[1]': polynomial literal would need 100001" in err
 
 
 def test_structural_type_error_exits_one(tmp_path, capsys):

@@ -22,9 +22,10 @@ from smtlab.scenario import _forget
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RUNS = 600
 
-# Well-formed but costly literals (a huge degree; an exponential in a
-# plane scenario, whose hundreds of zeros out to r = 1000 take seconds to
-# isolate) are left out: they are not malformed input (see CHANGES.md).
+# An exponential component in a plane scenario is left out: it is
+# well-formed, but its hundreds of zeros out to r = 1000 take seconds to
+# isolate (see CHANGES.md).  A literal of huge degree needs no exclusion:
+# it is refused at load.
 HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1/0", "", "x", "poly: z^3",
            "rational: (1)/(z)", 0, -1, 0.5, 1e308, 1e-308, 10 ** 6, 2 ** 70,
            -0.0, True, None, [], {}]

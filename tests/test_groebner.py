@@ -420,6 +420,23 @@ def test_kernel_cost_guard(monkeypatch):
     assert hilbert == [1] + [3 * u + 1 for u in range(1, 8)]
     assert len(weight.basis) == hilbert[6]
 
+    # a dense plane nonic, not monic: one leading-monomial scan for the
+    # generator and one for the element it adds
+    nonic = HomogPoly(3, 9, {m: GaussianRational(k + 2, k % 3) for k, m
+                             in enumerate(monomials_of_degree(3, 9))})
+    scans = []
+    scan = HomogPoly.leading_monomial
+
+    def counting_scan(self, key=grevlex_key):
+        scans.append(self)
+        return scan(self, key)
+
+    monkeypatch.setattr(HomogPoly, "leading_monomial", counting_scan)
+    basis = groebner_basis(Ideal(3, [nonic]))
+    monkeypatch.undo()
+    assert basis == [nonic.monic()]
+    assert len(scans) <= 2
+
 
 def test_public_constructors_still_validate():
     with pytest.raises(ValueError):

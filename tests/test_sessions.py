@@ -71,25 +71,27 @@ def test_analytic_reports_compute_once_per_session(counted):
     assert [code for code, _, _ in first] == [0, 0, 0, 0]
     grid = scenario_mod.load_scenario(CONIC).grid.values
     q = len(scenario_mod.load_scenario(CONIC).family)
+    # Q_j(f) per target, and the conic's generator once (curve on V)
+    composed = q + 1
     assert sorted(radii) == sorted(grid) and set(radii.values()) == {1}
-    assert calls == Counter(characteristic=len(grid), compose=q, divisor=q,
-                            distributive=1)
+    assert calls == Counter(characteristic=len(grid), compose=composed,
+                            divisor=q, distributive=1)
     # the same reports again add nothing
     assert [in_process([c, "--scenario", CONIC]) for c in ANALYTIC] == first
-    assert calls == Counter(characteristic=len(grid), compose=q, divisor=q,
-                            distributive=1)
+    assert calls == Counter(characteristic=len(grid), compose=composed,
+                            divisor=q, distributive=1)
     # another scenario drops the session; the first is then recomputed
     in_process(["verify", "--scenario", THREE_POINTS])
     calls.clear()
     radii.clear()
     assert [in_process([c, "--scenario", CONIC]) for c in ANALYTIC] == first
-    assert calls == Counter(characteristic=len(grid), compose=q, divisor=q,
-                            distributive=1)
+    assert calls == Counter(characteristic=len(grid), compose=composed,
+                            divisor=q, distributive=1)
     # a --seed override starts a fresh session on every report
     for _ in range(2):
         calls.clear()
         in_process(["verify", "--scenario", CONIC, "--seed", "0"])
-        assert calls == Counter(characteristic=len(grid), compose=q,
+        assert calls == Counter(characteristic=len(grid), compose=composed,
                                 divisor=q, distributive=1)
 
 

@@ -1,6 +1,7 @@
 """Truncation constants and scenario-level inequality verification."""
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -8,11 +9,15 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
+from smtlab import smt_verifier
+from smtlab.analytic import AnalyticFunction, Poly1
 from smtlab.errors import (
     CertificationError,
     DegenerateInputError,
     ValidationError,
 )
+from smtlab.exact_algebra import monomials_of_degree
+from smtlab.scalars import GaussianRational
 from smtlab.scenario import load_scenario, scenario_from_dict
 from smtlab.smt_verifier import (
     SMTConstants,
@@ -235,6 +240,93 @@ def test_verify_transcendental_curve_flags_nondegeneracy():
     }
     rep = verify_main_inequality(scenario_from_dict(data))
     assert rep.flags[0].startswith("nondegeneracy assumption not certified")
+
+
+def _random_function(rng, rational):
+    """A polynomial of degree 0-3 with Gaussian-integer coefficients, over
+    a denominator of degree 1-2 when rational."""
+    def poly(degree):
+        coeffs = [GaussianRational(rng.randint(-3, 3),
+                                   rng.choice((0, 0, 1, -2)))
+                  for _ in range(degree)]
+        return Poly1(coeffs + [GaussianRational(rng.randint(1, 3))])
+    num = poly(rng.randint(0, 3))
+    if not rational:
+        return AnalyticFunction.from_poly(num)
+    return AnalyticFunction.rational(num, poly(rng.randint(1, 2)))
+
+
+def _sympy_ranks(sympy, comps):
+    """Ranks of the degree-1 and degree-2 monomials in the components,
+    cleared by the product of their denominators, by sympy over Q(i)."""
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+    z = sympy.Symbol("z")
+
+    def poly(p):
+        coeffs = [sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+                  for c in reversed(p.coeffs)]
+        return sympy.Poly(coeffs, z, domain=QQ_I)
+    fractions = [tuple(map(poly, c._as_fraction())) for c in comps]
+    D = sympy.Poly(1, z, domain=QQ_I)
+    for _, den in fractions:
+        D = D * den
+    polys = [(num * D).exquo(den) for num, den in fractions]
+    ranks = []
+    for u in (1, 2):
+        rows = []
+        for mono in monomials_of_degree(len(polys), u):
+            product = sympy.Poly(1, z, domain=QQ_I)
+            for p, e in zip(polys, mono):
+                product = product * p ** e
+            rows.append(product.rep.to_list()[::-1])
+        width = max(map(len, rows))
+        rows = [row + [QQ_I.zero] * (width - len(row)) for row in rows]
+        ranks.append(DomainMatrix(rows, (len(rows), width), QQ_I).rank())
+    return ranks
+
+
+def test_monomial_ranks_against_sympy():
+    # 30 curves in P^2 and P^3, every third rational; the first 15 lie on
+    # the quadric x0 x2 = x1^2, as (1, p, p^2) or (1, p, p^2, q)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    for case in range(30):
+        n = 3 + case % 2
+        rational = case % 3 == 0
+        comps = [_random_function(rng, rational) for _ in range(n)]
+        if case < 15:
+            p = comps[1]
+            comps[:3] = [AnalyticFunction.constant(1), p, p * p]
+        polys = smt_verifier._cleared_denominators(comps)
+        ours = [smt_verifier._monomial_rank(polys, u) for u in (1, 2)]
+        assert ours == _sympy_ranks(sympy, comps), case
+        if case < 15:
+            assert ours[1] < len(monomials_of_degree(n, 2))
+
+
+def test_exact_check_evaluates_nothing(monkeypatch):
+    # polynomial and rational curves are checked on coefficients alone:
+    # no point evaluation and no Wronskian
+    def forbidden(*args):
+        raise AssertionError("called on the exact path")
+    monkeypatch.setattr(AnalyticFunction, "eval_exact", forbidden)
+    monkeypatch.setattr(Poly1, "eval_exact", forbidden)
+    monkeypatch.setattr(smt_verifier, "wronskian", forbidden)
+    for name in ("line_three_points", "conic_four_lines"):
+        s = load_scenario(str(SCENARIOS / f"{name}.json"))
+        smt_verifier._spot_check_nondegenerate(s, [])
+    rational = scenario_from_dict({
+        "ambient_N": 1,
+        "curve": {"components": ["poly: 1", "rational: (z)/(z - 4/5)"],
+                  "domain_R": 0.7},
+        "hypersurfaces": [{"degree": 1, "coefficients": {"x0": "1"}}],
+        "epsilon": "1/2",
+        "r0": 0.05,
+    })
+    flags = []
+    smt_verifier._spot_check_nondegenerate(rational, flags)
+    assert flags == []
 
 
 def test_verify_vacuous_regime():
