@@ -726,9 +726,6 @@ class Curve:
                 "representation not reduced")
         return 0.5 * (m + ops.log(sum(ops.exp(v - m) for v in logs)))
 
-    def wronskian(self) -> AnalyticFunction:
-        return wronskian(self.components)
-
 
 # ---------------------------------------------------------------------------
 # winding numbers

@@ -149,10 +149,10 @@ def _subtract(work: Dict[Monomial, object], coeff, g: HomogPoly,
     return added
 
 
-def _s_poly(f: HomogPoly, g: HomogPoly,
-            key: Callable = grevlex_key) -> HomogPoly:
-    """f*(l/lf) - g*(l/lg) for monic f and g, l = lcm(lf, lg)."""
-    lf, lg = f.leading_monomial(key), g.leading_monomial(key)
+def _s_poly(f: HomogPoly, g: HomogPoly, lf: Monomial,
+            lg: Monomial) -> HomogPoly:
+    """f*(l/lf) - g*(l/lg) for monic f and g with leading monomials lf
+    and lg, l = lcm(lf, lg)."""
     l = lf.lcm(lg)
     quot = l.quotient(lf)
     terms = {m.mul(quot): c for m, c in f.terms.items() if m != lf}
@@ -210,7 +210,8 @@ def groebner_basis(ideal: Ideal,
         li, lj = leads[i], leads[j]
         if li.lcm(lj) == li.mul(lj):
             continue  # coprime leading terms; S-poly reduces to zero
-        r = _reduce(_s_poly(basis[i], basis[j], order), reducers, meter, order)
+        r = _reduce(_s_poly(basis[i], basis[j], li, lj), reducers, meter,
+                    order)
         if not r.is_zero():
             add(r)
 

@@ -1,4 +1,5 @@
-"""Distributive constant, subgeneral position, and norm domination.
+"""Distributive constant, subgeneral position, norm domination, and the
+curve's hypotheses.
 
 The distributive constant maxes #Gamma / (dim V - dim(V cut by Gamma)) over
 nonempty subsets Gamma of the family, with the empty intersection counting
@@ -11,6 +12,11 @@ basis is seeded with the prefix's reduced basis.  Moving families are
 snapshotted at exact Gaussian-rational sample points; agreement across
 independent samples stands in for the paper-level "generic z", and the
 report records the points used.
+
+A curve f meets the hypotheses of the second main theorem when it lies on
+V (:func:`check_curve_on_variety`) and is nondegenerate over V up to
+degree 2 (:func:`check_nondegenerate`, an exact rank check on
+coefficients).
 """
 
 from __future__ import annotations
@@ -19,20 +25,21 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import add
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analytic import Curve
+from .analytic import AnalyticFunction, Curve, Poly1, poly_gcd
 from .errors import (
     CertificationError,
     DegenerateInputError,
     UnsupportedOperationError,
     ValidationError,
 )
-from .exact_algebra import HomogPoly
+from .exact_algebra import HomogPoly, rank_of_vectors
 from .groebner import Variety, intersection_dim
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
 from .scalars import MOD_I, MOD_PRIME, GaussianRational
@@ -482,6 +489,51 @@ def check_curve_on_variety(V: Variety, curve: Curve) -> None:
         restricted = MovingHypersurface.from_homog(g).compose(curve.components)
         if not restricted.is_zero():
             raise DegenerateInputError("curve does not lie on the variety")
+
+
+def _cleared_denominators(comps: Sequence[AnalyticFunction]
+                          ) -> List[AnalyticFunction]:
+    """D f, D the lcm of the denominators of the rational components; each
+    entry is a polynomial or an exponential polynomial."""
+    D = Poly1.constant(1)
+    for c in comps:
+        if c.kind == "rational":
+            D = D * (c.data.den // poly_gcd(D, c.data.den))
+    return [AnalyticFunction.from_poly(c.data.num * (D // c.data.den))
+            if c.kind == "rational" else c * AnalyticFunction.from_poly(D)
+            for c in comps]
+
+
+def _monomial_rank(fs: Sequence[AnalyticFunction], u: int) -> int:
+    """Rank over Q(i) of the degree-u monomials in fs, each written as
+    sum p_lambda(z) e^(lambda z) and read as its coefficient vector keyed
+    by (lambda, power of z)."""
+    rows = [{(lam, k): c
+             for lam, p in reduce(mul, factors)._as_exppoly().items()
+             for k, c in enumerate(p.coeffs)}
+            for factors in combinations_with_replacement(fs, u)]
+    return rank_of_vectors(rows, keyfunc=lambda key: (key[0].re, key[0].im,
+                                                      key[1]))
+
+
+def check_nondegenerate(V: Variety, curve: Curve) -> None:
+    """Refuse a curve with a relation of degree 1 or 2 beyond I(V).
+
+    With D the lcm of the denominators, P(D f) = D^u P(f) for every
+    degree-u form P, and the functions z^k e^(lambda z) are linearly
+    independent, so a curve on V meets only the relations of I(V) in
+    degree u exactly when the degree-u monomials in D f, as coefficient
+    vectors, have rank H_V(u).  On V = P^N the u = 1 rank decides linear
+    independence.
+    """
+    fs = _cleared_denominators(curve.components)
+    for u in (1, 2):
+        rank = _monomial_rank(fs, u)
+        expected = V.hilbert_function(u)
+        if rank < expected:
+            raise DegenerateInputError(
+                f"curve satisfies an unexpected degree-{u} relation "
+                f"(monomial rank {rank} < {expected})")
 
 
 def check_norm_domination(V: Variety, family: HypersurfaceFamily,

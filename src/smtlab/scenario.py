@@ -5,9 +5,9 @@ float ever contaminates the algebraic side.  Radii and tolerances are
 plain numbers.
 
 A loaded Scenario is also the session its reports share: the
-distributive-constant scan, the check that the curve lies on the variety
-and, through ``session``, T, Q_j(f), the divisors and the proximity rows
-are computed once each, on first use.
+distributive-constant scan, the check of the curve's hypotheses and,
+through ``session``, T, Q_j(f), the divisors and the proximity rows are
+computed once each, on first use.
 ``load_scenario`` keeps the last scenario it loaded and hands it out
 again while the file's bytes stay the same.
 """
@@ -29,6 +29,7 @@ from .nevanlinna import GridSession, RadialGrid
 from .position_geometry import (
     DistributiveReport,
     check_curve_on_variety,
+    check_nondegenerate,
     distributive_constant,
 )
 
@@ -64,11 +65,16 @@ class Scenario:
             distributive_constant(self.variety, self.family,
                                   samples=samples, seed=self.seed)))
 
-    def check_curve_on_variety(self) -> None:
-        """Refuse a curve that does not map into the variety; checked
-        once."""
-        self.session.once("curve on V", lambda: check_curve_on_variety(
-            self.variety, self.curve))
+    def check_curve(self) -> None:
+        """Refuse a curve outside the hypotheses of the second main
+        theorem, checked once and in this order: every Q_j(f) is nonzero,
+        f lies on V, and f is nondegenerate over V up to degree 2."""
+        def check():
+            for j in range(len(self.family)):
+                self.session.composed(j)
+            check_curve_on_variety(self.variety, self.curve)
+            check_nondegenerate(self.variety, self.curve)
+        self.session.once("curve", check)
 
 
 def _field(data: dict, name: str, required: bool = True, default=None):

@@ -6,10 +6,10 @@ on, and the plane case (no correction term).  Every ceiling is exact
 rational arithmetic; every floor of a transcendental expression is
 certified by adaptive-precision interval arithmetic.
 
-Both scenario reports refuse a curve off the variety V.  `verify` then
-checks nondegeneracy up to degree 2: exactly for polynomial and rational
-curves, by the rank of the monomials in the components on their
-coefficients; a transcendental curve is flagged as not certified.
+Both scenario reports first check the curve's hypotheses through
+:meth:`~smtlab.scenario.Scenario.check_curve`: no target contains it, it
+lies on the variety V, and it is nondegenerate over V up to degree 2,
+exactly for every curve kind.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from typing import Dict, List, Optional, Tuple
 import mpmath
 from mpmath import iv, mp
 
-from .analytic import Divisor, Poly1, poly_gcd, wronskian
+from .analytic import Divisor
 from .errors import (
     NAN_REPORT,
     CertificationError,
     DegenerateInputError,
     ValidationError,
 )
-from .exact_algebra import monomials_of_degree, rank_of_vectors
 from .nevanlinna import (
     characteristic,  # noqa: F401  (perfbench traces it under this name too)
     counting,
@@ -306,59 +305,6 @@ class SMTReport:
         return any(f.startswith("falsification") for f in self.flags)
 
 
-def _cleared_denominators(comps) -> List[Poly1]:
-    """D f for polynomial or rational components f, D the lcm of their
-    denominators."""
-    fractions = [c._as_fraction() for c in comps]
-    D = Poly1.constant(1)
-    for _, den in fractions:
-        D = D * (den // poly_gcd(D, den))
-    return [num * (D // den) for num, den in fractions]
-
-
-def _monomial_rank(polys: List[Poly1], u: int) -> int:
-    """Rank over Q(i) of the degree-u monomials in polys, as coefficient
-    vectors."""
-    rows = []
-    for mono in monomials_of_degree(len(polys), u):
-        product = Poly1.constant(1)
-        for p, e in zip(polys, mono):
-            if e:
-                product = product * p ** e
-        rows.append(dict(enumerate(product.coeffs)))
-    return rank_of_vectors(rows, keyfunc=lambda k: k)
-
-
-def _spot_check_nondegenerate(scenario: Scenario, flags: List[str]) -> None:
-    """No relations of degree 1 or 2 beyond the variety's own ideal.
-
-    Exact for polynomial and rational curves: with D the lcm of the
-    denominators, P(D f) = D^u P(f) for every degree-u form P, so f meets
-    only the relations of I(V) in degree u exactly when the degree-u
-    monomials in D f, as coefficient vectors, have rank H_V(u).  On
-    V = P^N the u = 1 rank decides linear independence.  Transcendental
-    curves are only flagged, and checked for linear independence by their
-    Wronskian on P^N.
-    """
-    comps = scenario.curve.components
-    if any(c.kind == "exppoly" for c in comps):
-        flags.append("nondegeneracy assumption not certified "
-                     "(transcendental components); only Q_j(f) != 0 checked")
-        if not scenario.variety.ideal.generators:
-            if wronskian(list(comps)).is_zero():
-                raise DegenerateInputError(
-                    "curve is linearly degenerate (Wronskian vanishes)")
-        return
-    polys = _cleared_denominators(comps)
-    for u in (1, 2):
-        rank = _monomial_rank(polys, u)
-        expected = scenario.variety.hilbert_function(u)
-        if rank < expected:
-            raise DegenerateInputError(
-                f"curve satisfies an unexpected degree-{u} relation "
-                f"(monomial rank {rank} < {expected})")
-
-
 def _scaled(div: Divisor, factor: int) -> Divisor:
     return Divisor(tuple((z, m * factor) for z, m in div.points),
                    div.radius)
@@ -388,14 +334,11 @@ def verify_main_inequality(scenario: Scenario, quad_tol: float = 1e-8,
     Margins are RHS - LHS; a negative margin beyond `tolerance` is a
     falsification event and lands in the flags.
     """
+    scenario.check_curve()
     flags: List[str] = []
     family = scenario.family
     session = scenario.session
     plane = math.isinf(scenario.domain_radius)
-    for j in range(len(family)):   # a target holding the curve fails first
-        session.composed(j)
-    scenario.check_curve_on_variety()
-    _spot_check_nondegenerate(scenario, flags)
     constants, other, T, c_f = _scenario_setup(scenario, quad_tol)
     n, q, d, delta = constants.n, constants.q, constants.d, constants.delta_V
     eps = scenario.epsilon
@@ -510,7 +453,7 @@ def defect_relation_report(scenario: Scenario,
     family = scenario.family
     if family.is_moving:
         raise ValidationError("the defect relation needs fixed hypersurfaces")
-    scenario.check_curve_on_variety()
+    scenario.check_curve()
     flags: List[str] = []
     constants, _, T, c_f = _scenario_setup(scenario, quad_tol)
     n, q, d, delta = constants.n, constants.q, constants.d, constants.delta_V
@@ -519,8 +462,6 @@ def defect_relation_report(scenario: Scenario,
     L = constants.L
 
     grid = scenario.grid
-    for j in range(q):   # every target checked before any divisor
-        scenario.session.composed(j)
     divisors = [scenario.session.divisor(j) for j in range(q)]
     max_mult = max((m for div in divisors for _, m in div.points), default=0)
     defects = [(j, _top_decile_defect(grid, counting(div, grid, L - 1), T,

@@ -620,11 +620,6 @@ def test_curve_log_norm_degenerate_node():
         c.log_norm(0j)
 
 
-def test_curve_wronskian():
-    c = Curve((fn_poly(1), fn_poly(0, 1), fn_poly(0, 0, 1)))
-    assert c.wronskian() == fn_poly(2)
-
-
 # -- literals ----------------------------------------------------------------------
 
 def test_parse_poly_literal():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from smtlab import cli
+from smtlab import cli, nevanlinna
 from smtlab.analytic import Curve
 from smtlab.smt_verifier import SMTConstants, SMTReport
 
@@ -318,14 +318,14 @@ def test_nan_in_a_report_exits_one(tmp_path, capsys, command, fmt):
 
 
 def test_constant_curve_defects_exit_one(tmp_path, capsys):
-    # T = 0 on the grid: a truncated defect 1 - N/(d T) is undefined
+    # (1, -1) is linearly degenerate, refused before T = 0 is computed
     data = json.loads(Path(DISC).read_text())
     data["curve"]["components"][1] = "-1"
     path = tmp_path / "constant_curve.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "defects", "--scenario", str(path))
     assert_one_error_line(code, out, err)
-    assert "characteristic must be positive" in err
+    assert "unexpected degree-1 relation (monomial rank 1 < 2)" in err
 
 
 def test_curve_with_zero_component(tmp_path, capsys):
@@ -465,6 +465,32 @@ def test_curve_off_the_variety_exits_one(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--scenario", str(path))
     assert_one_error_line(code, out, err)
     assert "curve does not lie on the variety" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "defects"])
+@pytest.mark.parametrize("components, message", [
+    (["poly: 1", "exppoly: exp(z)", "exppoly: exp(2*z)"],
+     "unexpected degree-2 relation (monomial rank 5 < 6)"),
+    (["poly: 1", "exppoly: exp(z)", "exppoly: (2)*exp(z) + (1)"],
+     "unexpected degree-1 relation (monomial rank 2 < 3)"),
+    (["poly: 1", "poly: z", "poly: 2*z + 1"],
+     "unexpected degree-1 relation (monomial rank 2 < 3)"),
+])
+def test_degenerate_curve_in_the_plane_exits_one_before_any_divisor(
+        tmp_path, capsys, monkeypatch, command, components, message):
+    # both reports refuse a degenerate curve in P^2, of either kind, by
+    # exact ranks before any zero is isolated
+    def no_zeros(*args, **kwargs):
+        raise AssertionError("zero isolation reached")
+    monkeypatch.setattr(nevanlinna, "zeros_in_disc", no_zeros)
+    data = json.loads(Path(CONIC).read_text())
+    data["variety_generators"] = []
+    data["curve"]["components"] = components
+    path = tmp_path / "degenerate_curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--scenario", str(path))
+    assert_one_error_line(code, out, err)
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["nevanlinna", "verify"])

@@ -95,7 +95,9 @@ def test_buchberger_criterion_on_result():
     assert len(gb) >= 3
     for i in range(len(gb)):
         for j in range(i):
-            assert normal_form(_s_poly(gb[i], gb[j]), gb).is_zero()
+            s = _s_poly(gb[i], gb[j], gb[i].leading_monomial(),
+                        gb[j].leading_monomial())
+            assert normal_form(s, gb).is_zero()
     for g in TWISTED_CUBIC.generators:
         assert normal_form(g, gb).is_zero()
 
@@ -107,8 +109,9 @@ def test_weighted_basis_buchberger_criterion():
             gb = groebner_basis(idl, key=key)
             for i in range(len(gb)):
                 for j in range(i):
-                    assert _reduce_full(_s_poly(gb[i], gb[j], key), gb,
-                                        key=key).is_zero()
+                    s = _s_poly(gb[i], gb[j], gb[i].leading_monomial(key),
+                                gb[j].leading_monomial(key))
+                    assert _reduce_full(s, gb, key=key).is_zero()
             for g in idl.generators:
                 assert _reduce_full(g, gb, key=key).is_zero()
 
@@ -433,9 +436,15 @@ def test_kernel_cost_guard(monkeypatch):
 
     monkeypatch.setattr(HomogPoly, "leading_monomial", counting_scan)
     basis = groebner_basis(Ideal(3, [nonic]))
+    nonic_scans = len(scans)
+    cubic = groebner_basis(TWISTED_CUBIC)
     monkeypatch.undo()
     assert basis == [nonic.monic()]
-    assert len(scans) <= 2
+    assert nonic_scans <= 2
+    # the twisted cubic: three scans sort the generators and three find
+    # the leads of the elements they add; S-pairs reuse the stored leads
+    assert len(cubic) == 3
+    assert len(scans) - nonic_scans <= 6
 
 
 def test_public_constructors_still_validate():

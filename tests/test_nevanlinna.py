@@ -373,6 +373,17 @@ def test_defect_origin_conventions():
     assert abs(strict.value) <= 1e-3
 
 
+def test_top_decile_defect_needs_positive_characteristic():
+    # 1 - N/(d T) is undefined where T <= 0 in the top decile; T below
+    # the decile is not read
+    grid = RadialGrid.geometric(2.0, 100.0, 10, r0=0.5)
+    N, T = [0.0] * 10, [0.0] * 9 + [2.0]
+    assert nevanlinna._top_decile_defect(grid, N, T, 1) == 1.0
+    with pytest.raises(ValidationError,
+                       match="characteristic must be positive"):
+        nevanlinna._top_decile_defect(grid, N, T[:9] + [0.0], 1)
+
+
 def test_defect_requires_growth():
     flat = Curve((fn_poly(1), fn_poly(GR("1/2"))))
     grid = RadialGrid(0.5, (2.0,))

@@ -95,6 +95,26 @@ def test_analytic_reports_compute_once_per_session(counted):
                                 divisor=q, distributive=1)
 
 
+def test_curve_checked_once_for_both_reports(monkeypatch):
+    calls = Counter()
+
+    def wrap(name):
+        inner = getattr(scenario_mod, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(scenario_mod, name, counting)
+
+    wrap("check_curve_on_variety")
+    wrap("check_nondegenerate")
+    scenario_mod._forget()
+    for command in ("verify", "defects", "verify"):
+        assert in_process([command, "--scenario", CONIC])[0] == 0
+    assert calls == Counter(check_curve_on_variety=1, check_nondegenerate=1)
+
+
 def test_truncation_constants_once_per_samples_value(monkeypatch):
     calls = Counter()
 

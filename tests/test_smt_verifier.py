@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from smtlab import smt_verifier
-from smtlab.analytic import AnalyticFunction, Poly1
+from smtlab import position_geometry
+from smtlab.analytic import AnalyticFunction, Poly1, parse_function
 from smtlab.errors import (
     CertificationError,
     DegenerateInputError,
@@ -226,7 +226,8 @@ def test_verify_degenerate_quadratic_relation():
         verify_main_inequality(scenario_from_dict(data))
 
 
-def test_verify_transcendental_curve_flags_nondegeneracy():
+def test_verify_transcendental_curve_is_checked_exactly():
+    # 1 and e^z are independent on coefficients: no "not certified" flag
     data = {
         "ambient_N": 1,
         "curve": {"components": ["poly: 1", "exppoly: (1)*exp(z)"],
@@ -239,7 +240,9 @@ def test_verify_transcendental_curve_flags_nondegeneracy():
                  "points": 3},
     }
     rep = verify_main_inequality(scenario_from_dict(data))
-    assert rep.flags[0].startswith("nondegeneracy assumption not certified")
+    assert not rep.falsified
+    assert not any("nondegeneracy" in f or "certified" in f
+                   for f in rep.flags)
 
 
 def _random_function(rng, rational):
@@ -264,8 +267,7 @@ def _sympy_ranks(sympy, comps):
     z = sympy.Symbol("z")
 
     def poly(p):
-        coeffs = [sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
-                  for c in reversed(p.coeffs)]
+        coeffs = [_sympy_number(sympy, c) for c in reversed(p.coeffs)]
         return sympy.Poly(coeffs, z, domain=QQ_I)
     fractions = [tuple(map(poly, c._as_fraction())) for c in comps]
     D = sympy.Poly(1, z, domain=QQ_I)
@@ -298,35 +300,129 @@ def test_monomial_ranks_against_sympy():
         if case < 15:
             p = comps[1]
             comps[:3] = [AnalyticFunction.constant(1), p, p * p]
-        polys = smt_verifier._cleared_denominators(comps)
-        ours = [smt_verifier._monomial_rank(polys, u) for u in (1, 2)]
+        cleared = position_geometry._cleared_denominators(comps)
+        ours = [position_geometry._monomial_rank(cleared, u)
+                for u in (1, 2)]
         assert ours == _sympy_ranks(sympy, comps), case
         if case < 15:
             assert ours[1] < len(monomials_of_degree(n, 2))
 
 
+_LAMBDAS = [GaussianRational(a, b) for a, b in
+            ((0, 0), (1, 0), (-1, 0), (0, 1), (F(1, 2), 0), (1, 1), (-2, 0))]
+
+
+def _random_exppoly(sympy, rng):
+    """(ours, sympy's) for sum p_lambda(z) e^(lambda z): one or two
+    rates from _LAMBDAS, each with a polynomial of degree 0-2."""
+    z = sympy.Symbol("z")
+    terms, expr = {}, sympy.Integer(0)
+    for lam in rng.sample(_LAMBDAS, rng.randint(1, 2)):
+        coeffs = [GaussianRational(rng.randint(-3, 3),
+                                   rng.choice((0, 0, 1, -2)))
+                  for _ in range(rng.randint(0, 2))]
+        terms[lam] = Poly1(coeffs + [GaussianRational(rng.randint(1, 3))])
+        expr += (sum(_sympy_number(sympy, c) * z ** k
+                     for k, c in enumerate(terms[lam].coeffs))
+                 * sympy.exp(_sympy_number(sympy, lam) * z))
+    return AnalyticFunction.exppoly(terms), expr
+
+
+def _sympy_number(sympy, c):
+    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
+def _sympy_exppoly_ranks(sympy, exprs):
+    """Ranks of the degree-1 and degree-2 monomials in exprs, each
+    expanded and read by the coefficients of z^k exp(lambda z)."""
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+    z = sympy.Symbol("z")
+    ranks = []
+    for u in (1, 2):
+        rows = []
+        for mono in monomials_of_degree(len(exprs), u):
+            product = sympy.Mul(*(e ** k for e, k in zip(exprs, mono)))
+            row = {}
+            for term in sympy.Add.make_args(sympy.expand(product)):
+                coeff, rest = term.as_independent(z, as_Add=False)
+                lam, k = sympy.Integer(0), 0
+                for factor in sympy.Mul.make_args(rest):
+                    if isinstance(factor, sympy.exp):
+                        lam += sympy.expand(factor.args[0] / z)
+                    elif factor != 1:
+                        k += int(sympy.degree(factor, z))
+                key = (sympy.re(lam), sympy.im(lam), k)
+                row[key] = row.get(key, 0) + coeff
+            rows.append(row)
+        keys = sorted({key for row in rows for key in row})
+        matrix = [[QQ_I.from_sympy(sympy.expand(row.get(key, 0)))
+                   for key in keys] for row in rows]
+        ranks.append(DomainMatrix(matrix, (len(rows), len(keys)),
+                                  QQ_I).rank())
+    return ranks
+
+
+def test_exppoly_monomial_ranks_against_sympy():
+    # 20 exponential-polynomial curves in P^2 and P^3, some on the quadric
+    # x0 x2 = x1^2: (1, g, g^2, ...) in cases 0-5 and, in every fourth
+    # case, (r, g, g^2 / r, ...) with r = 1/(z - 3), on it only once the
+    # denominator is cleared from every component; cases 6-9 have
+    # x2 = 2 x0 - x1
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    r = parse_function("rational: (1)/(z - 3)")
+    rng = random.Random(41)
+    for case in range(20):
+        n = 3 + case % 2
+        pairs = [_random_exppoly(sympy, rng) for _ in range(n)]
+        g, ge = pairs[1]
+        on_quadric = case < 6 or case % 4 == 3
+        if case % 4 == 3:   # cleared by z - 3
+            pairs[:3] = [(r, 1 / (z - 3)), (g, ge),
+                         (g * g / r, ge ** 2 * (z - 3))]
+            pairs = [(f, e * (z - 3)) for f, e in pairs]
+        elif case < 6:
+            pairs[:3] = [(AnalyticFunction.constant(1), sympy.Integer(1)),
+                         (g, ge), (g * g, ge ** 2)]
+        elif case < 10:
+            (a, ae), (b, be) = pairs[0], pairs[1]
+            pairs[2] = (a + a - b, 2 * ae - be)
+        comps = [f for f, _ in pairs]
+        exprs = [e for _, e in pairs]
+        cleared = position_geometry._cleared_denominators(comps)
+        ours = [position_geometry._monomial_rank(cleared, u)
+                for u in (1, 2)]
+        assert ours == _sympy_exppoly_ranks(sympy, exprs), case
+        if on_quadric:
+            assert ours[1] < len(monomials_of_degree(n, 2)), case
+        elif case < 10:
+            assert ours[0] < n, case
+
+
 def test_exact_check_evaluates_nothing(monkeypatch):
-    # polynomial and rational curves are checked on coefficients alone:
-    # no point evaluation and no Wronskian
+    # every curve kind is checked on coefficients alone: no point
+    # evaluation, exact or float, and no Wronskian
     def forbidden(*args):
         raise AssertionError("called on the exact path")
-    monkeypatch.setattr(AnalyticFunction, "eval_exact", forbidden)
-    monkeypatch.setattr(Poly1, "eval_exact", forbidden)
-    monkeypatch.setattr(smt_verifier, "wronskian", forbidden)
-    for name in ("line_three_points", "conic_four_lines"):
-        s = load_scenario(str(SCENARIOS / f"{name}.json"))
-        smt_verifier._spot_check_nondegenerate(s, [])
-    rational = scenario_from_dict({
-        "ambient_N": 1,
-        "curve": {"components": ["poly: 1", "rational: (z)/(z - 4/5)"],
-                  "domain_R": 0.7},
-        "hypersurfaces": [{"degree": 1, "coefficients": {"x0": "1"}}],
-        "epsilon": "1/2",
-        "r0": 0.05,
-    })
-    flags = []
-    smt_verifier._spot_check_nondegenerate(rational, flags)
-    assert flags == []
+    scenarios = [load_scenario(str(SCENARIOS / f"{name}.json"))
+                 for name in ("line_three_points", "conic_four_lines")]
+    for components in (["poly: 1", "rational: (z)/(z - 4/5)"],
+                       ["poly: 1", "exppoly: (z)*exp((1+i)*z) + (2)"]):
+        scenarios.append(scenario_from_dict({
+            "ambient_N": 1,
+            "curve": {"components": components, "domain_R": 0.7},
+            "hypersurfaces": [{"degree": 1, "coefficients": {"x0": "1"}}],
+            "epsilon": "1/2",
+            "r0": 0.05,
+        }))
+    for owner in (AnalyticFunction, Poly1):
+        for name in ("eval_exact", "eval_complex"):
+            monkeypatch.setattr(owner, name, forbidden)
+    monkeypatch.setattr(AnalyticFunction, "eval_scaled", forbidden)
+    monkeypatch.setattr(AnalyticFunction, "derivative", forbidden)
+    for s in scenarios:
+        position_geometry.check_nondegenerate(s.variety, s.curve)
 
 
 def test_verify_vacuous_regime():
