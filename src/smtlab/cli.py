@@ -55,7 +55,7 @@ def _constants_to_dict(c: SMTConstants) -> Dict[str, Any]:
 def _cmd_constants(scenario: Scenario, args: argparse.Namespace) -> Report:
     """Truncation constants for the scenario's variant, with the slower
     bound alongside for comparison."""
-    primary, other = _scenario_constants(scenario, args.samples)
+    primary, other = _scenario_constants(scenario)
     improvement = other.log10_L - primary.log10_L
     payload = {
         "constants": _constants_to_dict(primary),
@@ -71,11 +71,11 @@ def _cmd_constants(scenario: Scenario, args: argparse.Namespace) -> Report:
 
 
 def _cmd_distributive(scenario: Scenario, args: argparse.Namespace) -> Report:
-    report = scenario.distributive(args.samples)
+    report = scenario.distributive()
     payload = {
         "value": str(report.value),
         "witness": list(report.witness),
-        "sample_points": len(report.sample_points),
+        "value_kind": "exact" if report.exact else "upper bound",
         "table": [{"subset": list(subset), "dim": dim, "ratio": str(ratio)}
                   for subset, dim, ratio in report.table],
     }
@@ -183,17 +183,15 @@ _OPTIONS = {
     "--quad-tol": dict(type=float, default=1e-8,
                        help="circle quadrature tolerance"),
     "--max-u": dict(type=int, default=40, help="top of the weight ladder"),
-    "--samples": dict(type=int, default=3,
-                      help="generic evaluation points per moving scan"),
     "--strict-jensen": dict(action="store_true",
                             help="count origin zeros instead of dropping them"),
 }
 
 # subcommand: (handler, the options it reads, help)
 _COMMANDS = {
-    "constants": (_cmd_constants, ["--samples"],
+    "constants": (_cmd_constants, [],
                   "truncation constants for the scenario's theorem variant"),
-    "distributive": (_cmd_distributive, ["--samples"],
+    "distributive": (_cmd_distributive, [],
                      "distributive constant with its witness subset"),
     "weights": (_cmd_weights, ["--max-u"],
                 "Hilbert weight ladder and exact Chow weight"),

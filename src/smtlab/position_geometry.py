@@ -8,10 +8,13 @@ as ratio 0.  Each subset's dimension is first certified modulo a prime
 matrix of full rank mod q bounds it from above.  Only a subset whose
 certificate fails gets a Groebner basis: V cut by the subset is the cut by
 its prefix cut once more (:meth:`~smtlab.groebner.Variety.cut`), whose
-basis is seeded with the prefix's reduced basis.  Moving families are
-snapshotted at exact Gaussian-rational sample points; agreement across
-independent samples stands in for the paper-level "generic z", and the
-report records the points used.
+basis is seeded with the prefix's reduced basis.  A moving family is
+specialized at one exact Gaussian-rational point z0.  Fibre dimension is
+upper semicontinuous, so each dimension at z0 is at least the generic one
+and the constant at z0 bounds the generic constant from above; the report
+says whether the scan also proved the two equal.  An intersection empty
+at z0 is empty at the generic point, so a position check that passes at
+z0 passes generically.
 
 A curve f meets the hypotheses of the second main theorem when it lies on
 V (:func:`check_curve_on_variety`) and is nondegenerate over V up to
@@ -45,7 +48,8 @@ from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
 from .scalars import MOD_I, MOD_PRIME, GaussianRational
 
 MAX_FAMILY_SIZE = 16
-RESAMPLE_BUDGET = 60
+# random points tried for a moving family before giving up
+POINT_TRIES = 60
 # a Macaulay matrix with more cells is not built; its subset takes the
 # exact path
 MACAULAY_CELL_CAP = 250_000
@@ -69,7 +73,7 @@ class DistributiveReport:
     value: Fraction
     witness: Tuple[int, ...]
     table: Tuple[Tuple[Tuple[int, ...], int, Fraction], ...]
-    sample_points: Tuple[GaussianRational, ...]
+    exact: bool     # value is the generic one, not only an upper bound
 
 
 def _random_gaussian_point(rng: random.Random) -> GaussianRational:
@@ -78,51 +82,19 @@ def _random_gaussian_point(rng: random.Random) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def _snapshot_family(family: HypersurfaceFamily,
-                     z: GaussianRational) -> Optional[List[HomogPoly]]:
-    forms = []
-    for member in family:
-        try:
-            forms.append(member.at(z))
-        except (ZeroDivisionError, DegenerateInputError):
-            return None
-    return forms
-
-
-def _sample_points(family: HypersurfaceFamily, count: int,
-                   rng: random.Random) -> List[Tuple[GaussianRational,
-                                                     List[HomogPoly]]]:
-    picked: List[Tuple[GaussianRational, List[HomogPoly]]] = []
-    seen = set()
-    for _ in range(RESAMPLE_BUDGET):
-        if len(picked) == count:
-            return picked
-        z = _random_gaussian_point(rng)
-        if z in seen:
-            continue
-        seen.add(z)
-        forms = _snapshot_family(family, z)
-        if forms is not None:
-            picked.append((z, forms))
-    if len(picked) == count:
-        return picked
-    raise CertificationError(
-        "could not find enough sample points avoiding coefficient zeros")
-
-
-def _fixed_or_sampled(V: Variety, family: HypersurfaceFamily, samples: int,
-                      seed: int) -> List[Tuple[Optional[GaussianRational],
-                                               List[HomogPoly]]]:
-    if samples < 1:
-        raise ValidationError(f"need at least one sample point, got {samples}")
-    if not family.is_moving:
-        forms = _snapshot_family(family, GaussianRational(0))
-        if forms is None:
-            raise DegenerateInputError("fixed family has a vanishing member")
-        return [(None, forms)]
+def _specialize(family: HypersurfaceFamily, seed: int) -> List[HomogPoly]:
+    """The members at the first point drawn from random.Random(seed) where
+    every member is defined and not identically zero; a fixed family is
+    the same at every point."""
     rng = random.Random(seed)
-    return [(z, forms)
-            for z, forms in _sample_points(family, samples, rng)]
+    for _ in range(POINT_TRIES):
+        z = _random_gaussian_point(rng)
+        try:
+            return [member.at(z) for member in family]
+        except (ZeroDivisionError, DegenerateInputError):
+            pass
+    raise CertificationError(
+        "could not find a point where every member is defined and nonzero")
 
 
 # a form mod q: exponent tuple -> nonzero residue
@@ -371,8 +343,11 @@ class _ModularCuts:
 
 def _scan_subsets(V: Variety, forms: List[HomogPoly]
                   ) -> Tuple[Fraction, Tuple[int, ...],
-                             List[Tuple[Tuple[int, ...], int, Fraction]]]:
-    """Exhaustive subset scan with superset-of-empty pruning.
+                             List[Tuple[Tuple[int, ...], int, Fraction]],
+                             bool]:
+    """Exhaustive subset scan with superset-of-empty pruning; returns the
+    value, its witness, the table and whether every subset that was not
+    pruned has d = lb.
 
     Subsets go size by size, each size in lexicographic order.  A subset
     contains an empty one exactly when one of its parents (the subsets one
@@ -384,6 +359,12 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
     is cut exactly: V cut by its prefix
     (all but its last member), built on demand the same way and kept for
     the scan, cut once more.
+
+    When the forms are a moving family at a point z0, each dimension is at
+    least the generic one (upper semicontinuity of fibre dimension), so
+    the value bounds the generic value from above.  If every subset that
+    was not pruned has d = lb, induction over subset size gives
+    lb <= d_gen <= d(z0) = lb for each, and the value is the generic one.
     """
     n = V.dim
     if n < 1:
@@ -395,6 +376,7 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
     witness: Tuple[int, ...] = ()
     table: List[Tuple[Tuple[int, ...], int, Fraction]] = []
     cuts: Dict[Tuple[int, ...], Variety] = {(): V}
+    exact = True
 
     def cut(combo: Tuple[int, ...]) -> Variety:
         got = cuts.get(combo)
@@ -420,6 +402,7 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
                 raise CertificationError(
                     "intersection dimension grew under refinement")
             dims[s] = d
+            exact = exact and d == lb
             if d == -1:
                 table.append((combo, -1, Fraction(0)))
                 continue
@@ -431,54 +414,45 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
             table.append((combo, d, ratio))
             if ratio > best:
                 best, witness = ratio, combo
-    return best, witness, table
+    return best, witness, table, exact
 
 
 def distributive_constant(V: Variety, family: HypersurfaceFamily,
-                          samples: int = 3,
                           seed: int = 0) -> DistributiveReport:
     """Max of #Gamma/(dim V - dim intersection) over nonempty subsets.
 
-    Fixed families are scanned once, exactly.  Moving families are scanned
-    at `samples` generic points and the per-point maxima combined by max;
-    all-empty scans yield 0 and signal a degenerate family.
+    A fixed family is scanned as given, a moving one at one point drawn
+    from `seed`; the report says whether the value is the generic one
+    (always, for a fixed family) or an upper bound on it.  All-empty
+    scans yield 0 and signal a degenerate family.
     """
     if len(family) > MAX_FAMILY_SIZE:
         raise ValidationError(
             f"subset scan limited to {MAX_FAMILY_SIZE} members")
-    best = Fraction(0)
-    witness: Tuple[int, ...] = ()
-    table: List[Tuple[Tuple[int, ...], int, Fraction]] = []
-    points: List[GaussianRational] = []
-    for z, forms in _fixed_or_sampled(V, family, samples, seed):
-        value, w, t = _scan_subsets(V, forms)
-        if z is not None:
-            points.append(z)
-        if value > best or not table:
-            best, witness, table = value, w, t
-    return DistributiveReport(best, witness, tuple(table), tuple(points))
+    value, witness, table, exact = _scan_subsets(V, _specialize(family, seed))
+    return DistributiveReport(value, witness, tuple(table),
+                              exact or not family.is_moving)
 
 
 def subgeneral_position(V: Variety, family: HypersurfaceFamily, ell: int,
-                        samples: int = 3, seed: int = 0) -> bool:
-    """True when every (ell+1)-subset misses V at the sampled points."""
+                        seed: int = 0) -> bool:
+    """True when every (ell+1)-subset misses V at the point the family is
+    specialized at; empty there, each is empty at the generic point."""
     if ell + 1 > len(family):
         raise ValidationError("need at least ell+1 family members")
-    for _, forms in _fixed_or_sampled(V, family, samples, seed):
-        for combo in combinations(range(len(family)), ell + 1):
-            if intersection_dim(V, [forms[j] for j in combo]) != -1:
-                return False
-    return True
+    forms = _specialize(family, seed)
+    return all(intersection_dim(V, [forms[j] for j in combo]) == -1
+               for combo in combinations(range(len(family)), ell + 1))
 
 
 def check_remark_bound(V: Variety, family: HypersurfaceFamily, ell: int,
-                       samples: int = 3, seed: int = 0) -> Fraction:
+                       seed: int = 0) -> Fraction:
     """Margin (ell - n + 1) - Delta_V, nonnegative when the bound holds."""
-    if not subgeneral_position(V, family, ell, samples, seed):
+    if not subgeneral_position(V, family, ell, seed):
         raise ValidationError(
             f"family is not in weakly {ell}-subgeneral position")
     n = V.dim
-    report = distributive_constant(V, family, samples, seed)
+    report = distributive_constant(V, family, seed)
     return Fraction(ell - n + 1) - report.value
 
 
@@ -539,7 +513,7 @@ def check_nondegenerate(V: Variety, curve: Curve) -> None:
 def check_norm_domination(V: Variety, family: HypersurfaceFamily,
                           indices: Sequence[int], curve: Curve,
                           radii: Sequence[float], theta_samples: int = 64,
-                          samples: int = 3, seed: int = 0
+                          seed: int = 0
                           ) -> List[Tuple[float, float]]:
     """The paper's norm-domination check: sup of
     ||f||^d / max_s |Q_s(f)|^{d/d_s} on each circle.
@@ -550,10 +524,9 @@ def check_norm_domination(V: Variety, family: HypersurfaceFamily,
     """
     subfamily = HypersurfaceFamily([family[j] for j in indices])
     check_curve_on_variety(V, curve)
-    for _, forms in _fixed_or_sampled(V, subfamily, samples, seed):
-        if intersection_dim(V, forms) != -1:
-            raise DegenerateInputError(
-                "subfamily meets the variety; domination lemma inapplicable")
+    if intersection_dim(V, _specialize(subfamily, seed)) != -1:
+        raise DegenerateInputError(
+            "subfamily meets the variety; domination lemma inapplicable")
 
     d = subfamily.common_degree
     composed: List[Tuple[int, object]] = []

@@ -59,11 +59,10 @@ class Scenario:
     def domain_radius(self) -> float:
         return self.curve.domain_radius
 
-    def distributive(self, samples: int) -> DistributiveReport:
-        """The distributive-constant scan at `samples` points, run once."""
-        return self.session.once(("scan", samples), lambda: (
-            distributive_constant(self.variety, self.family,
-                                  samples=samples, seed=self.seed)))
+    def distributive(self) -> DistributiveReport:
+        """The distributive-constant scan, run once."""
+        return self.session.once("scan", lambda: distributive_constant(
+            self.variety, self.family, seed=self.seed))
 
     def check_curve(self) -> None:
         """Refuse a curve outside the hypotheses of the second main
@@ -93,6 +92,17 @@ def _typed(value, kind: type, name: str):
     return value
 
 
+def _integer(value, name: str, minimum: Optional[int] = None) -> int:
+    """value itself, once it is a JSON integer (not a boolean) of at least
+    minimum."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"scenario field {name!r} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValidationError(
+            f"scenario field {name!r} must be an integer >= {minimum}")
+    return value
+
+
 def _rational(value, name: str) -> Fraction:
     try:
         if isinstance(value, float):
@@ -102,11 +112,19 @@ def _rational(value, name: str) -> Fraction:
         raise ValidationError(f"scenario field {name!r}: {err}")
 
 
+def _float(value) -> float:
+    """float(value), with an integer past the float range read as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return -math.inf if value < 0 else math.inf
+
+
 def _radius(value, name: str) -> float:
     if value in ("inf", "Infinity", None):
         return math.inf
     try:
-        r = float(value)
+        r = _float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"scenario field {name!r} must be a number or 'inf'")
     if not 0 < r < math.inf:   # also refuses nan
@@ -115,12 +133,21 @@ def _radius(value, name: str) -> float:
     return r
 
 
-def _points(count: int) -> int:
+def _points(count) -> int:
+    count = _integer(count, "grid.points")
     if not 1 <= count <= MAX_GRID_POINTS:
         raise ValidationError(
             f"scenario field 'grid': between 1 and {MAX_GRID_POINTS} "
             f"points allowed, got {count}")
     return count
+
+
+def _grid_radius(spec: dict, key: str, default: float) -> float:
+    r = _float(spec.get(key, default))
+    if not 0 < r < math.inf:   # also refuses nan
+        raise ValidationError(
+            f"scenario field 'grid': {key} must be positive and finite")
+    return r
 
 
 def _build_grid(spec, r0: float, R: float) -> RadialGrid:
@@ -134,24 +161,23 @@ def _build_grid(spec, r0: float, R: float) -> RadialGrid:
             return RadialGrid(
                 r0,
                 RadialGrid.geometric(
-                    float(spec.get("r_min", 2.0)),
-                    float(spec.get("r_max", 1e3)),
-                    _points(int(spec.get("points", 40))), r0).values,
+                    _grid_radius(spec, "r_min", 2.0),
+                    _grid_radius(spec, "r_max", 1e3),
+                    _points(spec.get("points", 40)), r0).values,
                 R)
         if kind == "finite":
             if math.isinf(R):
                 raise ValidationError(
                     "scenario field 'grid': finite grid needs a finite "
                     "domain radius")
-            return RadialGrid.finite(R, _points(int(spec.get("points", 20))),
-                                     r0)
+            return RadialGrid.finite(R, _points(spec.get("points", 20)), r0)
         if kind == "explicit":
             values = spec["values"]
             _points(len(values))
-            return RadialGrid(r0, tuple(float(v) for v in values), R)
+            return RadialGrid(r0, tuple(map(_float, values)), R)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"scenario field 'grid': {err}")
     raise ValidationError(f"scenario field 'grid': unknown kind {kind!r}")
 
@@ -171,9 +197,7 @@ def _check_no_pole(f, R: float, name: str) -> None:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("scenario must be a JSON object")
-    N = _field(data, "ambient_N")
-    if not isinstance(N, int) or N < 1:
-        raise ValidationError("scenario field 'ambient_N' must be an integer >= 1")
+    N = _integer(_field(data, "ambient_N"), "ambient_N", 1)
 
     curve_spec = _typed(_field(data, "curve"), dict, "curve")
     R = _radius(curve_spec.get("domain_R", "inf"), "curve.domain_R")
@@ -216,13 +240,16 @@ def scenario_from_dict(data: dict) -> Scenario:
                               name + ".coefficients")
         for key, value in coefficients.items():
             _typed(value, str, f"{name}.coefficients.{key}")
+        degree = _integer(spec.get("degree"), name + ".degree")
+        declared_moving = spec.get("moving", False)
+        if not isinstance(declared_moving, bool):
+            raise ValidationError(
+                f"scenario field {name + '.moving'!r} must be true or false")
         try:
-            member = parse_hypersurface(N + 1, int(spec["degree"]),
-                                        coefficients)
+            member = parse_hypersurface(N + 1, degree, coefficients)
         except (BudgetExceededError, KeyError, TypeError, ValueError,
                 ValidationError, ZeroDivisionError) as err:
             raise ValidationError(f"scenario field {name!r}: {err}")
-        declared_moving = bool(spec.get("moving", False))
         if member.is_moving != declared_moving:
             raise ValidationError(
                 f"scenario field {name!r}: declared "
@@ -243,13 +270,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     grid = _build_grid(_field(data, "grid", required=False), r0, R)
 
     truncation = _field(data, "truncation", required=False)
-    if truncation is not None and (not isinstance(truncation, int)
-                                   or truncation < 1):
-        raise ValidationError("scenario field 'truncation' must be an integer >= 1")
-
-    seed = _field(data, "seed", required=False, default=0)
-    if not isinstance(seed, int):
-        raise ValidationError("scenario field 'seed' must be an integer")
+    if truncation is not None:
+        truncation = _integer(truncation, "truncation", 1)
+    seed = _integer(_field(data, "seed", required=False, default=0), "seed")
 
     model = _field(data, "growth_model", required=False)
     growth_model = None

@@ -264,19 +264,18 @@ def constants_plane(n: int, degV: int, d: int, q: int, delta: Fraction,
     return _fixed_target(n, degV, d, q, delta, eps, "Plane", doubled=True)
 
 
-def _scenario_constants(scenario: Scenario, samples: int = 3
+def _scenario_constants(scenario: Scenario
                         ) -> Tuple[SMTConstants, SMTConstants]:
     """The constants of the theorem variant a scenario falls under (plane
-    domain, else moving or fixed targets on the disc) and of Theorem B,
-    with Delta_V from `samples` points; computed once per samples value
-    in the scenario's session."""
+    domain, else moving or fixed targets on the disc) and of Theorem B;
+    computed once in the scenario's session."""
     def compute():
         n, degV = scenario.variety.dim_degree()
         if n < 1:
             raise DegenerateInputError(f"variety has dimension {n}")
         family, eps = scenario.family, scenario.epsilon
         q, d = len(family), family.common_degree
-        delta = scenario.distributive(samples).value
+        delta = scenario.distributive().value
         if math.isinf(scenario.domain_radius):
             primary = constants_plane(n, degV, d, q, delta, eps,
                                       family.is_moving)
@@ -285,7 +284,7 @@ def _scenario_constants(scenario: Scenario, samples: int = 3
         else:
             primary = constants_fixed(n, degV, d, delta, eps, q=q)
         return primary, constants_theoremB(n, degV, d, q, delta, eps)
-    return scenario.session.once(("constants", samples), compute)
+    return scenario.session.once("constants", compute)
 
 
 # -- scenario verification ------------------------------------------------------

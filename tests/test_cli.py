@@ -176,12 +176,41 @@ def test_distributive_json_pinned(capsys):
     table += [(list(s), -1, "0") for s in
               ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2, 3))]
-    payload = {"value": "1", "witness": [0], "sample_points": 0,
+    payload = {"value": "1", "witness": [0], "value_kind": "exact",
                "table": [{"subset": s, "dim": d, "ratio": r}
                          for s, d, r in table]}
     code, out, _ = run(capsys, "distributive", "--scenario", CONIC)
     assert code == 0
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def _line(moving=False, **coefficients):
+    return {"degree": 1, "moving": moving, "coefficients": coefficients}
+
+
+@pytest.mark.parametrize("fields, value, kind", [
+    # three points of P^1, one moving: no two meet at any z
+    ({"hypersurfaces": [_line(x0="1"), _line(True, x1="1", x0="poly: -1 - z"),
+                        _line(x1="1", x0="1")]}, "1", "exact"),
+    # three lines of P^2 through (1 : z : z^2), and a fixed line: the
+    # three meet in a point, above their lower bound -1, so the scan
+    # bounds the generic constant without proving it
+    ({"ambient_N": 2,
+      "curve": {"components": ["poly: 1", "poly: z", "poly: z^2"],
+                "domain_R": "inf"},
+      "hypersurfaces": [_line(True, x0="poly: z", x1="-1"),
+                        _line(True, x0="poly: z^2", x2="-1"),
+                        _line(True, x1="poly: z", x2="-1"),
+                        _line(x0="1", x1="1", x2="1")]}, "3/2", "upper bound"),
+])
+def test_moving_family_value_kind(tmp_path, capsys, fields, value, kind):
+    path = _scenario_file(tmp_path, **fields)
+    code, out, _ = run(capsys, "distributive", "--scenario", path)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["value"], data["value_kind"]) == (value, kind)
+    code, out, _ = run(capsys, "constants", "--scenario", path)
+    assert code == 0 and json.loads(out)["constants"]["delta_V"] == value
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
@@ -197,7 +226,7 @@ def test_output_file_and_determinism(tmp_path, capsys):
 
 
 def test_seed_override_changes_nothing_fixed(capsys):
-    # fixed families ignore sampling, so the report is seed-independent
+    # fixed families ignore the seed, so the report is seed-independent
     code1, out1, _ = run(capsys, "distributive", "--scenario", CONIC,
                          "--seed", "7")
     code2, out2, _ = run(capsys, "distributive", "--scenario", CONIC,
@@ -211,7 +240,7 @@ def test_parser_reuse_leaks_no_options(capsys):
     # show up in the next, so each report equals a fresh process's
     calls = [
         ["distributive", "--scenario", DISC, "--seed", "3", "--format",
-         "csv", "--samples", "2"],
+         "csv"],
         ["constants", "--scenario", THREE_POINTS],
         ["weights", "--scenario", CONIC, "--max-u", "6", "--format", "csv"],
         ["distributive", "--scenario", DISC],
@@ -254,27 +283,6 @@ def test_fmt_check_composes_and_characterizes_once(monkeypatch, capsys):
     before = (Counter(composed), Counter(radii))
     assert run(capsys, "fmt-check", "--scenario", CONIC)[1] == out
     assert (composed, radii) == before
-
-
-@pytest.mark.parametrize("command", ["distributive", "constants"])
-@pytest.mark.parametrize("samples", ["0", "-1"])
-@pytest.mark.parametrize("moving", [True, False])
-def test_samples_below_one_rejected(tmp_path, capsys, command, samples,
-                                    moving):
-    data = json.loads(Path(THREE_POINTS).read_text())
-    if moving:
-        data["hypersurfaces"][1] = {
-            "degree": 1, "moving": True,
-            "coefficients": {"x1": "1", "x0": "poly: -1 - z"}}
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps(data))
-    code, out, err = run(capsys, command, "--scenario", str(path),
-                         "--samples", samples)
-    assert (code, out) == (1, "")
-    assert err == f"error: need at least one sample point, got {samples}\n"
-    code, out, _ = run(capsys, command, "--scenario", str(path),
-                       "--samples", "1")
-    assert code == 0 and out
 
 
 def test_huge_grid_rejected_at_load(tmp_path, capsys):
@@ -541,7 +549,6 @@ OPTIONS = {
     "quad_tol": (["--quad-tol", "1e-6"], 1e-6,
                  {"nevanlinna", "fmt-check", "verify", "defects"}),
     "max_u": (["--max-u", "6"], 6, {"weights"}),
-    "samples": (["--samples", "2"], 2, {"constants", "distributive"}),
     "strict_jensen": (["--strict-jensen"], True, {"nevanlinna", "verify"}),
 }
 COMMON = ["--output", "report.out", "--format", "csv", "--seed", "4"]
@@ -550,6 +557,7 @@ COMMON = ["--output", "report.out", "--format", "csv", "--seed", "4"]
 @pytest.mark.parametrize("argv", [
     ["weights", "--quad-tol", "1e-6"],
     ["verify", "--samples", "2"],
+    ["constants", "--samples", "1"],
     ["defects", "--strict-jensen"],
 ])
 def test_unread_flag_is_a_usage_error(capsys, argv):
@@ -575,7 +583,7 @@ def test_each_flag_accepted_exactly_where_read():
             else:
                 with pytest.raises(SystemExit):
                     parser.parse_args(base + argv)
-    assert settable == 37
+    assert settable == 35
 
 
 def _fake_report(flags):

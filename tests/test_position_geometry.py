@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from smtlab.analytic import AnalyticFunction, Curve, Poly1
 from smtlab.errors import DegenerateInputError, ValidationError
 from smtlab.exact_algebra import HomogPoly, Monomial, parse_homog_poly
-from smtlab.groebner import Ideal, Variety
+from smtlab.groebner import Ideal, Variety, intersection_dim
 from smtlab.hypersurfaces import (
     HypersurfaceFamily,
     MovingHypersurface,
@@ -22,10 +23,10 @@ from smtlab.hypersurfaces import (
 from smtlab import groebner
 from smtlab.position_geometry import (
     _eliminate,
-    _fixed_or_sampled,
     _full_rank,
     _ModularCuts,
     _scan_subsets,
+    _specialize,
     check_norm_domination,
     check_remark_bound,
     distributive_constant,
@@ -62,7 +63,7 @@ def test_general_position_lines():
     rep = distributive_constant(projective_space(2),
                                 fixed_family(3, "x0", "x1", "x2"))
     assert rep.value == Fraction(1)
-    assert rep.sample_points == ()
+    assert rep.exact
     # triple intersection is empty and contributes ratio 0
     triple = [row for row in rep.table if row[0] == (0, 1, 2)]
     assert triple == [((0, 1, 2), -1, Fraction(0))]
@@ -72,6 +73,7 @@ def test_concurrent_lines():
     rep = distributive_constant(projective_space(2),
                                 fixed_family(3, "x0", "x1", "x0 + x1"))
     assert rep.value == Fraction(3, 2)
+    assert rep.exact    # a fixed family is its own generic member
     assert rep.witness == (0, 1, 2)
 
 
@@ -96,11 +98,70 @@ def test_moving_family_generic_agreement():
         parse_hypersurface(3, 1, {"x2": "1"}),
     ])
     assert fam.is_moving
-    rep_a = distributive_constant(projective_space(2), fam, samples=3, seed=0)
-    rep_b = distributive_constant(projective_space(2), fam, samples=3, seed=991)
+    rep_a = distributive_constant(projective_space(2), fam, seed=0)
+    rep_b = distributive_constant(projective_space(2), fam, seed=991)
     assert rep_a.value == rep_b.value == Fraction(1)
-    assert len(rep_a.sample_points) == 3
-    assert set(rep_a.sample_points) != set(rep_b.sample_points)
+    assert rep_a.exact and rep_b.exact
+    assert _specialize(fam, 0) != _specialize(fam, 991)
+
+
+def moving_line(*polys):
+    """The line sum_i c_i(z) x_i of P^2, each c_i given by its integer
+    coefficients in z, ascending."""
+    return MovingHypersurface(3, 1, {
+        Monomial(tuple(int(i == j) for i in range(3))):
+            AnalyticFunction.from_poly(Poly1([GR(c) for c in p]))
+        for j, p in enumerate(polys)})
+
+
+def moving_line_families():
+    """(lines through the moving point, family) for seeded families of
+    P^2: lines with coefficients random and linear in z (none through the
+    point), and 2-5 lines through (1 : z : z^2) plus one fixed line."""
+    rng = random.Random(40)
+
+    def nonzero(count):
+        while True:
+            v = [rng.randint(-4, 4) for _ in range(count)]
+            if any(v):
+                return v
+
+    for _ in range(8):
+        yield 0, HypersurfaceFamily([
+            moving_line(nonzero(2), nonzero(2), nonzero(2))
+            for _ in range(rng.randint(3, 5))])
+    for _ in range(12):
+        through = []
+        for _ in range(rng.randint(2, 5)):
+            w = nonzero(3)
+            # (1, z, z^2) x w: the line through the moving point and w
+            through.append(moving_line([0, w[2], -w[1]], [-w[2], 0, w[0]],
+                                       [w[1], -w[0]]))
+        yield len(through), HypersurfaceFamily(
+            through + [moving_line([1], nonzero(1), nonzero(1))])
+
+
+def test_exact_moving_scan_is_the_generic_value():
+    # d(z) >= d_gen at every z, so where the scan at its point says
+    # exact, no subset may cut V in a lower dimension at another point,
+    # and no other point may give a smaller constant
+    P2 = projective_space(2)
+    kinds = Counter()
+    for seed, (through, fam) in enumerate(moving_line_families()):
+        rep = distributive_constant(P2, fam, seed=seed)
+        kinds[through >= 3, rep.exact] += 1
+        if not rep.exact:
+            continue
+        for k in (1, 2, 3):
+            forms = _specialize(fam, seed + 1000 * k)
+            for subset, d, _ in rep.table:
+                assert intersection_dim(P2, [forms[j] for j in subset]) >= d
+            assert rep.value <= _scan_subsets(P2, forms)[0]
+    # three lines through one point never cut to their lower bound, two
+    # and fewer always do
+    assert kinds == Counter({(False, True): kinds[False, True],
+                             (True, False): kinds[True, False]})
+    assert kinds[False, True] >= 10 and kinds[True, False] >= 5
 
 
 def test_coordinate_change_invariance():
@@ -164,7 +225,7 @@ def scan_both(V, forms, monkeypatch, certificates=None):
     monkeypatch.setattr(Variety, "cut", counting_cut)
     monkeypatch.setattr(_ModularCuts, "bounds", recorded_bounds)
     got = _scan_subsets(V, forms)
-    return got, scan_reference(Variety(V.ideal), forms), len(built)
+    return got[:3], scan_reference(Variety(V.ideal), forms), len(built)
 
 
 def prefix_closure(combos):
@@ -178,9 +239,9 @@ def prefix_closure(combos):
 def test_scan_matches_fresh_varieties_on_shipped_scenarios(name,
                                                            monkeypatch):
     sc = load_scenario(str(SCENARIOS / name))
-    for _, forms in _fixed_or_sampled(sc.variety, sc.family, 3, sc.seed):
-        got, want, _ = scan_both(sc.variety, forms, monkeypatch)
-        assert got == want
+    got, want, _ = scan_both(sc.variety, _specialize(sc.family, sc.seed),
+                             monkeypatch)
+    assert got == want
 
 
 def test_scan_matches_fresh_varieties_concurrent_lines(monkeypatch):
@@ -299,8 +360,8 @@ def certificate_families():
         parse_hypersurface(3, 2, {"x0^2": "1", "x1*x2": "poly: z - 1/2"}),
         parse_hypersurface(3, 1, {"x2": "1"}),
     ])
-    for _, forms in _fixed_or_sampled(P2, moving, 3, 5):
-        yield P2, forms
+    for seed in (5, 6, 7):
+        yield P2, _specialize(moving, seed)
 
 
 def test_certified_dims_match_fresh_varieties(monkeypatch):
@@ -379,7 +440,7 @@ def test_fully_certified_scan_builds_only_the_basis_of_v(monkeypatch):
     got = _scan_subsets(quadric, forms)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert got == scan_reference(quadric, forms)
+    assert got == (*scan_reference(quadric, forms), True)
 
 
 def test_stacked_elimination_matches_the_python_loop():

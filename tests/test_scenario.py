@@ -132,6 +132,9 @@ def test_grid_kinds():
     data["grid"] = {"kind": "explicit", "values": [1.0, 2.0, 3.0]}
     s = scenario_from_dict(data)
     assert s.grid.values == (1.0, 2.0, 3.0)
+    data["grid"] = {"kind": "explicit", "values": [2.0, 10 ** 400]}
+    with pytest.raises(ValidationError, match="grid"):
+        scenario_from_dict(data)
     data["grid"] = {"kind": "spiral"}
     with pytest.raises(ValidationError, match="grid"):
         scenario_from_dict(data)
@@ -228,6 +231,14 @@ def test_structural_types_name_field(mutate, path):
     (lambda d: d["hypersurfaces"][0]["coefficients"].update(x0=5),
      "'hypersurfaces[0].coefficients.x0'"),
     (lambda d: d["grid"].update(r_min=0), "'grid'"),
+    (lambda d: d["grid"].update(r_min=-5.0),
+     "'grid': r_min must be positive and finite"),
+    (lambda d: d["grid"].update(r_max=math.nan),
+     "'grid': r_max must be positive and finite"),
+    (lambda d: d["grid"].update(r_max="inf"),
+     "'grid': r_max must be positive and finite"),
+    (lambda d: d["grid"].update(r_max=10 ** 400),
+     "'grid': r_max must be positive and finite"),
 ])
 def test_bad_literals_name_field(mutate, path):
     data = _three_points()
@@ -236,12 +247,38 @@ def test_bad_literals_name_field(mutate, path):
         scenario_from_dict(data)
 
 
+def _set_member(key, value):
+    return lambda d: d["hypersurfaces"][0].update({key: value})
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(ambient_N=True), "ambient_N"),
+    (_set_member("degree", 1.5), "hypersurfaces[0].degree"),
+    (_set_member("degree", True), "hypersurfaces[0].degree"),
+    (_set_member("degree", "1"), "hypersurfaces[0].degree"),
+    (_set_member("moving", "false"), "hypersurfaces[0].moving"),
+    (lambda d: d.update(truncation=True), "truncation"),
+    (lambda d: d.update(seed=True), "seed"),
+    (lambda d: d["grid"].update(points=3.9), "grid.points"),
+    (lambda d: d["grid"].update(points="3"), "grid.points"),
+])
+def test_integer_and_boolean_fields_are_typed(mutate, path):
+    data = minimal()
+    mutate(data)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"scenario field '{path}' must be")):
+        scenario_from_dict(data)
+
+
 def test_non_object_rejected():
     with pytest.raises(ValidationError):
         scenario_from_dict([1, 2, 3])
 
 
-@pytest.mark.parametrize("value", ["nan", math.nan, math.inf, "1e999", -1.0])
+@pytest.mark.parametrize("value", [
+    "nan", math.nan, math.inf, "1e999", -1.0,
+    pytest.param(10 ** 400, id="10**400"),
+    pytest.param(-10 ** 400, id="-10**400")])
 @pytest.mark.parametrize("field", ["r0", "domain_R"])
 def test_radius_must_be_finite(field, value):
     data = minimal()

@@ -115,31 +115,33 @@ def test_curve_checked_once_for_both_reports(monkeypatch):
     assert calls == Counter(check_curve_on_variety=1, check_nondegenerate=1)
 
 
-def test_truncation_constants_once_per_samples_value(monkeypatch):
+def test_truncation_constants_once_per_scenario(monkeypatch):
     calls = Counter()
 
-    def wrap(name):
-        inner = getattr(smt_verifier, name)
+    def wrap(module, name):
+        inner = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(smt_verifier, name, counting)
+        monkeypatch.setattr(module, name, counting)
 
     for name in ("constants_plane", "constants_moving", "constants_fixed",
                  "constants_theoremB"):
-        wrap(name)
+        wrap(smt_verifier, name)
+    wrap(scenario_mod, "distributive_constant")
     disc = str(ROOT / "scenarios" / "disc_model_growth.json")
     for path, variant in ((CONIC, "constants_plane"),
                           (disc, "constants_fixed")):
+        scenario_mod._forget()
         calls.clear()
-        for command in ("constants", "verify", "defects", "constants"):
+        for command in ("constants", "distributive", "verify", "defects",
+                        "constants"):
             assert in_process([command, "--scenario", path])[0] == 0
-        assert calls == Counter({variant: 1, "constants_theoremB": 1})
-        # another samples value is another Delta_V scan
-        in_process(["constants", "--scenario", path, "--samples", "1"])
-        assert calls == Counter({variant: 2, "constants_theoremB": 2})
+        # one Delta_V scan serves every report
+        assert calls == Counter({variant: 1, "constants_theoremB": 1,
+                                 "distributive_constant": 1})
 
 
 def test_reports_in_one_process_match_fresh_processes():
