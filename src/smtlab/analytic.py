@@ -32,14 +32,14 @@ a located zero within 1e-9 of the requested circle is an error at once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     BudgetExceededError,
     CertificationError,
@@ -77,16 +77,22 @@ _POINT = SimpleNamespace(coerce=complex, exp=math.exp, cexp=cmath.exp,
                          sqrt=math.sqrt,
                          minimum=min, any=bool,
                          where=lambda cond, a, b: a if cond else b)
-_NODES = SimpleNamespace(coerce=lambda z: np.asarray(z, dtype=complex),
-                         exp=np.exp, cexp=np.exp, log=np.log,
-                         log_abs=_log_abs_nodes, maximum=np.maximum.reduce,
-                         sqrt=np.sqrt,
-                         minimum=np.minimum, any=np.any, where=np.where)
+
+
+@functools.lru_cache(maxsize=None)
+def _nodes() -> SimpleNamespace:
+    """The numpy counterpart of _POINT, built on first use."""
+    return SimpleNamespace(coerce=lambda z: np.asarray(z, dtype=complex),
+                           exp=np.exp, cexp=np.exp, log=np.log,
+                           log_abs=_log_abs_nodes, maximum=np.maximum.reduce,
+                           sqrt=np.sqrt,
+                           minimum=np.minimum, any=np.any, where=np.where)
 
 
 def _ops(z):
-    """Elementary functions for z: math/cmath on a point, numpy on nodes."""
-    return _NODES if isinstance(z, np.ndarray) else _POINT
+    """Elementary functions for z: math/cmath on an int, float or complex
+    point (numpy's scalars subclass the last two), numpy on nodes."""
+    return _POINT if isinstance(z, (int, float, complex)) else _nodes()
 
 
 def _first_where(z, mask) -> complex:

@@ -178,9 +178,21 @@ def _cmd_defects(scenario: Scenario, args: argparse.Namespace) -> Report:
     return payload, rows, 0 if report.holds else 2
 
 
+def _tolerance(text: str) -> float:
+    """A --quad-tol value: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:   # also refuses nan
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
+    return value
+
+
 # the flags beyond --scenario, --output, --format and --seed
 _OPTIONS = {
-    "--quad-tol": dict(type=float, default=1e-8,
+    "--quad-tol": dict(type=_tolerance, default=1e-8,
                        help="circle quadrature tolerance"),
     "--max-u": dict(type=int, default=40, help="top of the weight ladder"),
     "--strict-jensen": dict(action="store_true",

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._lazy import np
 from .analytic import AnalyticFunction, Curve, Divisor, wronskian, zeros_in_disc
 from .errors import (
     CertificationError,

@@ -33,8 +33,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .analytic import AnalyticFunction, Curve, Poly1, poly_gcd
 from .errors import (
     CertificationError,

@@ -105,32 +105,25 @@ def _integer(value, name: str, minimum: Optional[int] = None) -> int:
 
 def _rational(value, name: str) -> Fraction:
     try:
-        if isinstance(value, float):
+        if isinstance(value, (bool, float)):
             raise TypeError("write exact rationals as strings")
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as err:
         raise ValidationError(f"scenario field {name!r}: {err}")
 
 
-def _float(value) -> float:
-    """float(value), with an integer past the float range read as +-inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return -math.inf if value < 0 else math.inf
-
-
-def _radius(value, name: str) -> float:
-    if value in ("inf", "Infinity", None):
-        return math.inf
-    try:
-        r = _float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"scenario field {name!r} must be a number or 'inf'")
-    if not 0 < r < math.inf:   # also refuses nan
-        raise ValidationError(
-            f"scenario field {name!r} must be positive and finite, or 'inf'")
-    return r
+def _number(value, fault: str) -> float:
+    """value as a float, once it is a JSON number (not a boolean) that is
+    positive and finite; anything else raises ValidationError(fault).  An
+    integer past the float range reads as +-inf, so it is refused too."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if 0 < number < math.inf:   # also refuses nan
+            return number
+    raise ValidationError(fault)
 
 
 def _points(count) -> int:
@@ -142,12 +135,9 @@ def _points(count) -> int:
     return count
 
 
-def _grid_radius(spec: dict, key: str, default: float) -> float:
-    r = _float(spec.get(key, default))
-    if not 0 < r < math.inf:   # also refuses nan
-        raise ValidationError(
-            f"scenario field 'grid': {key} must be positive and finite")
-    return r
+def _grid_number(value, key: str) -> float:
+    return _number(
+        value, f"scenario field 'grid': {key} must be positive and finite")
 
 
 def _build_grid(spec, r0: float, R: float) -> RadialGrid:
@@ -161,8 +151,8 @@ def _build_grid(spec, r0: float, R: float) -> RadialGrid:
             return RadialGrid(
                 r0,
                 RadialGrid.geometric(
-                    _grid_radius(spec, "r_min", 2.0),
-                    _grid_radius(spec, "r_max", 1e3),
+                    _grid_number(spec.get("r_min", 2.0), "r_min"),
+                    _grid_number(spec.get("r_max", 1e3), "r_max"),
                     _points(spec.get("points", 40)), r0).values,
                 R)
         if kind == "finite":
@@ -172,9 +162,10 @@ def _build_grid(spec, r0: float, R: float) -> RadialGrid:
                     "domain radius")
             return RadialGrid.finite(R, _points(spec.get("points", 20)), r0)
         if kind == "explicit":
-            values = spec["values"]
+            values = _typed(spec["values"], list, "grid.values")
             _points(len(values))
-            return RadialGrid(r0, tuple(map(_float, values)), R)
+            return RadialGrid(r0, tuple(_grid_number(v, f"values[{i}]")
+                                        for i, v in enumerate(values)), R)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as err:
@@ -200,7 +191,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     N = _integer(_field(data, "ambient_N"), "ambient_N", 1)
 
     curve_spec = _typed(_field(data, "curve"), dict, "curve")
-    R = _radius(curve_spec.get("domain_R", "inf"), "curve.domain_R")
+    R = curve_spec.get("domain_R", "inf")
+    R = math.inf if R == "inf" else _number(
+        R, "scenario field 'curve.domain_R' must be positive and finite, "
+        "or 'inf'")
     comps = []
     for i, text in enumerate(_typed(curve_spec.get("components", []), list,
                                     "curve.components")):
@@ -266,7 +260,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if epsilon_prime <= 0:
         raise ValidationError("scenario field 'epsilon_prime' must be positive")
 
-    r0 = _radius(_field(data, "r0"), "r0")
+    r0 = _number(_field(data, "r0"),
+                 "scenario field 'r0' must be positive and finite")
     grid = _build_grid(_field(data, "grid", required=False), r0, R)
 
     truncation = _field(data, "truncation", required=False)

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import mpmath
-from mpmath import iv, mp
-
+from ._lazy import mpmath
 from .analytic import Divisor
 from .errors import (
     NAN_REPORT,
@@ -55,7 +53,7 @@ def _ceil_fraction(x: Fraction) -> int:
 
 
 def _iv_fraction(x: Fraction):
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+    return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
 
 
 def _resolve_interval(builder, resolver, what: str):
@@ -63,13 +61,13 @@ def _resolve_interval(builder, resolver, what: str):
     dps = _IV_START_DPS
     last = None
     for _ in range(_IV_RETRIES):
-        saved = iv.dps
-        iv.dps = dps
+        saved = mpmath.iv.dps
+        mpmath.iv.dps = dps
         try:
             x = builder()
             result = resolver(x)
         finally:
-            iv.dps = saved
+            mpmath.iv.dps = saved
         if result is not None:
             return result
         last = x
@@ -137,8 +135,8 @@ class SMTConstants:
 
 def _log10(L: int) -> float:
     """log10 of an exact truncation level; -inf below 1."""
-    with mp.workdps(30):
-        return float(mp.log10(mp.mpf(L))) if L >= 1 else -math.inf
+    with mpmath.workdps(30):
+        return float(mpmath.log10(mpmath.mpf(L))) if L >= 1 else -math.inf
 
 
 def _check_inputs(n: int, degV: int, d: int, q: int,
@@ -167,7 +165,7 @@ def _moving_L(n: int, degV: int, d: int, q: int, delta: Fraction,
     base = 1 + eps / (2 * (n + 1) * delta)
     A = d ** n * degV * (u + 1) ** (n + q)
     exponent = certified_floor(
-        lambda: iv.mpf(A) / iv.log(_iv_fraction(base)) ** 2,
+        lambda: mpmath.iv.mpf(A) / mpmath.iv.log(_iv_fraction(base)) ** 2,
         "the exponent of the moving-target truncation") + 1
     prefactor = d ** n * degV * (u + 1) ** n
 
@@ -198,6 +196,7 @@ def _moving_L(n: int, degV: int, d: int, q: int, delta: Fraction,
         log10_L = _log10(L)
     else:
         def builder():
+            iv = mpmath.iv
             x = (iv.mpf(exponent) * iv.log(_iv_fraction(base))
                  + iv.log(iv.mpf(prefactor)))
             return x / iv.log(iv.mpf(10)) - iv.mpf([0, 1e-9])
@@ -231,8 +230,9 @@ def _fixed_target(n: int, degV: int, d: int, q: int, delta: Fraction,
     rational = (Fraction(d) ** (n * n + n) * Fraction(degV) ** (n + 1)
                 * Fraction(2 * n + 5) ** n
                 * (delta ** 2 * (n + 1) / eps + delta) ** n)
-    L = certified_floor(lambda: _iv_fraction(rational) * iv.exp(iv.mpf(n)),
-                        "the fixed-target truncation")
+    L = certified_floor(
+        lambda: _iv_fraction(rational) * mpmath.iv.exp(mpmath.iv.mpf(n)),
+        "the fixed-target truncation")
     return SMTConstants(variant, u, L, _log10(L), n, degV, d, q, delta, eps)
 
 
@@ -249,8 +249,9 @@ def constants_theoremB(n: int, degV: int, d: int, q: int,
                 * delta ** n * Fraction(2 * n + 4) ** n
                 * Fraction(n + 1) ** n
                 * Fraction(math.factorial(q)) ** n / eps ** n)
-    L = certified_floor(lambda: _iv_fraction(rational) * iv.exp(iv.mpf(n)),
-                        "the factorial-growth truncation")
+    L = certified_floor(
+        lambda: _iv_fraction(rational) * mpmath.iv.exp(mpmath.iv.mpf(n)),
+        "the factorial-growth truncation")
     return SMTConstants("TheoremB", 1, L, _log10(L), n, degV, d, q, delta,
                         eps, "no auxiliary step parameter; u stored as 1")
 

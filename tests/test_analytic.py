@@ -242,6 +242,32 @@ def test_array_evaluation_matches_points(kind, radius):
         assert abs(la[k] - lk) <= 1e-12 * max(1.0, abs(lk))
 
 
+@pytest.mark.parametrize("z", [
+    complex(0.7, -1.3), 2.5, 3, np.complex128(0.7 - 1.3j), np.float64(2.5),
+    ring(2.5)], ids=["complex", "float", "int", "np.complex128",
+                     "np.float64", "ndarray"])
+def test_input_type_picks_point_or_node_evaluation(z):
+    # Python and numpy scalars take math/cmath, arrays numpy; either way
+    # the values are those of a point evaluation at complex(z)
+    nodes = analytic._nodes()
+    ops = analytic._ops(z)
+    curve = Curve(tuple(PLAN_CASES.values()))
+    if isinstance(z, np.ndarray):
+        assert ops is nodes
+        got = curve.log_norm(z)
+        for k, point in enumerate(z):
+            want = curve.log_norm(complex(point))
+            assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want))
+        return
+    assert ops is analytic._POINT
+    for f in PLAN_CASES.values():
+        assert f.eval_scaled(z) == f.eval_scaled(complex(z))
+        assert f.eval_complex(z) == f.eval_complex(complex(z))
+        assert type(f.log_abs(z)) is float
+        assert f.log_abs(z) == f.log_abs(complex(z))
+    assert curve.log_norm(z) == curve.log_norm(complex(z))
+
+
 def test_point_evaluation_reads_exact_coefficients():
     # the plan holds the floats the exact coefficients convert to, so a
     # point evaluation is bit-identical to converting them at every node

@@ -567,6 +567,22 @@ def test_unread_flag_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["nevanlinna", "fmt-check", "verify",
+                                     "defects"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
+def test_quad_tol_must_be_positive_and_finite(monkeypatch, capsys, command,
+                                              value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past argument parsing")
+    monkeypatch.setattr(nevanlinna, "circle_average", refuse)
+    monkeypatch.setattr(cli, "load_scenario", refuse)
+    code, out, err = run(capsys, command, "--scenario", THREE_POINTS,
+                         "--quad-tol", value)
+    assert code == 1 and out == ""
+    assert "argument --quad-tol: must be positive and finite" in err
+    assert "Traceback" not in err
+
+
 def test_each_flag_accepted_exactly_where_read():
     parser = cli._build_parser()
     settable = 0

@@ -239,6 +239,38 @@ def test_structural_types_name_field(mutate, path):
      "'grid': r_max must be positive and finite"),
     (lambda d: d["grid"].update(r_max=10 ** 400),
      "'grid': r_max must be positive and finite"),
+    pytest.param(lambda d: d["grid"].update(r_max="10"),
+                 "'grid': r_max must be positive and finite",
+                 id="r_max-string"),
+    pytest.param(lambda d: d["grid"].update(r_min=True),
+                 "'grid': r_min must be positive and finite",
+                 id="r_min-true"),
+    pytest.param(lambda d: d.update(grid={"kind": "explicit",
+                                          "values": [True, "2.5", 3]}),
+                 "'grid': values[0] must be positive and finite",
+                 id="values-true"),
+    pytest.param(lambda d: d.update(grid={"kind": "explicit",
+                                          "values": [2.0, "2.5"]}),
+                 "'grid': values[1] must be positive and finite",
+                 id="values-string"),
+    pytest.param(lambda d: d.update(grid={"kind": "explicit",
+                                          "values": [2.0, math.nan]}),
+                 "'grid': values[1] must be positive and finite",
+                 id="values-nan"),
+    pytest.param(lambda d: d.update(grid={"kind": "explicit",
+                                          "values": "abc"}),
+                 "'grid.values' must be a list", id="values-not-a-list"),
+    pytest.param(lambda d: d.update(r0="inf"),
+                 "'r0' must be positive and finite", id="r0-inf"),
+    pytest.param(lambda d: d.update(epsilon=True),
+                 "'epsilon': write exact rationals as strings",
+                 id="epsilon-true"),
+    pytest.param(lambda d: d.update(epsilon_prime=True),
+                 "'epsilon_prime': write exact rationals as strings",
+                 id="epsilon_prime-true"),
+    pytest.param(lambda d: d.update(growth_model={"lambda": True}),
+                 "'growth_model.lambda': write exact rationals as strings",
+                 id="lambda-true"),
 ])
 def test_bad_literals_name_field(mutate, path):
     data = _three_points()
@@ -278,13 +310,14 @@ def test_non_object_rejected():
 @pytest.mark.parametrize("value", [
     "nan", math.nan, math.inf, "1e999", -1.0,
     pytest.param(10 ** 400, id="10**400"),
-    pytest.param(-10 ** 400, id="-10**400")])
+    pytest.param(-10 ** 400, id="-10**400"),
+    True, None, "0.5", "5"])
 @pytest.mark.parametrize("field", ["r0", "domain_R"])
 def test_radius_must_be_finite(field, value):
     data = minimal()
     (data["curve"] if field == "domain_R" else data)[field] = value
-    with pytest.raises(ValidationError,
-                       match="must be positive and finite, or 'inf'"):
+    with pytest.raises(ValidationError, match="must be positive and finite"
+                       + (", or 'inf'" if field == "domain_R" else "$")):
         scenario_from_dict(data)
     data["curve"]["domain_R"] = "inf"   # the spelling of the plane
     data["r0"] = 0.25
