@@ -1,10 +1,12 @@
 """One-variable analytic functions and zero extraction on closed discs.
 
-Three closed classes of functions are supported: polynomials, rational
-functions, and exponential polynomials sum_j p_j(z) exp(lambda_j z) with
-Gaussian-rational lambda_j.  All symbolic arithmetic (sums, products,
-derivatives, Wronskians) is exact; floating point appears only at
-evaluation time and in located zeros.
+Every function is one form: an exponential polynomial
+sum_lambda p_lambda(z) exp(lambda z) with Gaussian-rational rates lambda
+over a monic polynomial denominator.  Polynomials and rational functions
+are the forms without an exponential term, and an exponential term never
+sits over a non-constant denominator.  All symbolic arithmetic (sums,
+products, derivatives, Wronskians) is exact; floating point appears only
+at evaluation time and in located zeros.
 
 Float evaluation goes through a plan built on first use and cached on the
 object: a Poly1 keeps its coefficients as Python complex numbers in Horner
@@ -348,45 +350,69 @@ def squarefree_decomposition(f: Poly1) -> List[Tuple[Poly1, int]]:
 
 
 # ---------------------------------------------------------------------------
-# the three variants behind AnalyticFunction
+# analytic functions: an exponential polynomial over a monic polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Rational:
-    num: Poly1
-    den: Poly1
+_ZERO = GaussianRational(0)
+_ONE = Poly1.constant(1)   # every denominator 1 is this object
+# the one refusal, for a function's own denominator or a divisor's
+_MIXED = ("unsupported: an exponential term in a fraction with a "
+          "non-constant denominator")
 
 
-def _reduce_rational(num: Poly1, den: Poly1) -> Tuple[Poly1, Poly1]:
+def _reduced(terms: Dict[GaussianRational, Poly1],
+             den: Poly1) -> "AnalyticFunction":
+    """terms / den in the reduced form AnalyticFunction keeps: zero terms
+    dropped, den monic and coprime to the numerator.  An exponential term
+    over a non-constant den is refused."""
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
-    if num.is_zero():
-        return Poly1.zero(), Poly1.constant(1)
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, den = num // g, den // g
+    terms = {lam: p for lam, p in terms.items() if p.coeffs}
+    _check_budget(sum(len(p.coeffs) for p in terms.values()),
+                  "exponential polynomial")
+    if den is _ONE or not terms:
+        return AnalyticFunction(terms)
+    if den.degree > 0:
+        if any(terms):   # a nonzero rate
+            raise UnsupportedOperationError(_MIXED)
+        num = terms[_ZERO]
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, den = num // g, den // g
+        terms = {_ZERO: num}
     lead = den.leading()
-    return num.scale(GaussianRational(1) / lead), den.monic()
-
-
-def _lambda_key(lam: GaussianRational):
-    return (lam.re, lam.im)
+    if lead != 1:
+        scale = GaussianRational(1) / lead
+        terms = {lam: p.scale(scale) for lam, p in terms.items()}
+        den = den.scale(scale)
+    return AnalyticFunction(terms, den if den.degree > 0 else _ONE)
 
 
 class AnalyticFunction:
-    """Polynomial, rational, or exponential-polynomial function of one variable.
+    """(sum_lambda p_lambda(z) e^(lambda z)) / den(z) in one variable.
 
-    Construct through the classmethods; arithmetic promotes variants as
-    needed and demotes results to the simplest faithful representation.
-    A rational function may not be combined with a genuine exponential
-    polynomial.
+    terms maps each Gaussian-rational rate lambda to its nonzero Poly1
+    coefficient p_lambda (no terms: the zero function); den is a monic
+    Poly1, coprime to the numerator; num is the numerator as one Poly1,
+    or None when it has an exponential term.  Polynomials, rational
+    functions and exponential polynomials are all this one form.  An
+    exponential term (lambda != 0) never sits over a non-constant den: an
+    operation whose result would hold one, a division by a function with
+    an exponential term included, raises UnsupportedOperationError.
+
+    Construct through the classmethods; the constructor takes terms and
+    den already reduced.
     """
 
-    __slots__ = ("kind", "data", "_plan", "_derivative")
+    __slots__ = ("terms", "den", "num", "_plan", "_derivative")
 
-    def __init__(self, kind: str, data):
-        self.kind = kind  # "poly" | "rational" | "exppoly"
-        self.data = data
+    def __init__(self, terms: Dict[GaussianRational, Poly1],
+                 den: Poly1 = _ONE):
+        self.terms = terms
+        self.den = den
+        self.num: Optional[Poly1] = (
+            Poly1.zero() if not terms else
+            terms.get(_ZERO) if len(terms) == 1 else None)
         self._plan = None
         self._derivative = None
 
@@ -394,82 +420,51 @@ class AnalyticFunction:
 
     @staticmethod
     def from_poly(p: Poly1) -> "AnalyticFunction":
-        return AnalyticFunction("poly", p)
+        return AnalyticFunction({_ZERO: p} if p.coeffs else {})
 
     @staticmethod
     def constant(c) -> "AnalyticFunction":
-        return AnalyticFunction("poly", Poly1.constant(c))
+        return AnalyticFunction.from_poly(Poly1.constant(c))
 
     @staticmethod
     def identity() -> "AnalyticFunction":
-        return AnalyticFunction("poly", Poly1.identity())
+        return AnalyticFunction.from_poly(Poly1.identity())
 
     @staticmethod
     def rational(num: Poly1, den: Poly1) -> "AnalyticFunction":
-        num, den = _reduce_rational(num, den)
-        if den.degree == 0:
-            return AnalyticFunction("poly", num)
-        return AnalyticFunction("rational", _Rational(num, den))
+        return _reduced({_ZERO: num}, den)
 
     @staticmethod
     def exppoly(terms: Dict[GaussianRational, Poly1]) -> "AnalyticFunction":
-        clean = {lam: p for lam, p in terms.items() if not p.is_zero()}
-        _check_budget(sum(len(p.coeffs) for p in clean.values()),
-                      "exponential polynomial")
-        zero_lam = GaussianRational(0)
-        if not clean:
-            return AnalyticFunction("poly", Poly1.zero())
-        if set(clean) == {zero_lam}:
-            return AnalyticFunction("poly", clean[zero_lam])
-        return AnalyticFunction("exppoly", clean)
+        return _reduced(terms, _ONE)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.kind == "poly":
-            return self.data.is_zero()
-        if self.kind == "rational":
-            return self.data.num.is_zero()
-        return not self.data
+        return not self.terms
 
     def is_constant(self) -> bool:
-        return self.kind == "poly" and self.data.is_constant()
+        return (self.num is not None and self.num.is_constant()
+                and self.den is _ONE)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _as_exppoly(self) -> Dict[GaussianRational, Poly1]:
-        if self.kind == "poly":
-            if self.data.is_zero():
-                return {}
-            return {GaussianRational(0): self.data}
-        if self.kind == "exppoly":
-            return dict(self.data)
-        raise UnsupportedOperationError(
-            "cannot combine a rational function with an exponential polynomial")
-
     def __add__(self, other: "AnalyticFunction") -> "AnalyticFunction":
         other = _coerce_fn(other)
-        if self.kind == other.kind == "poly":
-            return AnalyticFunction("poly", self.data + other.data)
-        if "exppoly" in (self.kind, other.kind):
-            terms = self._as_exppoly()
-            for lam, p in other._as_exppoly().items():
-                terms[lam] = terms.get(lam, Poly1.zero()) + p
-            return AnalyticFunction.exppoly(terms)
-        n1, d1 = self._as_fraction()
-        n2, d2 = other._as_fraction()
-        return AnalyticFunction.rational(n1 * d2 + n2 * d1, d1 * d2)
+        d1, d2 = self.den, other.den
+        if _polynomials(self, other):
+            return AnalyticFunction.from_poly(self.num + other.num)
+        terms = {lam: _times(p, d2) for lam, p in self.terms.items()}
+        for lam, p in other.terms.items():
+            p = _times(p, d1)
+            terms[lam] = terms[lam] + p if lam in terms else p
+        return _reduced(terms, _times(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self) -> "AnalyticFunction":
-        if self.kind == "poly":
-            return AnalyticFunction("poly", -self.data)
-        if self.kind == "rational":
-            return AnalyticFunction("rational",
-                                    _Rational(-self.data.num, self.data.den))
-        return AnalyticFunction("exppoly",
-                                {lam: -p for lam, p in self.data.items()})
+        return AnalyticFunction({lam: -p for lam, p in self.terms.items()},
+                                self.den)
 
     def __sub__(self, other):
         return self + (-_coerce_fn(other))
@@ -477,28 +472,16 @@ class AnalyticFunction:
     def __rsub__(self, other):
         return _coerce_fn(other) + (-self)
 
-    def _as_fraction(self) -> Tuple[Poly1, Poly1]:
-        if self.kind == "poly":
-            return self.data, Poly1.constant(1)
-        if self.kind == "rational":
-            return self.data.num, self.data.den
-        raise UnsupportedOperationError(
-            "cannot combine a rational function with an exponential polynomial")
-
     def __mul__(self, other) -> "AnalyticFunction":
         other = _coerce_fn(other)
-        if self.kind == other.kind == "poly":
-            return AnalyticFunction("poly", self.data * other.data)
-        if "exppoly" in (self.kind, other.kind):
-            terms: Dict[GaussianRational, Poly1] = {}
-            for l1, p1 in self._as_exppoly().items():
-                for l2, p2 in other._as_exppoly().items():
-                    lam = l1 + l2
-                    terms[lam] = terms.get(lam, Poly1.zero()) + p1 * p2
-            return AnalyticFunction.exppoly(terms)
-        n1, d1 = self._as_fraction()
-        n2, d2 = other._as_fraction()
-        return AnalyticFunction.rational(n1 * n2, d1 * d2)
+        if _polynomials(self, other):
+            return AnalyticFunction.from_poly(self.num * other.num)
+        terms: Dict[GaussianRational, Poly1] = {}
+        for l1, p1 in self.terms.items():
+            for l2, p2 in other.terms.items():
+                lam, p = l1 + l2, p1 * p2
+                terms[lam] = terms[lam] + p if lam in terms else p
+        return _reduced(terms, _times(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -506,28 +489,13 @@ class AnalyticFunction:
         other = _coerce_fn(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        if other.kind == "exppoly":
-            raise UnsupportedOperationError(
-                "division by an exponential polynomial")
-        n2, d2 = other._as_fraction()
-        if self.kind == "exppoly":
-            if not n2.is_constant():
-                raise UnsupportedOperationError(
-                    "exponential polynomial divided by a non-constant")
-            factor = (GaussianRational(1) / n2.coeffs[0])
-            scaled = {lam: (p * d2).scale(factor)
-                      for lam, p in self.data.items()}
-            return AnalyticFunction.exppoly(scaled)
-        n1, d1 = self._as_fraction()
-        return AnalyticFunction.rational(n1 * d2, d1 * n2)
+        if other.num is None:   # its exponential terms would be the den
+            raise UnsupportedOperationError(_MIXED)
+        return self * _reduced({_ZERO: other.den}, other.num)
 
     def __pow__(self, k: int) -> "AnalyticFunction":
         if k < 0:
-            if self.kind == "exppoly":
-                raise UnsupportedOperationError(
-                    "negative power of an exponential polynomial")
-            n, d = self._as_fraction()
-            return AnalyticFunction.rational(d, n) ** (-k)
+            return (AnalyticFunction.constant(1) / self) ** (-k)
         result = AnalyticFunction.constant(1)
         base = self
         while k:
@@ -557,75 +525,74 @@ class AnalyticFunction:
         return self._derivative
 
     def _differentiate(self) -> "AnalyticFunction":
-        if self.kind == "poly":
-            return AnalyticFunction("poly", self.data.derivative())
-        if self.kind == "rational":
-            n, d = self.data.num, self.data.den
-            return AnalyticFunction.rational(
-                n.derivative() * d - n * d.derivative(), d * d)
-        terms = {}
-        for lam, p in self.data.items():
-            terms[lam] = p.derivative() + p.scale(lam)
-        return AnalyticFunction.exppoly(terms)
+        """(N / den)' = (N' den - N den') / den^2, where
+        (p e^(lambda z))' = (p' + lambda p) e^(lambda z)."""
+        terms = {lam: p.derivative() + p.scale(lam) if lam else p.derivative()
+                 for lam, p in self.terms.items()}
+        den = self.den
+        if den is _ONE:   # N' over 1 is reduced
+            return AnalyticFunction({lam: q for lam, q in terms.items()
+                                     if q.coeffs})
+        return _reduced({_ZERO: terms[_ZERO] * den
+                         - self.num * den.derivative()}, den * den)
 
     # -- evaluation ---------------------------------------------------------
 
     def eval_exact(self, z: GaussianRational) -> GaussianRational:
-        """Exact value at a Gaussian-rational point (poly/rational only)."""
-        if self.kind == "poly":
-            return self.data.eval_exact(z)
-        if self.kind == "rational":
-            den = self.data.den.eval_exact(z)
-            if den.is_zero():
-                raise ZeroDivisionError(f"pole at sample point {z}")
-            return self.data.num.eval_exact(z) / den
-        raise ExactEvalUnavailableError(
-            "exponential polynomials have no exact rational evaluation")
+        """Exact value at a Gaussian-rational point (no exponential term)."""
+        if self.num is None:
+            raise ExactEvalUnavailableError(
+                "exponential polynomials have no exact rational evaluation")
+        den = self.den.eval_exact(z)
+        if den.is_zero():
+            raise ZeroDivisionError(f"pole at z = {z}")
+        return self.num.eval_exact(z) / den
 
     def _compiled(self):
-        """The float plan: Horner coefficients of the polynomial; of the
-        numerator and denominator; or (complex lambda, Horner coefficients)
-        per exponential term."""
+        """The float plan (num, terms, den) of Horner coefficients: num is
+        the numerator's when it has no exponential term, else terms holds
+        (complex lambda, Horner coefficients) per term; den is empty when
+        the denominator is 1."""
         if self._plan is None:
-            if self.kind == "poly":
-                self._plan = self.data.plan
-            elif self.kind == "rational":
-                self._plan = (self.data.num.plan, self.data.den.plan)
-            else:
-                self._plan = tuple((lam.to_complex(), p.plan)
-                                   for lam, p in self.data.items())
+            num = self.num
+            self._plan = (
+                () if num is None else num.plan,
+                () if num is not None else tuple(
+                    (lam.to_complex(), p.plan)
+                    for lam, p in self.terms.items()),
+                () if self.den is _ONE else self.den.plan)
         return self._plan
 
     def eval_scaled(self, z):
         """Return (w, s) with value = w * exp(s); keeps huge moduli finite.
 
         z is one complex point or a 1-D complex array of nodes; on an array
-        w and s are arrays (s stays 0.0 for polynomial and rational kinds).
+        w and s are arrays (s stays 0.0 without an exponential term).
         """
         ops = _ops(z)
         z = ops.coerce(z)
-        plan = self._compiled()
-        if self.kind == "poly":
-            return _horner(plan, z), 0.0
-        if self.kind == "rational":
-            num, den = plan
+        num, terms, den = self._compiled()
+        if terms:
+            rates = [lam * z for lam, _ in terms]
+            scale = ops.maximum([rate.real for rate in rates])
+            w = 0j
+            for rate, (_, coeffs) in zip(rates, terms):
+                w += _horner(coeffs, z) * ops.cexp(rate - scale)
+            return w, scale
+        w = _horner(num, z)
+        if den:
             d = _horner(den, z)
             if ops.any(d == 0):
                 raise ZeroDivisionError(
                     f"pole at evaluation point {_first_where(z, d == 0)}")
-            return _horner(num, z) / d, 0.0
-        rates = [lam * z for lam, _ in plan]
-        scale = ops.maximum([rate.real for rate in rates])
-        total = 0j
-        for rate, (_, coeffs) in zip(rates, plan):
-            total += _horner(coeffs, z) * ops.cexp(rate - scale)
-        return total, scale
+            w = w / d
+        return w, 0.0
 
     def eval_complex(self, z):
         """Value at a point or on an array of nodes; values below exp(-700)
         flush to 0, values above exp(700) raise OverflowError."""
         w, s = self.eval_scaled(z)
-        if self.kind != "exppoly":
+        if self.num is not None:   # no exponential term: s is 0
             return w
         ops = _ops(z)
         live = w != 0
@@ -644,16 +611,24 @@ class AnalyticFunction:
         return _ops(z).log_abs(w) + s
 
     def __str__(self):
-        if self.kind == "poly":
-            return str(self.data)
-        if self.kind == "rational":
-            return f"({self.data.num})/({self.data.den})"
-        parts = [f"({p})*exp(({lam})*z)"
-                 for lam, p in sorted(self.data.items(),
-                                      key=lambda kv: _lambda_key(kv[0]))]
-        return " + ".join(parts)
+        text = str(self.num) if self.num is not None else " + ".join(
+            f"({p})*exp(({lam})*z)"
+            for lam, p in sorted(self.terms.items(),
+                                 key=lambda kv: (kv[0].re, kv[0].im)))
+        return text if self.den is _ONE else f"({text})/({self.den})"
 
     __repr__ = __str__
+
+
+def _polynomials(f: AnalyticFunction, g: AnalyticFunction) -> bool:
+    """Whether f and g are both polynomials: those combine as Poly1s, with
+    no term dict to merge and no reduction."""
+    return (f.den is g.den is _ONE and f.num is not None
+            and g.num is not None)
+
+
+def _times(p: Poly1, den: Poly1) -> Poly1:
+    return p if den is _ONE else p * den
 
 
 def _coerce_fn(value) -> AnalyticFunction:
@@ -962,18 +937,16 @@ def _poly_zeros(p: Poly1) -> List[Tuple[complex, int]]:
 
 
 def poles(f: AnalyticFunction) -> List[complex]:
-    """Poles of a rational function, located numerically as the roots of
-    its reduced denominator; none for the other kinds."""
-    if f.kind != "rational":
-        return []
-    return [z for z, _ in _poly_zeros(f.data.den)]
+    """Poles of f, located numerically as the roots of its reduced
+    denominator; none when the denominator is 1."""
+    return [z for z, _ in _poly_zeros(f.den)]
 
 
 def zeros_in_disc(f: AnalyticFunction, t: float,
                   force_winding: bool = False) -> Divisor:
     """Divisor of zeros of f in the closed disc |z| <= t.
 
-    Rational functions contribute the zeros of their reduced numerator.
+    A denominator contributes nothing: the zeros are the numerator's.
     The moment path can be forced for cross-checking the algebraic path.
     Either way the located total must match the outer winding count.  A
     zero within 1e-9 of |z| = t raises CertificationError at once: no
@@ -984,16 +957,13 @@ def zeros_in_disc(f: AnalyticFunction, t: float,
     if t <= 0:
         raise ValueError("disc radius must be positive")
 
-    if f.kind == "rational":
-        core = AnalyticFunction.from_poly(f.data.num)
-    else:
-        core = f
-
+    num = f.num
+    core = f if f.den is _ONE else AnalyticFunction.from_poly(num)
     count = None
-    if core.kind == "poly" and not force_winding:
-        if core.data.degree == 0:
+    if num is not None and not force_winding:
+        if num.degree == 0:
             return Divisor((), t)
-        located = _poly_zeros(core.data)
+        located = _poly_zeros(num)
     else:
         count, found = _locate(core, core.derivative(), 0j, t)
         located = [(z, m) for z, m, _ in found]

@@ -26,11 +26,13 @@ class DegenerateInputError(SmtlabError):
 
 
 class UnsupportedOperationError(SmtlabError):
-    """Operation not defined for this combination of function variants."""
+    """Operation whose result would put an exponential term over a
+    non-constant denominator, which no analytic function can hold."""
 
 
 class ExactEvalUnavailableError(SmtlabError):
-    """Exact rational evaluation requested for a transcendental variant."""
+    """Exact rational evaluation requested for a function with an
+    exponential term."""
 
 
 class ValidationError(SmtlabError):

@@ -38,7 +38,6 @@ from .analytic import AnalyticFunction, Curve, Poly1, poly_gcd
 from .errors import (
     CertificationError,
     DegenerateInputError,
-    UnsupportedOperationError,
     ValidationError,
 )
 from .exact_algebra import HomogPoly, rank_of_vectors
@@ -84,7 +83,14 @@ def _random_gaussian_point(rng: random.Random) -> GaussianRational:
 def _specialize(family: HypersurfaceFamily, seed: int) -> List[HomogPoly]:
     """The members at the first point drawn from random.Random(seed) where
     every member is defined and not identically zero; a fixed family is
-    the same at every point."""
+    the same at every point.  A coefficient with an exponential term has
+    no exact value there, so it is refused, naming its member."""
+    for k, member in enumerate(family):
+        if any(fn.num is None for fn in member.coeffs.values()):
+            raise ValidationError(
+                f"family member {k} has an exponential coefficient: a "
+                "moving family is specialized at an exact point, so its "
+                "coefficients must be polynomial or rational")
     rng = random.Random(seed)
     for _ in range(POINT_TRIES):
         z = _random_gaussian_point(rng)
@@ -466,15 +472,15 @@ def check_curve_on_variety(V: Variety, curve: Curve) -> None:
 
 def _cleared_denominators(comps: Sequence[AnalyticFunction]
                           ) -> List[AnalyticFunction]:
-    """D f, D the lcm of the denominators of the rational components; each
-    entry is a polynomial or an exponential polynomial."""
+    """D f, D the lcm of the components' denominators; each entry has
+    denominator 1."""
     D = Poly1.constant(1)
     for c in comps:
-        if c.kind == "rational":
-            D = D * (c.data.den // poly_gcd(D, c.data.den))
-    return [AnalyticFunction.from_poly(c.data.num * (D // c.data.den))
-            if c.kind == "rational" else c * AnalyticFunction.from_poly(D)
-            for c in comps]
+        if c.den.degree > 0:
+            D = D * (c.den // poly_gcd(D, c.den))
+    if D.degree == 0:
+        return list(comps)
+    return [c * AnalyticFunction.from_poly(D) for c in comps]
 
 
 def _monomial_rank(fs: Sequence[AnalyticFunction], u: int) -> int:
@@ -482,7 +488,7 @@ def _monomial_rank(fs: Sequence[AnalyticFunction], u: int) -> int:
     sum p_lambda(z) e^(lambda z) and read as its coefficient vector keyed
     by (lambda, power of z)."""
     rows = [{(lam, k): c
-             for lam, p in reduce(mul, factors)._as_exppoly().items()
+             for lam, p in reduce(mul, factors).terms.items()
              for k, c in enumerate(p.coeffs)}
             for factors in combinations_with_replacement(fs, u)]
     return rank_of_vectors(rows, keyfunc=lambda key: (key[0].re, key[0].im,

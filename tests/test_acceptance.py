@@ -277,7 +277,7 @@ def test_criterion_08_zero_counting():
         coeffs = [GR(rng.randint(-5, 5), rng.randint(-5, 5))
                   for _ in range(deg)] + [GR(rng.randint(1, 5))]
         g = AF.from_poly(Poly1(coeffs))
-        if g.data.degree < 1:
+        if g.num.degree < 1:
             continue
         alg = zeros_in_disc(g, 2.5)
         win = zeros_in_disc(g, 2.5, force_winding=True)

@@ -174,14 +174,14 @@ def test_product_rule_symbolic():
 
 
 def test_variant_promotion_and_demotion():
-    half = AF.rational(P(1), P(2))  # constant 1/2 demotes to poly
-    assert half.kind == "poly"
-    e0 = AF.exppoly({GR(0): P(1, 1)})  # only lambda=0 demotes to poly
-    assert e0.kind == "poly"
+    half = AF.rational(P(1), P(2))  # constant 1/2 is a polynomial
+    assert (half.num, half.den) == (P(GR(Fraction(1, 2))), P(1))
+    e0 = AF.exppoly({GR(0): P(1, 1)})  # only lambda=0: a polynomial
+    assert (e0.num, e0.den) == (P(1, 1), P(1))
     mixed = fn_poly(1) + AF.exppoly({GR(1): P(1)})
-    assert mixed.kind == "exppoly"
-    ratio = fn_poly(1) / fn_poly(1, -1)
-    assert ratio.kind == "rational"
+    assert mixed.num is None and mixed.terms == {GR(0): P(1), GR(1): P(1)}
+    ratio = fn_poly(1) / fn_poly(1, -1)   # -1/(z - 1), den monic
+    assert (ratio.num, ratio.den) == (P(-1), P(-1, 1))
 
 
 def test_rational_times_exppoly_rejected():
@@ -191,6 +191,117 @@ def test_rational_times_exppoly_rejected():
         r * e
     with pytest.raises(UnsupportedOperationError):
         r + e
+    with pytest.raises(UnsupportedOperationError):
+        e / fn_poly(1, -1)
+    with pytest.raises(UnsupportedOperationError):
+        fn_poly(1, -1) / e
+    with pytest.raises(UnsupportedOperationError):
+        e ** -1
+
+
+def _sym(sympy, c):
+    return (sympy.Rational(c.re.numerator, c.re.denominator)
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+
+
+def _sym_poly(sympy, z, p):
+    return sum((_sym(sympy, c) * z ** k for k, c in enumerate(p.coeffs)),
+               sympy.Integer(0))
+
+
+# rates of the random exponential terms, 0 included
+_RATES = (GR(0), GR(1), GR(-1), GR(0, 1), GR(1, -1), GR(Fraction(1, 2)))
+# an exact point: a Gaussian-integer polynomial of the small degrees below
+# has no zero whose denominator holds the primes 19 or 5 + 2i
+_EXACT_POINT = GR(Fraction(17, 19), Fraction(23, 29))
+_FLOAT_POINTS = (GR(Fraction(3, 10), Fraction(7, 10)),
+                 GR(Fraction(-11, 10), Fraction(2, 5)))
+
+
+def _random_operand(rng, sympy, z):
+    """A nonzero function of a random shape (polynomial, rational or
+    exponential polynomial), its sympy expression, and whether it has an
+    exponential term, a non-constant numerator and a non-constant
+    denominator (read by sympy where a fraction may cancel)."""
+    def poly(lo, hi):
+        while True:
+            p = P(*[GR(rng.randint(-3, 3), rng.choice((0, rng.randint(-2, 2))))
+                    for _ in range(rng.randint(lo, hi) + 1)])
+            if p.degree >= lo:
+                return p
+
+    shape = rng.choice(("poly", "rational", "exppoly"))
+    if shape == "rational":
+        n, d = poly(0, 2), poly(1, 2)
+        sn, sd = _sym_poly(sympy, z, n), _sym_poly(sympy, z, d)
+        g = sympy.Poly(sn, z, domain="QQ_I").gcd(
+            sympy.Poly(sd, z, domain="QQ_I")).degree()
+        return AF.rational(n, d), sn / sd, (False, n.degree > g,
+                                            d.degree > g)
+    rates = [GR(0)] if shape == "poly" else rng.sample(_RATES,
+                                                       rng.randint(1, 3))
+    terms = {lam: poly(0, 3 if shape == "poly" else 2) for lam in rates}
+    expr = sum((_sym_poly(sympy, z, p) * sympy.exp(_sym(sympy, lam) * z)
+                for lam, p in terms.items()), sympy.Integer(0))
+    exp = any(not lam.is_zero() for lam in terms)
+    return (AF.exppoly(terms), expr,
+            (exp, exp or terms[GR(0)].degree > 0, False))
+
+
+def _has_exp(sympy, expr):
+    """Whether expr keeps an exponential term once like terms combine."""
+    expr = sympy.expand(sympy.powsimp(sympy.expand(expr), combine="exp"),
+                        power_exp=False)
+    return expr.has(sympy.exp)
+
+
+def test_arithmetic_matches_sympy_and_refuses_exactly_the_mixed_shapes():
+    # every result is checked against sympy, exactly where it has no
+    # exponential term and at rel 1e-12 where it has; a refusal comes
+    # exactly when an exponential term, in a numerator or in a divisor,
+    # would sit over a non-constant denominator
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(200):
+        a, sa, (a_exp, _, a_den) = _random_operand(rng, sympy, z)
+        b, sb, (b_exp, b_num, b_den) = _random_operand(rng, sympy, z)
+        op = rng.choice(("+", "-", "*", "/", "**", "d"))
+        k = rng.randint(-2, 3)
+        if op in "+-*":
+            refused = (a_exp and b_den) or (b_exp and a_den)
+        elif op == "/":
+            refused = b_exp or (a_exp and b_num)
+        else:
+            refused = op == "**" and k < 0 and a_exp
+        compute, want = {
+            "+": (lambda: a + b, sa + sb),
+            "-": (lambda: a - b, sa - sb),
+            "*": (lambda: a * b, sa * sb),
+            "/": (lambda: a / b, sa / sb),
+            "**": (lambda: a ** k, sa ** k),
+            "d": (lambda: a.derivative(), sympy.diff(sa, z)),
+        }[op]
+        seen.add((op, refused))
+        if refused:
+            with pytest.raises(UnsupportedOperationError):
+                compute()
+            continue
+        got = compute()
+        if not _has_exp(sympy, want):
+            value = _sym(sympy, got.eval_exact(_EXACT_POINT))
+            exact = want.subs(z, _sym(sympy, _EXACT_POINT))
+            assert sympy.expand_complex(exact - value) == 0, (op, a, b, k)
+            continue
+        with pytest.raises(ExactEvalUnavailableError):
+            got.eval_exact(_EXACT_POINT)
+        for pt in _FLOAT_POINTS:
+            value = got.eval_complex(pt.to_complex())
+            expect = complex(sympy.N(want.subs(z, _sym(sympy, pt)), 30))
+            assert value == pytest.approx(expect, rel=1e-12), (op, a, b, k)
+    assert {(op, False) for op in ("+", "-", "*", "/", "**", "d")} <= seen
+    assert {(op, True) for op in ("+", "-", "*", "/", "**")} <= seen
 
 
 def test_exact_eval():
@@ -280,13 +391,13 @@ def test_point_evaluation_reads_exact_coefficients():
             total = total * z + c.to_complex()
         return total
 
-    scale = max((lam.to_complex() * z).real for lam in f.data)
+    scale = max((lam.to_complex() * z).real for lam in f.terms)
     total = 0j
-    for lam, p in f.data.items():
+    for lam, p in f.terms.items():
         total += horner(p) * cmath.exp(lam.to_complex() * z - scale)
     assert f.eval_scaled(z) == (total, scale)
     g = PLAN_CASES["poly"]
-    assert g.eval_scaled(z) == (horner(g.data), 0.0)
+    assert g.eval_scaled(z) == (horner(g.num), 0.0)
 
 
 def test_array_pole_raises():
@@ -320,9 +431,9 @@ def test_poly_sum_and_product_match_rational_round_trip():
     one = P(1)
     total = fa + fb
     product = fa * fb
-    assert total.kind == product.kind == "poly"
-    assert total.data == AF.rational(a * one + b * one, one * one).data
-    assert product.data == AF.rational(a * b, one * one).data
+    assert total.den == product.den == one
+    assert total.num == AF.rational(a * one + b * one, one * one).num
+    assert product.num == AF.rational(a * b, one * one).num
 
 
 def test_mul_budget_guard():
@@ -415,7 +526,7 @@ def test_polynomial_vs_winding_agreement():
         coeffs = [GR(rng.randint(-5, 5), rng.randint(-5, 5))
                   for _ in range(deg)] + [GR(rng.randint(1, 5))]
         f = AF.from_poly(Poly1(coeffs))
-        if f.data.degree < 1:
+        if f.num.degree < 1:
             continue
         t = 2.5
         alg = zeros_in_disc(f, t)
@@ -655,7 +766,7 @@ def test_parse_poly_literal():
 
 def test_parse_rational_literal():
     f = parse_function("rational: (1)/(1-z)")
-    assert f.kind == "rational"
+    assert f.den == P(-1, 1)
     assert f == AF.rational(P(1), P(1, -1))
 
 

@@ -213,6 +213,25 @@ def test_moving_family_value_kind(tmp_path, capsys, fields, value, kind):
     assert code == 0 and json.loads(out)["constants"]["delta_V"] == value
 
 
+def test_exponential_moving_coefficient_named_where_specialized(
+        tmp_path, capsys):
+    # reports that specialize the family at an exact point refuse the
+    # member by name; the analytic reports still run on a short grid
+    path = _scenario_file(
+        tmp_path, grid={"kind": "geometric", "r_min": 2.0, "r_max": 5.0,
+                        "points": 40},
+        hypersurfaces=[_line(x0="1"), _line(x1="1", x0="-1"),
+                       _line(True, x1="1", x0="exppoly: (1)*exp(z)")])
+    for command in ("distributive", "constants", "verify"):
+        code, out, err = run(capsys, command, "--scenario", path)
+        assert_one_error_line(code, out, err)
+        assert "family member 2 has an exponential coefficient" in err
+        assert "must be polynomial or rational" in err
+    for command in ("nevanlinna", "fmt-check"):
+        code, _, err = run(capsys, command, "--scenario", path)
+        assert code == 0 and err == ""
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -30,7 +30,6 @@ from smtlab.groebner import (
     groebner_basis,
     intersection_dim,
     normal_form,
-    variety_dim_degree,
 )
 from smtlab.scalars import GaussianRational
 from smtlab.weights import hilbert_weight

@@ -9,7 +9,7 @@ import pytest
 
 from smtlab.analytic import AnalyticFunction, Poly1, parse_function
 from smtlab.errors import DegenerateInputError, ValidationError
-from smtlab.exact_algebra import HomogPoly, Monomial, parse_homog_poly
+from smtlab.exact_algebra import Monomial, parse_homog_poly
 from smtlab.hypersurfaces import (
     HypersurfaceFamily,
     MovingHypersurface,

@@ -269,7 +269,7 @@ def _sympy_ranks(sympy, comps):
     def poly(p):
         coeffs = [_sympy_number(sympy, c) for c in reversed(p.coeffs)]
         return sympy.Poly(coeffs, z, domain=QQ_I)
-    fractions = [tuple(map(poly, c._as_fraction())) for c in comps]
+    fractions = [tuple(map(poly, (c.num, c.den))) for c in comps]
     D = sympy.Poly(1, z, domain=QQ_I)
     for _, den in fractions:
         D = D * den
