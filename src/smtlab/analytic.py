@@ -736,6 +736,17 @@ def _circle_levels(f, fp, t: float, centre: complex = 0j):
         nodes *= 2
 
 
+def _level_mean(g: np.ndarray, t: float) -> complex:
+    """Trapezoid mean of one level's g, refused when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = complex(np.sum(g)) / len(g)
+    if not cmath.isfinite(w):
+        raise CertificationError(
+            f"winding on |z| = {t} is not finite (a float computation "
+            "overflowed)")
+    return w
+
+
 def winding_circle(f: AnalyticFunction, t: float,
                    centre: complex = 0j) -> Tuple[int, int]:
     """Winding of f around |z - centre| = t by the argument principle.
@@ -744,11 +755,12 @@ def winding_circle(f: AnalyticFunction, t: float,
     levels round to the same integer with residual < 0.25.  The stop is a
     numerical convergence check, not a certificate.  Returns (count,
     nodes_used); raises CertificationError when the levels stop first:
-    at the node cap, or at a node where |f| < _TINY.
+    at the node cap, or at a node where |f| < _TINY, and at once on a
+    level whose sum is not finite.
     """
     prev: Optional[int] = None
     for u, g in _circle_levels(f, f.derivative(), t, centre):
-        w = complex(np.sum(g)) / len(g)
+        w = _level_mean(g, t)
         k = round(w.real)
         if prev == k and abs(w - k) < 0.25:
             return k, len(g)
@@ -775,10 +787,11 @@ def _disc_moments(f, fp, centre: complex, t: float):
     in winding_circle, and their power sums s_p = sum w^p, p = 0..k, in
     w = (z - centre)/t: trapezoid sums of u^p g, one power at a time.
     s is None if k > _MOMENT_CAP; both are None if the count or the
-    moments do not settle (to _MOMENT_TOL) before the levels stop."""
+    moments do not settle (to _MOMENT_TOL) before the levels stop;
+    raises CertificationError on a level whose sum is not finite."""
     prev: Optional[List[complex]] = None
     for u, g in _circle_levels(f, fp, t, centre):
-        s = [complex(np.sum(g)) / len(g)]
+        s = [_level_mean(g, t)]
         k = round(s[0].real)
         acc = g
         for _ in range(min(max(k, 0), _MOMENT_CAP)):

@@ -8,9 +8,13 @@ contribute nothing.  A strict-Jensen switch restores the classical
 n(0) log(r/r0) term for users who want it; shipped scenarios avoid origin
 zeros so the two agree there.
 
-Circle averages stop at _QUAD_NODES = 2^16 nodes.  Divisors are taken on
-a radius padded past the grid's last circle (three pads are tried), and
-m_f(r, Q) refuses a circle within 1e-9 of a zero of Q(f) before any node.
+Every circle average comes from one kernel, circle_averages: each
+(integrand, circle) pair doubles its nodes until stable, capped at
+_QUAD_NODES = 2^16, and all circles advance level by level together, so a
+grid's T is one integrand call per level and its m rows for every target
+one more.  Divisors are taken on a radius padded past the grid's last
+circle (three pads are tried), and m_f(r, Q) refuses a circle within 1e-9
+of a zero of Q(f) before any node.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .scalars import GaussianRational
 
 _ORIGIN_TOL = 1e-12
 _QUAD_NODES = 2 ** 16   # node cap of every circle average
+_CHUNK_NODES = 2 ** 15  # most nodes handed to an integrand in one call
 
 
 @dataclass(frozen=True)
@@ -85,56 +90,146 @@ class RadialGrid:
         return tuple(range(len(self.values) - count, len(self.values)))
 
 
-def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
-                   tol: float = 1e-8) -> Tuple[float, int]:
-    """Trapezoid average of fn over |z| = r, doubling nodes until stable.
+def circle_averages(fn: Callable[[np.ndarray], np.ndarray],
+                    radii: Sequence[float], tol: float = 1e-8
+                    ) -> List[List[Union[Tuple[float, int], Exception]]]:
+    """Trapezoid averages of each row of fn over each circle |z| = r.
 
-    fn is an array integrand: it takes a 1-D complex array of nodes on the
-    circle and returns one real value per node.  Each doubling level is one
-    call, on the nodes that level adds.  The stop, two successive levels
-    within tol, is a numerical convergence check, not a certificate: the
+    fn is an array integrand: it maps a 1-D complex array of nodes to a
+    (rows, nodes) array, one row per integrand.  Each (row, circle) pair
+    doubles its nodes from 64 until two successive levels agree within
+    tol: a numerical convergence check, not a certificate, since the
     trapezoid error itself is not bounded.  Periodic analytic integrands
     converge spectrally; integrands with corners (maxima of smooth
-    families) still converge, just slower.  Returns (average, nodes used);
-    raises CertificationError at the node cap _QUAD_NODES, or at once on a
-    level whose sum is not finite (a float overflow in fn).
-    """
-    def level_sum(steps: np.ndarray, count: int) -> float:
-        z = r * np.exp(2j * math.pi * steps / count)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(fn(z), dtype=float)
-            if values.shape != z.shape:
-                raise ValueError("circle_average integrands return one "
-                                 "value per node")
-            total = float(np.sum(values))
-        if not math.isfinite(total):
-            raise CertificationError(
-                f"circle average on |z| = {r} is not finite (a float "
-                "computation overflowed)")
-        return total
+    families) still converge, just slower.  The circles advance level by
+    level together: a level is one call of fn on the nodes it adds on
+    every circle where a pair still runs, whole circles at a time and at
+    most _CHUNK_NODES nodes per call.
 
-    nodes = 64
-    total = level_sum(np.arange(nodes), nodes)
-    prev = total / nodes
-    while nodes < _QUAD_NODES:
-        total += level_sum(2 * np.arange(nodes) + 1, 2 * nodes)
-        nodes *= 2
-        cur = total / nodes
-        if abs(cur - prev) <= tol:
-            return cur, nodes
-        prev = cur
-    raise CertificationError(
-        f"circle average on |z| = {r} did not reach tolerance {tol} "
-        f"within {_QUAD_NODES} nodes")
+    Returns per row a list, in radius order, of (average, nodes used) up
+    to the row's first failure, which ends the list as an exception: a
+    CertificationError at the node cap _QUAD_NODES or at once on a level
+    whose sum is not finite (a float overflow in fn), or what fn raised
+    on that circle, which stops every row still running there.  If fn
+    raises on every circle of the first level, that exception propagates.
+    """
+    radii = tuple(radii)
+    done: dict = {}      # (row, circle) -> (average, nodes) or exception
+    running: dict = {}   # (row, circle) -> (total, last average)
+    stops: List[int] = []   # per row, its first failing circle
+    nodes, steps, live = 64, np.arange(64), list(range(len(radii)))
+    while live:
+        unit = np.exp(2j * math.pi * steps / nodes)
+        sums = dict(zip(live, _level_sums(fn, [radii[i] for i in live],
+                                          unit)))
+        if nodes == 64:
+            rows = next((len(s) for s in sums.values()
+                         if not isinstance(s, Exception)), None)
+            if rows is None:
+                raise sums[live[0]]
+            stops = [len(radii)] * rows
+            running = dict.fromkeys(
+                (j, i) for j in range(rows) for i in live)
+        for (j, i), acc in list(running.items()):
+            s = sums[i]
+            if isinstance(s, Exception):
+                err = s
+            elif not math.isfinite(s[j]):
+                err = CertificationError(
+                    f"circle average on |z| = {radii[i]} is not finite (a "
+                    "float computation overflowed)")
+            else:
+                total = s[j] if acc is None else acc[0] + s[j]
+                cur = total / nodes
+                if acc is not None and abs(cur - acc[1]) <= tol:
+                    done[j, i] = (cur, nodes)
+                    del running[j, i]
+                    continue
+                running[j, i] = (total, cur)
+                if nodes < _QUAD_NODES:
+                    continue
+                err = CertificationError(
+                    f"circle average on |z| = {radii[i]} did not reach "
+                    f"tolerance {tol} within {_QUAD_NODES} nodes")
+            done[j, i] = err
+            del running[j, i]
+            stops[j] = min(stops[j], i)
+        running = {(j, i): acc for (j, i), acc in running.items()
+                   if i < stops[j]}
+        live = sorted({i for _, i in running})
+        steps, nodes = 2 * np.arange(nodes) + 1, 2 * nodes
+    return [[done[j, i] for i in range(min(stop + 1, len(radii)))]
+            for j, stop in enumerate(stops)]
+
+
+def _level_sums(fn: Callable[[np.ndarray], np.ndarray],
+                radii: List[float], unit: np.ndarray) -> list:
+    """Per circle r in radii, the row sums of fn on the nodes r * unit, or
+    what fn raised there; a call of several circles that raises is run
+    again one circle at a time."""
+    per = max(1, _CHUNK_NODES // len(unit))
+    out: list = []
+    for start in range(0, len(radii), per):
+        part = radii[start:start + per]
+        z = np.concatenate([r * unit for r in part])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.asarray(fn(z), dtype=float)
+                if values.ndim != 2 or values.shape[1] != len(z):
+                    raise ValueError("circle_averages integrands return one "
+                                     "row of values per node")
+                # one pairwise sum per (row, circle), as np.sum of each
+                out.extend(values.reshape(len(values), len(part), len(unit))
+                           .sum(axis=2).T.tolist())
+        except Exception as err:
+            if len(part) == 1:
+                out.append(err)
+            else:
+                for r in part:
+                    out.extend(_level_sums(fn, [r], unit))
+    return out
+
+
+def _result(cell: Union[Tuple[float, int], Exception]) -> Tuple[float, int]:
+    """A (average, nodes) entry of circle_averages, or its failure raised."""
+    if isinstance(cell, Exception):
+        raise cell
+    return cell
+
+
+def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
+                   tol: float = 1e-8) -> Tuple[float, int]:
+    """Trapezoid average of fn over |z| = r: the one-circle, one-row case
+    of :func:`circle_averages`, for an fn that returns one real value per
+    node.  Returns (average, nodes used); raises the pair's failure."""
+    ((cell,),) = circle_averages(lambda z: [fn(z)], [r], tol)
+    return _result(cell)
+
+
+def _characteristic_row(curve: Curve, radii: Sequence[float],
+                        tol: float) -> List[float]:
+    """T_f(r) for each r in radii from one kernel call, raising what
+    :func:`characteristic` raises first, radius by radius."""
+    inside = next((i for i, r in enumerate(radii)
+                   if not 0 < r < curve.domain_radius), len(radii))
+    rows = circle_averages(lambda z: [curve.log_norm(z)], radii[:inside],
+                           tol) if inside else []
+    out: List[float] = []
+    for i, r in enumerate(radii):
+        if i == inside:
+            raise ValidationError(
+                f"radius {r} outside the curve domain "
+                f"(R = {curve.domain_radius})")
+        avg, _ = _result(rows[0][i])
+        if i == 0:
+            origin = curve.log_norm(0j)
+        out.append(avg - origin)
+    return out
 
 
 def characteristic(curve: Curve, r: float, tol: float = 1e-8) -> float:
     """T_f(r): circle average of log ||f|| minus its value at the origin."""
-    if not 0 < r < curve.domain_radius:
-        raise ValidationError(
-            f"radius {r} outside the curve domain (R = {curve.domain_radius})")
-    avg, _ = circle_average(curve.log_norm, r, tol)
-    return avg - curve.log_norm(0j)
+    return _characteristic_row(curve, (r,), tol)[0]
 
 
 def counting(divisor: Divisor, grid: RadialGrid,
@@ -176,17 +271,34 @@ def proximity(curve: Curve, Q: MovingHypersurface, r: float,
     keeps the average from converging.
     """
     g = _compose(curve, Q) if composed is None else composed
-    if divisor is not None and any(
-            abs(abs(z) - r) < 1e-9 for z, _ in divisor.points):
-        raise CertificationError(
+    near = None if divisor is None else _zero_near(divisor, r)
+    if near is not None:
+        raise near
+    ((cell,),) = circle_averages(_proximity_integrand(curve, [(Q, g)]),
+                                 [r], tol)
+    return _result(cell)[0]
+
+
+def _proximity_integrand(curve: Curve,
+                         targets: Sequence[Tuple[MovingHypersurface,
+                                                 AnalyticFunction]]
+                         ) -> Callable[[np.ndarray], list]:
+    """Kernel integrand of m_f(r, Q) for each (Q, Q(f)) in targets:
+    log ||f|| is evaluated once per call for all of them."""
+    def integrand(z: np.ndarray) -> list:
+        log_f = curve.log_norm(z)
+        return [Q.degree * log_f + np.log(Q.norm_at(z)) - g.log_abs(z)
+                for Q, g in targets]
+    return integrand
+
+
+def _zero_near(divisor: Divisor, r: float) -> Optional[CertificationError]:
+    """The refusal of the circle |z| = r when a zero of the divisor lies
+    within 1e-9 of it, else None."""
+    if any(abs(abs(z) - r) < 1e-9 for z, _ in divisor.points):
+        return CertificationError(
             f"zero of Q(f) within 1e-9 of the circle |z| = {r}")
-    d = Q.degree
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return d * curve.log_norm(z) + np.log(Q.norm_at(z)) - g.log_abs(z)
-
-    avg, _ = circle_average(integrand, r, tol)
-    return avg
+    return None
 
 
 def _compose(curve: Curve, Q: MovingHypersurface,
@@ -318,7 +430,7 @@ def defect(curve: Curve, Q: MovingHypersurface, k: Union[int, float],
     if divisor is None:
         divisor = _divisor_with_pad(_compose(curve, Q), grid.values[-1])
     N = counting(divisor, grid, k, strict_origin)
-    T = [characteristic(curve, r, tol) for r in grid.values]
+    T = _characteristic_row(curve, grid.values, tol)
     if min(T) <= 0:
         raise ValidationError("characteristic must be positive on the grid")
     tail = tuple((grid.values[i], N[i] / (Q.degree * T[i]))
@@ -430,6 +542,12 @@ class GridSession:
     their divisors and the proximity rows, each computed on first use;
     through ``once``, whatever else a scenario computes once.
 
+    T is one kernel call over every grid radius, and the m rows of all
+    targets one more, which evaluates log ||f|| once per level for all of
+    them.  Errors still come in the order of one quantity after another:
+    T radius by radius, then per target its divisor and, radius by
+    radius, its near-circle check and its quadrature.
+
     Values are stored as immutable tuples or frozen objects; a computation
     that raises stores nothing, so the next request raises again.  T and
     the proximity rows are kept per quadrature tolerance.
@@ -447,9 +565,9 @@ class GridSession:
         return self._memo[key]
 
     def characteristic(self, tol: float) -> Tuple[float, ...]:
-        """T on the grid."""
-        return self.once(("T", tol), lambda: tuple(
-            characteristic(self.curve, r, tol) for r in self.grid.values))
+        """T on the grid, from one kernel call over every radius."""
+        return self.once(("T", tol), lambda: tuple(_characteristic_row(
+            self.curve, self.grid.values, tol)))
 
     def composed(self, j: int) -> AnalyticFunction:
         """Q_j(f), rejected when it vanishes identically."""
@@ -461,20 +579,75 @@ class GridSession:
         return self.once(("divisor", j), lambda: _divisor_with_pad(
             self.composed(j), self.grid.values[-1]))
 
-    def proximity(self, j: int, tol: float) -> Tuple[float, ...]:
-        """m_f(r, Q_j) on the grid."""
-        def row():
-            div, g = self.divisor(j), self.composed(j)
-            return tuple(proximity(self.curve, self.family[j], r, tol,
-                                   divisor=div, composed=g)
-                         for r in self.grid.values)
-        return self.once(("m", j, tol), row)
+    def _proximity_rows(self, tol: float) -> Sequence[
+            Union[Tuple[float, ...], Exception]]:
+        """m_f(r, Q_j) on the grid per target j, in order, as far as the
+        first target that fails: its first error ends the list, in the
+        order of :func:`proximity` radius by radius after the divisor.
+
+        Divisors come first, in order, until one raises.  The targets
+        before it, or before the first with a zero near a grid circle,
+        share one kernel call; that target runs alone, on the circles
+        before its zero.  A failing row of a shared call is run again
+        alone, since an exception raised by the integrand stops every
+        target at that circle.
+        """
+        key = ("m", tol)
+        if key in self._memo:
+            return self._memo[key]
+        radii, shared = self.grid.values, []
+        end: Optional[Tuple[int, Union[int, Exception]]] = None
+        for j in range(len(self.family)):
+            try:
+                div = self.divisor(j)
+            except Exception as err:   # raised in its turn, after the rows
+                end = (j, err)
+                break
+            near = next((i for i, r in enumerate(radii)
+                         if _zero_near(div, r)), None)
+            if near is not None:
+                end = (j, near)
+                break
+            shared.append(j)
+        out: list = []
+        for j, row in zip(shared, self._kernel_rows(shared, radii, tol)):
+            if isinstance(row, Exception) and len(shared) > 1:
+                (row,) = self._kernel_rows([j], radii, tol)
+            out.append(row)
+            if isinstance(row, Exception):
+                return out
+        if end is not None:
+            j, why = end
+            if not isinstance(why, Exception):
+                (row,) = self._kernel_rows([j], radii[:why], tol)
+                why = row if isinstance(row, Exception) else _zero_near(
+                    self.divisor(j), radii[why])
+            return out + [why]
+        self._memo[key] = out = tuple(out)
+        return out
+
+    def _kernel_rows(self, targets: Sequence[int], radii: Sequence[float],
+                     tol: float) -> List[Union[Tuple[float, ...], Exception]]:
+        """Per target, its m row on radii from one kernel call, or the
+        row's first error."""
+        if not (targets and radii):
+            return [()] * len(targets)
+        fn = _proximity_integrand(self.curve, [
+            (self.family[j], self.composed(j)) for j in targets])
+        try:
+            rows = circle_averages(fn, radii, tol)
+        except Exception as err:   # fn raised on every circle at once
+            rows = [[err]] * len(targets)
+        return [row[-1] if isinstance(row[-1], Exception)
+                else tuple(avg for avg, _ in row) for row in rows]
 
     def profile(self, truncations: Union[int, float,
                                          Sequence[Union[int, float]]],
                 tol: float = 1e-8,
                 strict_origin: bool = False) -> NevanlinnaProfile:
-        """The profile of :func:`build_profile`, from the stored pieces."""
+        """The profile of :func:`build_profile`, from the stored pieces;
+        each target's error is raised in its turn, as one target after
+        another would raise it."""
         family, grid = self.family, self.grid
         if isinstance(truncations, (int, float)):
             truncations = [truncations] * len(family)
@@ -482,11 +655,13 @@ class GridSession:
         if len(truncations) != len(family):
             raise ValidationError("one truncation level per hypersurface")
         T = self.characteristic(tol)
-        m_rows, full_rows, trunc_rows, divisors = [], [], [], []
+        m_rows = self._proximity_rows(tol)
+        full_rows, trunc_rows, divisors = [], [], []
         for j, k in enumerate(truncations):
+            if isinstance(m_rows[j], Exception):
+                raise m_rows[j]
             div = self.divisor(j)
             divisors.append(div)
-            m_rows.append(self.proximity(j, tol))
             full_rows.append(tuple(counting(div, grid, math.inf,
                                             strict_origin)))
             trunc_rows.append(tuple(counting(div, grid, k, strict_origin)))

@@ -24,6 +24,7 @@ from smtlab.analytic import (
 )
 from smtlab.errors import (
     BudgetExceededError,
+    CertificationError,
     DegenerateInputError,
     ExactEvalUnavailableError,
     UnsupportedOperationError,
@@ -550,6 +551,17 @@ def test_winding_circle_counts_poly():
     count, nodes = winding_circle(f, 1.5)
     assert count == 3
     assert nodes <= 2 ** 12
+
+
+def test_overflowed_winding_sum_is_a_certification_error():
+    # 1 + z + z^2 overflows on |z| = 1e160: the level sum is NaN, refused
+    # on both the winding and the moment walk (forced)
+    f = fn_poly(1, 1, 1)
+    for force in (False, True):
+        with pytest.raises(CertificationError, match="is not finite"):
+            zeros_in_disc(f, 1e160, force_winding=force)
+    with pytest.raises(CertificationError, match="is not finite"):
+        winding_circle(f, 1e160)
 
 
 def exp_minus(c):

@@ -277,31 +277,33 @@ def test_parser_reuse_leaks_no_options(capsys):
 
 def test_fmt_check_composes_and_characterizes_once(monkeypatch, capsys):
     from smtlab import hypersurfaces, nevanlinna
-    composed, radii = Counter(), Counter()
+    composed, kernel = Counter(), []
     compose = hypersurfaces.MovingHypersurface.compose
-    characteristic = nevanlinna.characteristic
+    circle_averages = nevanlinna.circle_averages
 
     def counted_compose(self, components):
         composed[id(self)] += 1
         return compose(self, components)
 
-    def counted_characteristic(curve, r, *args, **kwargs):
-        radii[r] += 1
-        return characteristic(curve, r, *args, **kwargs)
+    def counted_kernel(fn, radii, *args, **kwargs):
+        kernel.append(tuple(radii))
+        return circle_averages(fn, radii, *args, **kwargs)
 
     monkeypatch.setattr(hypersurfaces.MovingHypersurface, "compose",
                         counted_compose)
-    # fmt-check reads T from build_profile, which looks it up in nevanlinna
-    monkeypatch.setattr(nevanlinna, "characteristic", counted_characteristic)
+    # the session looks the kernel up in nevanlinna
+    monkeypatch.setattr(nevanlinna, "circle_averages", counted_kernel)
     code, out, _ = run(capsys, "fmt-check", "--scenario", CONIC)
     assert code == 0
-    grid = [row[0] for row in json.loads(out)["rows"]]
+    grid = tuple(row[0] for row in json.loads(out)["rows"])
     assert sorted(composed.values()) == [1, 1, 1, 1]   # four targets
-    assert sorted(radii) == grid and set(radii.values()) == {1}
+    # one kernel call for T and one for the m rows of all four targets,
+    # each over every grid radius once
+    assert kernel == [grid, grid]
     # a second report on the same scenario adds no call
-    before = (Counter(composed), Counter(radii))
+    before = (Counter(composed), list(kernel))
     assert run(capsys, "fmt-check", "--scenario", CONIC)[1] == out
-    assert (composed, radii) == before
+    assert (composed, kernel) == before
 
 
 def test_huge_grid_rejected_at_load(tmp_path, capsys):
@@ -542,7 +544,27 @@ def test_float_overflow_on_a_circle_exits_one_at_once(tmp_path, capsys,
         code, out, err = run(capsys, command, "--scenario", str(path))
     assert_one_error_line(code, out, err)
     assert "circle average on |z| = 1e+300 is not finite" in err
-    assert levels == [64]
+    assert levels == [64 * 40]   # the first level, on all 40 circles
+
+
+@pytest.mark.parametrize("command", ["nevanlinna", "fmt-check", "verify",
+                                     "defects"])
+def test_overflowed_winding_exits_one(tmp_path, capsys, command):
+    # T stays finite, but Q_3(f) has degree 4 and overflows a double on
+    # the padded divisor circles past 1e77
+    data = json.loads(Path(CONIC).read_text())
+    data["hypersurfaces"][3] = {"degree": 2, "coefficients": {
+        "x0^2": "1", "x1^2": "2", "x2^2": "3"}}
+    data["grid"] = {"kind": "geometric", "r_min": 2, "r_max": 1e100,
+                    "points": 5}
+    path = tmp_path / "overflowed_winding.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, "--scenario", str(path))
+    assert_one_error_line(code, out, err)
+    assert "could not certify a divisor beyond radius 1e+100" in err
+    assert "is not finite (a float computation overflowed)" in err
 
 
 def test_too_long_polynomial_literal_exits_one_at_load(tmp_path, capsys):
@@ -594,6 +616,7 @@ def test_quad_tol_must_be_positive_and_finite(monkeypatch, capsys, command,
     def refuse(*args, **kwargs):
         raise AssertionError("ran past argument parsing")
     monkeypatch.setattr(nevanlinna, "circle_average", refuse)
+    monkeypatch.setattr(nevanlinna, "circle_averages", refuse)
     monkeypatch.setattr(cli, "load_scenario", refuse)
     code, out, err = run(capsys, command, "--scenario", THREE_POINTS,
                          "--quad-tol", value)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -457,3 +458,237 @@ def test_profile_validation():
     grid = RadialGrid.geometric(2.0, 10.0, 3, r0=0.25)
     with pytest.raises(ValidationError):
         build_profile(LINE, family, grid, [1, 2, 3])
+
+
+# -- the circle-quadrature kernel ---------------------------------------------------
+
+def reference_average(fn, r, tol=1e-8):
+    """One circle at a time, the doubling loop circle_averages replaced."""
+    def level_sum(steps, count):
+        z = r * np.exp(2j * math.pi * steps / count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(np.asarray(fn(z), dtype=float)))
+        if not math.isfinite(total):
+            raise CertificationError(f"circle average on |z| = {r} is not "
+                                     "finite (a float computation overflowed)")
+        return total
+    nodes = 64
+    total = level_sum(np.arange(nodes), nodes)
+    prev = total / nodes
+    while nodes < nevanlinna._QUAD_NODES:
+        total += level_sum(2 * np.arange(nodes) + 1, 2 * nodes)
+        nodes *= 2
+        if abs(total / nodes - prev) <= tol:
+            return total / nodes, nodes
+        prev = total / nodes
+    raise CertificationError(
+        f"circle average on |z| = {r} did not reach tolerance {tol} within "
+        f"{nevanlinna._QUAD_NODES} nodes")
+
+
+def m_integrand(curve, Q, g):
+    return lambda z: (Q.degree * curve.log_norm(z) + np.log(Q.norm_at(z))
+                      - g.log_abs(z))
+
+
+def reference_profile_error(curve, family, grid, tol=1e-8):
+    """The first error of a profile in the order of one quantity after
+    another: T radius by radius, then per target its divisor and, radius
+    by radius, its near-circle check and its quadrature."""
+    try:
+        for r in grid.values:
+            reference_average(curve.log_norm, r, tol)
+            curve.log_norm(0j)
+        for j, Q in enumerate(family):
+            g = nevanlinna._compose(curve, Q, j)
+            div = nevanlinna._divisor_with_pad(g, grid.values[-1])
+            for r in grid.values:
+                if any(abs(abs(z) - r) < 1e-9 for z, _ in div.points):
+                    raise CertificationError(
+                        f"zero of Q(f) within 1e-9 of the circle |z| = {r}")
+                reference_average(m_integrand(curve, Q, g), r, tol)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+    return None
+
+
+def profile_error(curve, family, grid, tol=1e-8):
+    try:
+        build_profile(curve, family, grid, 1, tol)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+    return None
+
+
+def reference_cell(fn, r, tol):
+    try:
+        return reference_average(fn, r, tol)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def kernel_cells(rows):
+    return [[f"{type(c).__name__}: {c}" if isinstance(c, Exception) else c
+             for c in row] for row in rows]
+
+
+def random_gr(rng, bound=3):
+    return GR(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+
+def random_poly(rng, degree):
+    coeffs = [random_gr(rng) for _ in range(degree + 1)]
+    coeffs[-1] = coeffs[-1] if coeffs[-1] != GR(0) else GR(1)
+    return fn_poly(*coeffs)
+
+
+def random_case(rng, shape):
+    """A seeded curve of the given shape (poly, rational, exppoly) in P^2
+    and three targets: two fixed forms and one moving line."""
+    comps = [fn_poly(1), random_poly(rng, 1), random_poly(rng, 2)]
+    if shape == "rational":
+        pole = GR(rng.choice([-1, 1]) * rng.randint(7, 9), rng.randint(-2, 2))
+        comps[2] = comps[2] / AF.from_poly(Poly1([-pole, GR(1)]))
+    elif shape == "exppoly":
+        comps[2] = AF.exppoly({GR(rng.randint(-1, 1), rng.choice([-1, 1])):
+                               Poly1([random_gr(rng) or GR(1)])})
+    curve = Curve(tuple(comps))
+    line = fixed_form(3, 1, {(1, 0, 0): rng.randint(1, 3),
+                             (0, 1, 0): rng.randint(-3, 3),
+                             (0, 0, 1): rng.choice([-2, -1, 1, 2])})
+    conic = fixed_form(3, 2, {(2, 0, 0): 1, (0, 1, 1): rng.randint(1, 4),
+                              (0, 2, 0): rng.randint(-2, 2)})
+    moving = MovingHypersurface(3, 1, {
+        Monomial((1, 0, 0)): random_poly(rng, 1),
+        Monomial((0, 0, 1)): AF.constant(GR(rng.randint(1, 3)))})
+    return curve, [line, conic, moving]
+
+
+def test_kernel_matches_reference_loop_bit_for_bit():
+    rng = random.Random(2024)
+    radii = (0.6, 1.3, 2.9, 4.4)
+    for shape in ("poly", "rational", "exppoly") * 3:
+        curve, targets = random_case(rng, shape)
+        fns = [curve.log_norm] + [
+            m_integrand(curve, Q, Q.compose(curve.components))
+            for Q in targets]
+        for tol in (1e-8, 1e-11):
+            got = nevanlinna.circle_averages(
+                lambda z: [fn(z) for fn in fns], radii, tol)
+            want = [[reference_cell(fn, r, tol) for r in radii]
+                    for fn in fns]
+            for row, ref in zip(kernel_cells(got), want):
+                assert row == ref[:len(row)]   # == on averages and nodes
+                assert len(row) == len(radii) or isinstance(row[-1], str)
+
+
+def test_session_rows_equal_per_radius_functionals_exactly():
+    rng = random.Random(7)
+    grid = RadialGrid(0.25, (0.6, 1.3, 2.9, 4.4))
+    for shape in ("poly", "rational", "exppoly"):
+        curve, targets = random_case(rng, shape)
+        session = nevanlinna.GridSession(curve, HypersurfaceFamily(targets),
+                                         grid)
+        T = session.characteristic(1e-8)
+        assert T == tuple(characteristic(curve, r) for r in grid.values)
+        origin = curve.log_norm(0j)
+        assert T == tuple(reference_average(curve.log_norm, r)[0] - origin
+                          for r in grid.values)
+        m_rows = session.profile(1).m
+        for j, Q in enumerate(targets):
+            g, div = session.composed(j), session.divisor(j)
+            assert m_rows[j] == tuple(
+                proximity(curve, Q, r, divisor=div, composed=g)
+                for r in grid.values)
+            assert m_rows[j] == tuple(
+                reference_average(m_integrand(curve, Q, g), r)[0]
+                for r in grid.values)
+
+
+def test_kernel_non_finite_middle_radius():
+    # row 0 is finite but never settles on the last circle; row 1 is not
+    # finite on the middle one: each row stops at its own first failure
+    radii = (1.0, 2.0, 3.0)
+
+    def rows(z):
+        spike = np.exp(-abs(z - 3.0) ** 2 * 1e12)
+        blow = np.where(abs(abs(z) - 2.0) < 1e-9, np.inf, z.real ** 2)
+        return [spike, blow]
+    got = kernel_cells(nevanlinna.circle_averages(rows, radii, 1e-12))
+    want = [[reference_cell(lambda z, k=k: rows(z)[k], r, 1e-12)
+             for r in radii] for k in (0, 1)]
+    assert got == [want[0], want[1][:2]]
+    assert "not finite" in got[1][1] and "tolerance" in got[0][2]
+
+
+def test_kernel_exception_lands_on_the_circle_that_raised_it():
+    # 1/(z - 2) raises at the node 2 of |z| = 2, inside a call that holds
+    # all three circles: the exception stops every row on that circle
+    # only, and the other circles keep their averages
+    radii = (1.0, 2.0, 3.0)
+    pole = AF.constant(GR(1)) / fn_poly(-2, 1)
+    rows = [pole.log_abs, LINE.log_norm]
+    got = kernel_cells(nevanlinna.circle_averages(
+        lambda z: [fn(z) for fn in rows], radii))
+    want = [[reference_cell(fn, r, 1e-8) for r in radii] for fn in rows]
+    raised = "ZeroDivisionError: pole at evaluation point (2+0j)"
+    assert want[0][1] == raised and isinstance(want[0][2], tuple)
+    assert got == [want[0][:2], [want[1][0], raised]]
+    with pytest.raises(ZeroDivisionError):   # no circle ever returned
+        nevanlinna.circle_averages(lambda z: [pole.log_abs(z)], [2.0])
+
+
+# (1, z); target 0's coefficient z^60 overflows ||Q|| on |z| = 1000 only,
+# z - 2 has its zero on the grid circle |z| = 2, and 1/(z - 2) has a pole
+# at the node 2 of that circle
+BLOW_UP = MovingHypersurface(2, 1, {Monomial((1, 0)): fn_poly(*[0] * 60, 1),
+                                    Monomial((0, 1)): fn_poly(1)})
+POLE = MovingHypersurface(2, 1, {
+    Monomial((1, 0)): AF.constant(GR(1)) / fn_poly(-2, 1),
+    Monomial((0, 1)): fn_poly(1)})
+X1_MINUS_2X0 = fixed_form(2, 1, {(0, 1): 1, (1, 0): -2})
+PRECEDENCE_GRID = RadialGrid(0.25, (1.5, 2.0, 1000.0))
+
+
+@pytest.mark.parametrize("targets, message", [
+    # target 0 fails on the last circle before target 1's zero near |z| = 2
+    ([BLOW_UP, X1_MINUS_2X0], "circle average on |z| = 1000.0 is not finite"),
+    ([X1_MINUS_2X0, BLOW_UP], "zero of Q(f) within 1e-9 of the circle |z| = 2"),
+    # the pole raises inside the shared integrand on |z| = 2, yet target
+    # 0 still fails first, on its own last circle
+    ([BLOW_UP, POLE], "circle average on |z| = 1000.0 is not finite"),
+    ([X1, POLE], "ZeroDivisionError: pole at evaluation point (2+0j)"),
+    ([X1, BLOW_UP, POLE], "circle average on |z| = 1000.0 is not finite"),
+])
+def test_profile_raises_the_first_error_of_the_per_target_order(targets,
+                                                                message):
+    family = HypersurfaceFamily(targets)
+    want = reference_profile_error(LINE, family, PRECEDENCE_GRID)
+    assert message in want
+    assert profile_error(LINE, family, PRECEDENCE_GRID) == want
+
+
+def test_profile_raises_a_later_divisor_error_after_the_rows_before():
+    # target 1 lies in the curve: its divisor refuses after target 0's
+    # row fails, and before it when target 0 is clear
+    inside = fixed_form(2, 1, {(0, 1): 1, (1, 0): 0})
+    diag = Curve((fn_poly(1), fn_poly(1)))
+    diag_minus = fixed_form(2, 1, {(0, 1): 1, (1, 0): -1})
+    for targets in ([BLOW_UP, diag_minus], [inside, diag_minus]):
+        family = HypersurfaceFamily(targets)
+        want = reference_profile_error(diag, family, PRECEDENCE_GRID)
+        assert want is not None
+        assert profile_error(diag, family, PRECEDENCE_GRID) == want
+
+
+def test_kernel_hands_fn_at_most_2_to_the_15_nodes():
+    radii = [1.0 + k / 1000 for k in range(1000)]
+    sizes = []
+
+    def corner(z):   # |Im z| has corners: circles run to 8192-16384 nodes
+        sizes.append(len(z))
+        return [np.abs(z.imag)]
+    ((first, *_, last),) = nevanlinna.circle_averages(corner, radii, 1e-7)
+    assert max(sizes) == 2 ** 15   # whole circles, filled up to the bound
+    assert first == reference_average(lambda z: np.abs(z.imag), 1.0, 1e-7)
+    assert last == reference_average(lambda z: np.abs(z.imag), 1.999, 1e-7)

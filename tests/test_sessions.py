@@ -52,13 +52,13 @@ def counted(monkeypatch):
 
         def counting(*args, **kwargs):
             calls[kind] += 1
-            if kind == "characteristic":
-                radii[args[1]] += 1
+            if kind == "kernel":
+                radii.update(args[1])
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
 
-    wrap(nevanlinna, "characteristic", "characteristic")
+    wrap(nevanlinna, "circle_averages", "kernel")
     wrap(hypersurfaces.MovingHypersurface, "compose", "compose")
     wrap(nevanlinna, "_divisor_with_pad", "divisor")
     wrap(scenario_mod, "distributive_constant", "distributive")
@@ -73,25 +73,28 @@ def test_analytic_reports_compute_once_per_session(counted):
     q = len(scenario_mod.load_scenario(CONIC).family)
     # Q_j(f) per target, and the conic's generator once (curve on V)
     composed = q + 1
-    assert sorted(radii) == sorted(grid) and set(radii.values()) == {1}
-    assert calls == Counter(characteristic=len(grid), compose=composed,
+    # one kernel call for T and one for the m rows of every target, each
+    # over every grid radius once
+    assert sorted(radii) == sorted(grid) and set(radii.values()) == {2}
+    assert calls == Counter(kernel=2, compose=composed,
                             divisor=q, distributive=1)
     # the same reports again add nothing
     assert [in_process([c, "--scenario", CONIC]) for c in ANALYTIC] == first
-    assert calls == Counter(characteristic=len(grid), compose=composed,
+    assert calls == Counter(kernel=2, compose=composed,
                             divisor=q, distributive=1)
     # another scenario drops the session; the first is then recomputed
     in_process(["verify", "--scenario", THREE_POINTS])
     calls.clear()
     radii.clear()
     assert [in_process([c, "--scenario", CONIC]) for c in ANALYTIC] == first
-    assert calls == Counter(characteristic=len(grid), compose=composed,
+    assert calls == Counter(kernel=2, compose=composed,
                             divisor=q, distributive=1)
     # a --seed override starts a fresh session on every report
     for _ in range(2):
         calls.clear()
         in_process(["verify", "--scenario", CONIC, "--seed", "0"])
-        assert calls == Counter(characteristic=len(grid), compose=composed,
+        # verify reads T, not the m rows
+        assert calls == Counter(kernel=1, compose=composed,
                                 divisor=q, distributive=1)
 
 
