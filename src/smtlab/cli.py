@@ -16,11 +16,11 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
 from dataclasses import replace
-from typing import Any, Dict, List, Tuple
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import NAN_REPORT, CertificationError, SmtlabError
 from .exact_algebra import WeightVector
@@ -38,7 +38,8 @@ from .weights import check_evertse_ferretti, chow_weight_estimate
 # the magnitude always travels as log10_L
 _JSON_L_BITS = 63
 
-Report = Tuple[Dict[str, Any], List[List[Any]], int]
+# (JSON payload, CSV rows built only when asked for, exit code)
+Report = Tuple[Dict[str, Any], Callable[[], List[List[Any]]], int]
 
 
 def _constants_to_dict(c: SMTConstants) -> Dict[str, Any]:
@@ -62,11 +63,14 @@ def _cmd_constants(scenario: Scenario, args: argparse.Namespace) -> Report:
         "theorem_b": _constants_to_dict(other),
         "log10_improvement": improvement,
     }
-    rows: List[List[Any]] = [["field", "value"]]
-    for prefix, c in (("", primary), ("theorem_b.", other)):
-        for key, value in _constants_to_dict(c).items():
-            rows.append([prefix + key, value])
-    rows.append(["log10_improvement", improvement])
+
+    def rows() -> List[List[Any]]:
+        out: List[List[Any]] = [["field", "value"]]
+        for prefix, fields in (("", payload["constants"]),
+                               ("theorem_b.", payload["theorem_b"])):
+            out.extend([prefix + key, value] for key, value in fields.items())
+        out.append(["log10_improvement", improvement])
+        return out
     return payload, rows, 0
 
 
@@ -79,9 +83,11 @@ def _cmd_distributive(scenario: Scenario, args: argparse.Namespace) -> Report:
         "table": [{"subset": list(subset), "dim": dim, "ratio": str(ratio)}
                   for subset, dim, ratio in report.table],
     }
-    rows: List[List[Any]] = [["subset", "dim", "ratio"]]
-    for subset, dim, ratio in report.table:
-        rows.append([" ".join(str(i) for i in subset), dim, str(ratio)])
+
+    def rows() -> List[List[Any]]:
+        return [["subset", "dim", "ratio"]] + [
+            [" ".join(map(str, row["subset"])), row["dim"], row["ratio"]]
+            for row in payload["table"]]
     return payload, rows, 0
 
 
@@ -106,9 +112,7 @@ def _cmd_weights(scenario: Scenario, args: argparse.Namespace) -> Report:
         "ef_margin": margin,
         "sequence": [[u, s] for u, s in estimate.sequence],
     }
-    rows: List[List[Any]] = [["u", "s_u"]]
-    rows.extend([u, s] for u, s in estimate.sequence)
-    return payload, rows, 0
+    return payload, lambda: [["u", "s_u"]] + payload["sequence"], 0
 
 
 def _cmd_nevanlinna(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -127,7 +131,7 @@ def _cmd_nevanlinna(scenario: Scenario, args: argparse.Namespace) -> Report:
         "columns": header,
         "rows": data,
     }
-    return payload, [header] + data, 0
+    return payload, lambda: [header] + data, 0
 
 
 def _cmd_fmt_check(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -139,7 +143,7 @@ def _cmd_fmt_check(scenario: Scenario, args: argparse.Namespace) -> Report:
         [r, *row] for r, row in zip(scenario.grid.values, zip(*columns))]
     header = ["r"] + [f"residual_{j}" for j in range(len(scenario.family))]
     payload = {"spreads": spreads, "columns": header, "rows": residual_rows}
-    return payload, [header] + residual_rows, 0
+    return payload, lambda: [header] + residual_rows, 0
 
 
 def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -155,9 +159,8 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> Report:
         "flags": list(report.flags),
         "falsified": report.falsified,
     }
-    rows: List[List[Any]] = [["r", "lhs", "rhs", "margin"]]
-    rows.extend(list(row) for row in report.rows)
-    return payload, rows, 2 if report.falsified else 0
+    return (payload, lambda: [payload["columns"]] + payload["rows"],
+            2 if report.falsified else 0)
 
 
 def _cmd_defects(scenario: Scenario, args: argparse.Namespace) -> Report:
@@ -171,10 +174,11 @@ def _cmd_defects(scenario: Scenario, args: argparse.Namespace) -> Report:
         "holds": report.holds,
         "flags": list(report.flags),
     }
-    rows: List[List[Any]] = [["index", "defect"]]
-    rows.extend([j, v] for j, v in report.defects)
-    rows.append(["total", report.total])
-    rows.append(["bound", report.bound])
+
+    def rows() -> List[List[Any]]:
+        return ([["index", "defect"]]
+                + [[j, v] for j, v in report.defects]
+                + [["total", report.total], ["bound", report.bound]])
     return payload, rows, 0 if report.holds else 2
 
 
@@ -218,28 +222,87 @@ _COMMANDS = {
 }
 
 
-def _scrub(x: Any) -> Any:
-    """Strict-JSON form: infinities become the string "inf", matching the
-    scenario grammar; a NaN fails the report in either format."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    if isinstance(x, float) and math.isnan(x):
-        raise CertificationError(NAN_REPORT)
+def _scalar(x: Any) -> Optional[str]:
+    """The JSON text of a scalar, or None for anything else.  Types are
+    tried in the order of the standard library's encoder.  Infinities
+    become the strings "inf" and "-inf", matching the scenario grammar;
+    a NaN fails the report in either format."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            raise CertificationError(NAN_REPORT)
+        if x == math.inf:
+            return '"inf"'
+        if x == -math.inf:
+            return '"-inf"'
+        return float.__repr__(x)
+    return None
+
+
+def _write(x: Any, out: List[str], indent: str) -> None:
+    """Append the JSON pieces of the list, tuple or dict x to out;
+    ``indent`` is a newline and the indentation of x's own line."""
+    inner = indent + "  "
     if isinstance(x, (list, tuple)):
-        return [_scrub(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _scrub(v) for k, v in x.items()}
-    return x
-
-
-def _emit(payload: Dict[str, Any], rows: List[List[Any]],
-          args: argparse.Namespace) -> None:
-    payload = _scrub(payload)
-    if args.format == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        if not x:
+            out.append("[]")
+            return
+        texts = [_scalar(v) for v in x]
+        if None not in texts:
+            out.append("[" + inner + ("," + inner).join(texts)
+                       + indent + "]")
+            return
+        sep = "[" + inner
+        for v, text in zip(x, texts):
+            if text is None:
+                out.append(sep)
+                _write(v, out, inner)
+            else:
+                out.append(sep + text)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, v in x.items():
+            text = _scalar(v)
+            if text is None:
+                out.append(sep + _quote(key) + ": ")
+                _write(v, out, inner)
+            else:
+                out.append(sep + _quote(key) + ": " + text)
+            sep = "," + inner
+        out.append(indent + "}")
     else:
+        raise TypeError(f"Object of type {type(x).__name__} "
+                        "is not JSON serializable")
+
+
+def _to_json(x: Any) -> str:
+    """The list, tuple or dict x as ``json.dumps(x, indent=2)`` writes it,
+    in one walk, with the infinities and the NaN refusal of ``_scalar``."""
+    out: List[str] = []
+    _write(x, out, "\n")
+    return "".join(out)
+
+
+def _emit(payload: Dict[str, Any], rows: Callable[[], List[List[Any]]],
+          args: argparse.Namespace) -> None:
+    text = _to_json(payload) + "\n"   # also refuses a NaN in a CSV run
+    if args.format == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows(rows())
         text = buf.getvalue()
     if args.output is None:
         sys.stdout.write(text)

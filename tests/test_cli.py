@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 
 from smtlab import cli, nevanlinna
 from smtlab.analytic import Curve
+from smtlab.errors import NAN_REPORT, CertificationError
 from smtlab.smt_verifier import SMTConstants, SMTReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -681,10 +683,112 @@ def test_report_still_written_on_falsification(monkeypatch, tmp_path,
     assert rows[1] == ["2.0", "1.0", "0.5", "-0.5"]
 
 
-def test_scrub_maps_infinities():
-    scrubbed = cli._scrub({"a": [1.0, math.inf], "b": {"c": math.inf}})
-    assert scrubbed == {"a": [1.0, "inf"], "b": {"c": "inf"}}
-    json.dumps(scrubbed, allow_nan=False)
+def test_writer_maps_infinities():
+    text = cli._to_json({"a": [1.0, math.inf], "b": {"c": math.inf}})
+    assert json.loads(text) == {"a": [1.0, "inf"], "b": {"c": "inf"}}
+    assert text == json.dumps(json.loads(text), indent=2, allow_nan=False)
+    assert json.loads(cli._to_json([-math.inf, math.inf])) == ["-inf", "inf"]
+
+
+def _reference_scrub(x):
+    """The strict-JSON walk the writer replaced, with -inf keeping its
+    sign: infinities become strings and a NaN fails the report."""
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if isinstance(x, float) and math.isnan(x):
+        raise CertificationError(NAN_REPORT)
+    if isinstance(x, (list, tuple)):
+        return [_reference_scrub(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _reference_scrub(v) for k, v in x.items()}
+    return x
+
+
+_CHARS = 'ab "\\/\x00\x08\t\n\x1f\x7fé\u0394\u2028\U0001F600'
+_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.5e-10,
+           math.inf, -math.inf)
+
+
+def _random_string(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_value(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return rng.randint(-2 ** 80, 2 ** 80)
+    if kind == 1:
+        return rng.choice((True, False, None, 0, 1, -1))
+    if kind == 2:
+        return rng.choice(_FLOATS)
+    if kind == 3:
+        return rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-300, 300)
+    if kind in (4, 5):
+        return _random_string(rng)
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {_random_string(rng) + str(i): v for i, v in enumerate(items)}
+
+
+def test_writer_matches_json_dumps():
+    rng = random.Random(2024)
+    for _ in range(400):
+        payload = {"top": _random_value(rng), "rows": [
+            [_random_value(rng, 3) for _ in range(rng.randrange(4))]
+            for _ in range(rng.randrange(4))]}
+        if rng.random() < 0.1:
+            payload["rows"].append([1.0, math.nan])
+            with pytest.raises(CertificationError, match="NaN"):
+                _reference_scrub(payload)
+            with pytest.raises(CertificationError, match="NaN"):
+                cli._to_json(payload)
+            continue
+        expected = json.dumps(_reference_scrub(payload), indent=2,
+                              allow_nan=False)
+        assert cli._to_json(payload) == expected
+        items = [_random_value(rng)]
+        assert cli._to_json(items) == json.dumps(
+            _reference_scrub(items), indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nan_payload_writes_nothing(tmp_path, monkeypatch, capsys, fmt):
+    # the NaN sits in the payload only: the CSV rows are finite, and both
+    # formats still refuse the report before any byte is written
+    def handler(scenario, args):
+        return {"a": "x", "values": [0.5, math.nan]}, lambda: [["v"], [0.5]], 0
+    monkeypatch.setitem(cli._COMMANDS, "constants", (handler, [], ""))
+    argv = ["constants", "--scenario", THREE_POINTS, "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert "NaN" in err
+    fresh = tmp_path / "fresh.txt"
+    code, out, err = run(capsys, *argv, "--output", str(fresh))
+    assert_one_error_line(code, out, err)
+    assert not fresh.exists()
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier report\n")
+    code, out, err = run(capsys, *argv, "--output", str(kept))
+    assert_one_error_line(code, out, err)
+    assert kept.read_text() == "earlier report\n"
+
+
+def test_negative_infinity_keeps_its_sign(tmp_path, capsys):
+    # epsilon 10^6 floors Theorem B's L to 0, whose log10 is -inf
+    path = _scenario_file(tmp_path, epsilon="1000000")
+    code, out, _ = run(capsys, "constants", "--scenario", path)
+    assert code == 0
+    data = json.loads(out)
+    assert data["theorem_b"]["log10_L"] == "-inf"
+    assert data["log10_improvement"] == "-inf"
+    code, out, _ = run(capsys, "constants", "--scenario", path,
+                       "--format", "csv")
+    assert code == 0
+    table = {r[0]: r[1] for r in csv.reader(out.splitlines())}
+    assert table["theorem_b.log10_L"] == table["log10_improvement"] == "-inf"
 
 
 def test_strict_jensen_flag_threads(capsys):
