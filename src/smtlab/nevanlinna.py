@@ -12,9 +12,12 @@ Every circle average comes from one kernel, circle_averages: each
 (integrand, circle) pair doubles its nodes until stable, capped at
 _QUAD_NODES = 2^16, and all circles advance level by level together, so a
 grid's T is one integrand call per level and its m rows for every target
-one more.  Divisors are taken on a radius padded past the grid's last
-circle (three pads are tried), and m_f(r, Q) refuses a circle within 1e-9
-of a zero of Q(f) before any node.
+one more.  The kernel returns every (row, circle) average or raises the
+first failure it meets, level by level: what the integrand raised, else
+the level's first failing pair, row by row and then radius by radius.
+Divisors are taken on a radius padded past the grid's last circle (three
+pads are tried), and m_f(r, Q) refuses a circle within 1e-9 of a zero of
+Q(f) before any node.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class RadialGrid:
 
 def circle_averages(fn: Callable[[np.ndarray], np.ndarray],
                     radii: Sequence[float], tol: float = 1e-8
-                    ) -> List[List[Union[Tuple[float, int], Exception]]]:
+                    ) -> List[List[Tuple[float, int]]]:
     """Trapezoid averages of each row of fn over each circle |z| = r.
 
     fn is an array integrand: it maps a 1-D complex array of nodes to a
@@ -106,125 +109,87 @@ def circle_averages(fn: Callable[[np.ndarray], np.ndarray],
     every circle where a pair still runs, whole circles at a time and at
     most _CHUNK_NODES nodes per call.
 
-    Returns per row a list, in radius order, of (average, nodes used) up
-    to the row's first failure, which ends the list as an exception: a
-    CertificationError at the node cap _QUAD_NODES or at once on a level
-    whose sum is not finite (a float overflow in fn), or what fn raised
-    on that circle, which stops every row still running there.  If fn
-    raises on every circle of the first level, that exception propagates.
+    Returns per row a list, in radius order, of (average, nodes used), or
+    raises the first failure met, level by level: whatever fn raises on a
+    level, else the level's first failing (row, circle) pair, row by row
+    and then radius by radius, as a CertificationError: a level sum that
+    is not finite (a float overflow in fn), or no agreement within
+    _QUAD_NODES nodes.
     """
     radii = tuple(radii)
-    done: dict = {}      # (row, circle) -> (average, nodes) or exception
-    running: dict = {}   # (row, circle) -> (total, last average)
-    stops: List[int] = []   # per row, its first failing circle
-    nodes, steps, live = 64, np.arange(64), list(range(len(radii)))
+    done: dict = {}      # (row, circle) -> (average, nodes)
+    running: dict = {}   # (row, circle) -> (total, last average), row-major
+    rows, nodes, steps, live = 0, 64, np.arange(64), list(range(len(radii)))
     while live:
         unit = np.exp(2j * math.pi * steps / nodes)
         sums = dict(zip(live, _level_sums(fn, [radii[i] for i in live],
                                           unit)))
         if nodes == 64:
-            rows = next((len(s) for s in sums.values()
-                         if not isinstance(s, Exception)), None)
-            if rows is None:
-                raise sums[live[0]]
-            stops = [len(radii)] * rows
+            rows = len(sums[0])
             running = dict.fromkeys(
                 (j, i) for j in range(rows) for i in live)
         for (j, i), acc in list(running.items()):
-            s = sums[i]
-            if isinstance(s, Exception):
-                err = s
-            elif not math.isfinite(s[j]):
-                err = CertificationError(
+            s = sums[i][j]
+            if not math.isfinite(s):
+                raise CertificationError(
                     f"circle average on |z| = {radii[i]} is not finite (a "
                     "float computation overflowed)")
-            else:
-                total = s[j] if acc is None else acc[0] + s[j]
-                cur = total / nodes
-                if acc is not None and abs(cur - acc[1]) <= tol:
-                    done[j, i] = (cur, nodes)
-                    del running[j, i]
-                    continue
+            total = s if acc is None else acc[0] + s
+            cur = total / nodes
+            if acc is not None and abs(cur - acc[1]) <= tol:
+                done[j, i] = (cur, nodes)
+                del running[j, i]
+            elif nodes < _QUAD_NODES:
                 running[j, i] = (total, cur)
-                if nodes < _QUAD_NODES:
-                    continue
-                err = CertificationError(
+            else:
+                raise CertificationError(
                     f"circle average on |z| = {radii[i]} did not reach "
                     f"tolerance {tol} within {_QUAD_NODES} nodes")
-            done[j, i] = err
-            del running[j, i]
-            stops[j] = min(stops[j], i)
-        running = {(j, i): acc for (j, i), acc in running.items()
-                   if i < stops[j]}
         live = sorted({i for _, i in running})
         steps, nodes = 2 * np.arange(nodes) + 1, 2 * nodes
-    return [[done[j, i] for i in range(min(stop + 1, len(radii)))]
-            for j, stop in enumerate(stops)]
+    return [[done[j, i] for i in range(len(radii))] for j in range(rows)]
 
 
 def _level_sums(fn: Callable[[np.ndarray], np.ndarray],
-                radii: List[float], unit: np.ndarray) -> list:
-    """Per circle r in radii, the row sums of fn on the nodes r * unit, or
-    what fn raised there; a call of several circles that raises is run
-    again one circle at a time."""
+                radii: List[float], unit: np.ndarray) -> List[List[float]]:
+    """Per circle r in radii, the row sums of fn on the nodes r * unit."""
     per = max(1, _CHUNK_NODES // len(unit))
-    out: list = []
+    out: List[List[float]] = []
     for start in range(0, len(radii), per):
         part = radii[start:start + per]
         z = np.concatenate([r * unit for r in part])
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = np.asarray(fn(z), dtype=float)
-                if values.ndim != 2 or values.shape[1] != len(z):
-                    raise ValueError("circle_averages integrands return one "
-                                     "row of values per node")
-                # one pairwise sum per (row, circle), as np.sum of each
-                out.extend(values.reshape(len(values), len(part), len(unit))
-                           .sum(axis=2).T.tolist())
-        except Exception as err:
-            if len(part) == 1:
-                out.append(err)
-            else:
-                for r in part:
-                    out.extend(_level_sums(fn, [r], unit))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(fn(z), dtype=float)
+            if values.ndim != 2 or values.shape[1] != len(z):
+                raise ValueError("circle_averages integrands return one "
+                                 "row of values per node")
+            # one pairwise sum per (row, circle), as np.sum of each
+            out.extend(values.reshape(len(values), len(part), len(unit))
+                       .sum(axis=2).T.tolist())
     return out
-
-
-def _result(cell: Union[Tuple[float, int], Exception]) -> Tuple[float, int]:
-    """A (average, nodes) entry of circle_averages, or its failure raised."""
-    if isinstance(cell, Exception):
-        raise cell
-    return cell
 
 
 def circle_average(fn: Callable[[np.ndarray], np.ndarray], r: float,
                    tol: float = 1e-8) -> Tuple[float, int]:
     """Trapezoid average of fn over |z| = r: the one-circle, one-row case
     of :func:`circle_averages`, for an fn that returns one real value per
-    node.  Returns (average, nodes used); raises the pair's failure."""
+    node.  Returns (average, nodes used)."""
     ((cell,),) = circle_averages(lambda z: [fn(z)], [r], tol)
-    return _result(cell)
+    return cell
 
 
 def _characteristic_row(curve: Curve, radii: Sequence[float],
                         tol: float) -> List[float]:
-    """T_f(r) for each r in radii from one kernel call, raising what
-    :func:`characteristic` raises first, radius by radius."""
-    inside = next((i for i, r in enumerate(radii)
-                   if not 0 < r < curve.domain_radius), len(radii))
-    rows = circle_averages(lambda z: [curve.log_norm(z)], radii[:inside],
-                           tol) if inside else []
-    out: List[float] = []
-    for i, r in enumerate(radii):
-        if i == inside:
+    """T_f(r) for each r in radii from one kernel call, once every radius
+    is checked to lie inside the curve's domain."""
+    for r in radii:
+        if not 0 < r < curve.domain_radius:
             raise ValidationError(
                 f"radius {r} outside the curve domain "
                 f"(R = {curve.domain_radius})")
-        avg, _ = _result(rows[0][i])
-        if i == 0:
-            origin = curve.log_norm(0j)
-        out.append(avg - origin)
-    return out
+    (row,) = circle_averages(lambda z: [curve.log_norm(z)], radii, tol)
+    origin = curve.log_norm(0j)
+    return [avg - origin for avg, _ in row]
 
 
 def characteristic(curve: Curve, r: float, tol: float = 1e-8) -> float:
@@ -271,12 +236,11 @@ def proximity(curve: Curve, Q: MovingHypersurface, r: float,
     keeps the average from converging.
     """
     g = _compose(curve, Q) if composed is None else composed
-    near = None if divisor is None else _zero_near(divisor, r)
-    if near is not None:
-        raise near
+    if divisor is not None:
+        _refuse_zero_near(divisor, (r,))
     ((cell,),) = circle_averages(_proximity_integrand(curve, [(Q, g)]),
                                  [r], tol)
-    return _result(cell)[0]
+    return cell[0]
 
 
 def _proximity_integrand(curve: Curve,
@@ -292,13 +256,13 @@ def _proximity_integrand(curve: Curve,
     return integrand
 
 
-def _zero_near(divisor: Divisor, r: float) -> Optional[CertificationError]:
-    """The refusal of the circle |z| = r when a zero of the divisor lies
-    within 1e-9 of it, else None."""
-    if any(abs(abs(z) - r) < 1e-9 for z, _ in divisor.points):
-        return CertificationError(
-            f"zero of Q(f) within 1e-9 of the circle |z| = {r}")
-    return None
+def _refuse_zero_near(divisor: Divisor, radii: Sequence[float]) -> None:
+    """Refuse the first circle |z| = r, r in radii, that a zero of the
+    divisor lies within 1e-9 of."""
+    for r in radii:
+        if any(abs(abs(z) - r) < 1e-9 for z, _ in divisor.points):
+            raise CertificationError(
+                f"zero of Q(f) within 1e-9 of the circle |z| = {r}")
 
 
 def _compose(curve: Curve, Q: MovingHypersurface,
@@ -481,21 +445,18 @@ def check_ru_sibony(curve: Curve, hyperplanes: Sequence[MovingHypersurface],
     div_w = _divisor_with_pad(W, grid.values[-1])
     N_W = counting(div_w, grid, math.inf)
 
-    def integrand(z: np.ndarray) -> np.ndarray:
+    def integrand(z: np.ndarray) -> List[np.ndarray]:
         if not tuples:
-            return np.zeros(z.shape)
+            return [np.zeros(z.shape)]
         lf = curve.log_norm(z)
         terms = [lf + math.log(nm) - g.log_abs(z)
                  for nm, g in zip(norms, composed)]
-        return np.max([sum(terms[j] for j in K) for K in tuples], axis=0)
+        return [np.max([sum(terms[j] for j in K) for K in tuples], axis=0)]
 
-    rows = []
-    for i, r in enumerate(grid.values):
-        T = characteristic(curve, r, tol)
-        avg, _ = circle_average(integrand, r, tol)
-        margin = (n + 1) * T - (avg + N_W[i])
-        rows.append((r, margin, T))
-    return rows
+    T = _characteristic_row(curve, grid.values, tol)
+    (averages,) = circle_averages(integrand, grid.values, tol)
+    return [(r, (n + 1) * t - (avg + N), t)
+            for r, t, (avg, _), N in zip(grid.values, T, averages, N_W)]
 
 
 @dataclass(frozen=True)
@@ -544,9 +505,9 @@ class GridSession:
 
     T is one kernel call over every grid radius, and the m rows of all
     targets one more, which evaluates log ||f|| once per level for all of
-    them.  Errors still come in the order of one quantity after another:
-    T radius by radius, then per target its divisor and, radius by
-    radius, its near-circle check and its quadrature.
+    them.  A profile fails in this order: T (a radius outside the domain,
+    then the kernel's first failure), then per target in order its
+    divisor and its near-circle check, then the m kernel call.
 
     Values are stored as immutable tuples or frozen objects; a computation
     that raises stores nothing, so the next request raises again.  T and
@@ -579,75 +540,25 @@ class GridSession:
         return self.once(("divisor", j), lambda: _divisor_with_pad(
             self.composed(j), self.grid.values[-1]))
 
-    def _proximity_rows(self, tol: float) -> Sequence[
-            Union[Tuple[float, ...], Exception]]:
-        """m_f(r, Q_j) on the grid per target j, in order, as far as the
-        first target that fails: its first error ends the list, in the
-        order of :func:`proximity` radius by radius after the divisor.
-
-        Divisors come first, in order, until one raises.  The targets
-        before it, or before the first with a zero near a grid circle,
-        share one kernel call; that target runs alone, on the circles
-        before its zero.  A failing row of a shared call is run again
-        alone, since an exception raised by the integrand stops every
-        target at that circle.
-        """
-        key = ("m", tol)
-        if key in self._memo:
-            return self._memo[key]
-        radii, shared = self.grid.values, []
-        end: Optional[Tuple[int, Union[int, Exception]]] = None
-        for j in range(len(self.family)):
-            try:
-                div = self.divisor(j)
-            except Exception as err:   # raised in its turn, after the rows
-                end = (j, err)
-                break
-            near = next((i for i, r in enumerate(radii)
-                         if _zero_near(div, r)), None)
-            if near is not None:
-                end = (j, near)
-                break
-            shared.append(j)
-        out: list = []
-        for j, row in zip(shared, self._kernel_rows(shared, radii, tol)):
-            if isinstance(row, Exception) and len(shared) > 1:
-                (row,) = self._kernel_rows([j], radii, tol)
-            out.append(row)
-            if isinstance(row, Exception):
-                return out
-        if end is not None:
-            j, why = end
-            if not isinstance(why, Exception):
-                (row,) = self._kernel_rows([j], radii[:why], tol)
-                why = row if isinstance(row, Exception) else _zero_near(
-                    self.divisor(j), radii[why])
-            return out + [why]
-        self._memo[key] = out = tuple(out)
-        return out
-
-    def _kernel_rows(self, targets: Sequence[int], radii: Sequence[float],
-                     tol: float) -> List[Union[Tuple[float, ...], Exception]]:
-        """Per target, its m row on radii from one kernel call, or the
-        row's first error."""
-        if not (targets and radii):
-            return [()] * len(targets)
-        fn = _proximity_integrand(self.curve, [
-            (self.family[j], self.composed(j)) for j in targets])
-        try:
-            rows = circle_averages(fn, radii, tol)
-        except Exception as err:   # fn raised on every circle at once
-            rows = [[err]] * len(targets)
-        return [row[-1] if isinstance(row[-1], Exception)
-                else tuple(avg for avg, _ in row) for row in rows]
+    def _proximity_rows(self, tol: float) -> Tuple[Tuple[float, ...], ...]:
+        """m_f(r, Q_j) on the grid per target j, from one kernel call made
+        once every target, in order, has its divisor and no zero near a
+        grid circle."""
+        def compute():
+            targets = range(len(self.family))
+            for j in targets:
+                _refuse_zero_near(self.divisor(j), self.grid.values)
+            fn = _proximity_integrand(self.curve, [
+                (self.family[j], self.composed(j)) for j in targets])
+            return tuple(tuple(avg for avg, _ in row) for row in
+                         circle_averages(fn, self.grid.values, tol))
+        return self.once(("m", tol), compute)
 
     def profile(self, truncations: Union[int, float,
                                          Sequence[Union[int, float]]],
                 tol: float = 1e-8,
                 strict_origin: bool = False) -> NevanlinnaProfile:
-        """The profile of :func:`build_profile`, from the stored pieces;
-        each target's error is raised in its turn, as one target after
-        another would raise it."""
+        """The profile of :func:`build_profile`, from the stored pieces."""
         family, grid = self.family, self.grid
         if isinstance(truncations, (int, float)):
             truncations = [truncations] * len(family)
@@ -658,14 +569,12 @@ class GridSession:
         m_rows = self._proximity_rows(tol)
         full_rows, trunc_rows, divisors = [], [], []
         for j, k in enumerate(truncations):
-            if isinstance(m_rows[j], Exception):
-                raise m_rows[j]
             div = self.divisor(j)
             divisors.append(div)
             full_rows.append(tuple(counting(div, grid, math.inf,
                                             strict_origin)))
             trunc_rows.append(tuple(counting(div, grid, k, strict_origin)))
-        return NevanlinnaProfile(grid, T, tuple(m_rows), tuple(full_rows),
+        return NevanlinnaProfile(grid, T, m_rows, tuple(full_rows),
                                  tuple(trunc_rows), tuple(truncations),
                                  tuple(divisors))
 

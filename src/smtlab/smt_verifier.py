@@ -120,6 +120,10 @@ class SMTConstants:
         if self.u < 1:
             raise ValidationError("u must be at least 1")
         if self.L is not None:
+            if self.L < 1:
+                raise ValidationError(
+                    f"{self.variant}: epsilon = {self.epsilon} leaves the "
+                    f"truncation level L = {self.L} below 1")
             direct = _log10(self.L)
             if abs(direct - self.log10_L) > 1e-6:
                 raise CertificationError(
@@ -134,9 +138,9 @@ class SMTConstants:
 
 
 def _log10(L: int) -> float:
-    """log10 of an exact truncation level; -inf below 1."""
+    """log10 of an exact truncation level."""
     with mpmath.workdps(30):
-        return float(mpmath.log10(mpmath.mpf(L))) if L >= 1 else -math.inf
+        return float(mpmath.log10(mpmath.mpf(L)))
 
 
 def _check_inputs(n: int, degV: int, d: int, q: int,

@@ -776,19 +776,36 @@ def test_nan_payload_writes_nothing(tmp_path, monkeypatch, capsys, fmt):
     assert kept.read_text() == "earlier report\n"
 
 
-def test_negative_infinity_keeps_its_sign(tmp_path, capsys):
-    # epsilon 10^6 floors Theorem B's L to 0, whose log10 is -inf
-    path = _scenario_file(tmp_path, epsilon="1000000")
-    code, out, _ = run(capsys, "constants", "--scenario", path)
+def test_negative_infinity_keeps_its_sign(monkeypatch, capsys):
+    # no scenario reaches -inf (a truncation level below 1 is refused),
+    # so a handler hands it to both writers
+    def handler(scenario, args):
+        return ({"log10_L": -math.inf, "v": [math.inf, -math.inf]},
+                lambda: [["log10_L", -math.inf]], 0)
+    monkeypatch.setitem(cli._COMMANDS, "constants", (handler, [], ""))
+    code, out, _ = run(capsys, "constants", "--scenario", THREE_POINTS)
     assert code == 0
-    data = json.loads(out)
-    assert data["theorem_b"]["log10_L"] == "-inf"
-    assert data["log10_improvement"] == "-inf"
-    code, out, _ = run(capsys, "constants", "--scenario", path,
+    assert json.loads(out) == {"log10_L": "-inf", "v": ["inf", "-inf"]}
+    code, out, _ = run(capsys, "constants", "--scenario", THREE_POINTS,
                        "--format", "csv")
-    assert code == 0
-    table = {r[0]: r[1] for r in csv.reader(out.splitlines())}
-    assert table["theorem_b.log10_L"] == table["log10_improvement"] == "-inf"
+    assert (code, out) == (0, "log10_L,-inf\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["constants", "verify"])
+@pytest.mark.parametrize("base", [THREE_POINTS, DISC])
+def test_truncation_level_below_one_is_refused(tmp_path, capsys, base, fmt,
+                                               command):
+    # epsilon 10^6 floors Theorem B's L to 0, which no report may carry
+    data = json.loads(Path(base).read_text())
+    data["epsilon"] = "1000000"
+    path = tmp_path / "huge_epsilon.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--scenario", str(path),
+                         "--format", fmt)
+    assert_one_error_line(code, out, err)
+    assert err == ("error: TheoremB: epsilon = 1000000 leaves the truncation "
+                   "level L = 0 below 1\n")
 
 
 def test_strict_jensen_flag_threads(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from smtlab import nevanlinna
-from smtlab.analytic import AnalyticFunction, Curve, Divisor, Poly1
+from smtlab.analytic import AnalyticFunction, Curve, Divisor, Poly1, wronskian
 from smtlab.errors import (
     CertificationError,
     DegenerateInputError,
@@ -402,15 +402,17 @@ def test_ru_sibony_three_points_on_line():
     assert margin / T >= -0.05
 
 
+FOUR_LINES = [
+    fixed_form(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}),
+    fixed_form(3, 1, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1}),
+    fixed_form(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}),
+    fixed_form(3, 1, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3}),
+]
+
+
 def test_ru_sibony_four_lines_on_parabola():
-    lines = [
-        fixed_form(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}),
-        fixed_form(3, 1, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1}),
-        fixed_form(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}),
-        fixed_form(3, 1, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3}),
-    ]
     grid = RadialGrid.geometric(50.0, 50.0, 1, r0=0.5)
-    rows = check_ru_sibony(PARABOLA, lines, grid)
+    rows = check_ru_sibony(PARABOLA, FOUR_LINES, grid)
     (_, margin, T), = rows
     assert margin / T >= -0.05
 
@@ -419,6 +421,46 @@ def test_ru_sibony_no_hyperplanes():
     grid = RadialGrid.geometric(10.0, 10.0, 1, r0=0.5)
     (_, margin, T), = check_ru_sibony(LINE, [], grid)
     assert abs(margin - 2 * T) <= 1e-12
+
+
+def reference_ru_sibony(curve, hyperplanes, grid, tol=1e-8):
+    """The margin rows radius by radius: characteristic and circle_average
+    at each radius."""
+    n = curve.ambient_dim
+    composed = [h.compose(curve.components) for h in hyperplanes]
+    norms = [h.norm_at(0j) for h in hyperplanes]
+    tuples = (nevanlinna._independent_tuples(hyperplanes, n + 1)
+              if len(hyperplanes) >= n + 1 else [])
+    W = wronskian(list(curve.components))
+    N_W = counting(nevanlinna._divisor_with_pad(W, grid.values[-1]), grid)
+
+    def integrand(z):
+        if not tuples:
+            return np.zeros(z.shape)
+        terms = [curve.log_norm(z) + math.log(nm) - g.log_abs(z)
+                 for nm, g in zip(norms, composed)]
+        return np.max([sum(terms[j] for j in K) for K in tuples], axis=0)
+
+    rows = []
+    for i, r in enumerate(grid.values):
+        T = characteristic(curve, r, tol)
+        avg, _ = circle_average(integrand, r, tol)
+        rows.append((r, (n + 1) * T - (avg + N_W[i]), T))
+    return rows
+
+
+@pytest.mark.parametrize("grid", [
+    RadialGrid.geometric(100.0, 1000.0, 4, r0=1.0),   # criterion 9's
+    RadialGrid.geometric(2.0, 1000.0, 40, r0=1.0),
+], ids=["criterion_9", "40_radii"])
+@pytest.mark.parametrize("curve, hyperplanes", [
+    (PARABOLA, FOUR_LINES),
+    (LINE, [X0, X1_MINUS_X0, X1_PLUS_X0]),
+    (LINE, []),
+], ids=["parabola", "line", "no_lines"])
+def test_ru_sibony_rows_equal_the_per_radius_loop(curve, hyperplanes, grid):
+    assert (check_ru_sibony(curve, hyperplanes, grid)
+            == reference_ru_sibony(curve, hyperplanes, grid))
 
 
 def test_ru_sibony_rejections():
@@ -491,14 +533,65 @@ def m_integrand(curve, Q, g):
                       - g.log_abs(z))
 
 
+def reference_failure(fns, r, tol):
+    """(nodes, row, error) of the first failure on the circle |z| = r when
+    the rows fns advance together, one circle on its own: row -1 when an
+    fn raised on that level's nodes.  None when every row settles."""
+    nodes, steps = 64, np.arange(64)
+    totals, prev, running = [0.0] * len(fns), [None] * len(fns), set(
+        range(len(fns)))
+    while running:
+        z = r * np.exp(2j * math.pi * steps / nodes)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = [float(np.sum(np.asarray(fn(z), dtype=float)))
+                        for fn in fns]
+        except Exception as err:
+            return nodes, -1, err
+        for j in sorted(running):
+            if not math.isfinite(sums[j]):
+                return nodes, j, CertificationError(
+                    f"circle average on |z| = {r} is not finite (a float "
+                    "computation overflowed)")
+            totals[j] += sums[j]
+            cur = totals[j] / nodes
+            if prev[j] is not None and abs(cur - prev[j]) <= tol:
+                running.discard(j)
+            elif nodes == nevanlinna._QUAD_NODES:
+                return nodes, j, CertificationError(
+                    f"circle average on |z| = {r} did not reach tolerance "
+                    f"{tol} within {nevanlinna._QUAD_NODES} nodes")
+            prev[j] = cur
+        steps, nodes = 2 * np.arange(nodes) + 1, 2 * nodes
+    return None
+
+
+def reference_kernel_error(fns, radii, tol=1e-8):
+    """The error circle_averages raises for the rows fns over radii, from
+    one circle at a time: the earliest level, on it an fn's own error
+    first, then the first failing (row, circle) pair, row by row and then
+    radius by radius.  None when every pair settles."""
+    found = [(f[0], f[1], i, f[2]) for i, f in
+             enumerate(reference_failure(fns, r, tol) for r in radii) if f]
+    return min(found, key=lambda f: f[:3])[3] if found else None
+
+
 def reference_profile_error(curve, family, grid, tol=1e-8):
-    """The first error of a profile in the order of one quantity after
-    another: T radius by radius, then per target its divisor and, radius
-    by radius, its near-circle check and its quadrature."""
+    """The first error of a profile: T (the domain check, then its
+    kernel's error), then per target in order its divisor and near-circle
+    check, then the error of the m kernel over every target."""
+    def text(err):
+        return f"{type(err).__name__}: {err}"
+    for r in grid.values:
+        if not 0 < r < curve.domain_radius:
+            return (f"ValidationError: radius {r} outside the curve domain "
+                    f"(R = {curve.domain_radius})")
+    err = reference_kernel_error([curve.log_norm], grid.values, tol)
+    if err is not None:
+        return text(err)
+    fns = []
     try:
-        for r in grid.values:
-            reference_average(curve.log_norm, r, tol)
-            curve.log_norm(0j)
+        curve.log_norm(0j)
         for j, Q in enumerate(family):
             g = nevanlinna._compose(curve, Q, j)
             div = nevanlinna._divisor_with_pad(g, grid.values[-1])
@@ -506,10 +599,11 @@ def reference_profile_error(curve, family, grid, tol=1e-8):
                 if any(abs(abs(z) - r) < 1e-9 for z, _ in div.points):
                     raise CertificationError(
                         f"zero of Q(f) within 1e-9 of the circle |z| = {r}")
-                reference_average(m_integrand(curve, Q, g), r, tol)
+            fns.append(m_integrand(curve, Q, g))
     except Exception as err:
-        return f"{type(err).__name__}: {err}"
-    return None
+        return text(err)
+    err = reference_kernel_error(fns, grid.values, tol)
+    return None if err is None else text(err)
 
 
 def profile_error(curve, family, grid, tol=1e-8):
@@ -518,18 +612,6 @@ def profile_error(curve, family, grid, tol=1e-8):
     except Exception as err:
         return f"{type(err).__name__}: {err}"
     return None
-
-
-def reference_cell(fn, r, tol):
-    try:
-        return reference_average(fn, r, tol)
-    except Exception as err:
-        return f"{type(err).__name__}: {err}"
-
-
-def kernel_cells(rows):
-    return [[f"{type(c).__name__}: {c}" if isinstance(c, Exception) else c
-             for c in row] for row in rows]
 
 
 def random_gr(rng, bound=3):
@@ -575,11 +657,9 @@ def test_kernel_matches_reference_loop_bit_for_bit():
         for tol in (1e-8, 1e-11):
             got = nevanlinna.circle_averages(
                 lambda z: [fn(z) for fn in fns], radii, tol)
-            want = [[reference_cell(fn, r, tol) for r in radii]
-                    for fn in fns]
-            for row, ref in zip(kernel_cells(got), want):
-                assert row == ref[:len(row)]   # == on averages and nodes
-                assert len(row) == len(radii) or isinstance(row[-1], str)
+            # == on averages and nodes
+            assert got == [[reference_average(fn, r, tol) for r in radii]
+                           for fn in fns]
 
 
 def test_session_rows_equal_per_radius_functionals_exactly():
@@ -605,37 +685,68 @@ def test_session_rows_equal_per_radius_functionals_exactly():
                 for r in grid.values)
 
 
-def test_kernel_non_finite_middle_radius():
-    # row 0 is finite but never settles on the last circle; row 1 is not
-    # finite on the middle one: each row stops at its own first failure
+def kernel_error(fn, radii, tol=1e-8):
+    try:
+        nevanlinna.circle_averages(fn, radii, tol)
+    except Exception as err:
+        return err
+    raise AssertionError("the kernel returned")
+
+
+def spike(at):
+    """A row that never settles on the circle through ``at``: one node
+    holds 1, so the average halves on every level."""
+    return lambda z: np.exp(-abs(z - at) ** 2 * 1e12)
+
+
+def blow(at):
+    """A row that is not finite on the level whose nodes first hold
+    ``at``, and 0 elsewhere."""
+    return lambda z: np.where(abs(z - at) < 1e-9, np.inf, 0.0)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # rows 1 and 2 fail on the first level: row 1 comes first, though
+    # row 2's circle has the smaller radius
+    ([spike(3.0), blow(2.0), blow(1.0)], "|z| = 2.0 is not finite"),
+    # one row, two failing circles on the first level: radius order
+    ([lambda z: blow(3.0)(z) + blow(2.0)(z)], "|z| = 2.0 is not finite"),
+    # level order first: row 1 fails on the 128-node level of circle 3,
+    # long before row 0 reaches the node cap on circle 1
+    ([spike(1.0), blow(3.0 * cmath.exp(2j * math.pi / 128))],
+     "|z| = 3.0 is not finite"),
+    ([spike(1.0), lambda z: z.real ** 2], "|z| = 1.0 did not reach"),
+], ids=["row_order", "radius_order", "level_order", "node_cap"])
+def test_kernel_raises_the_first_failing_pair_of_a_level(rows, message):
     radii = (1.0, 2.0, 3.0)
-
-    def rows(z):
-        spike = np.exp(-abs(z - 3.0) ** 2 * 1e12)
-        blow = np.where(abs(abs(z) - 2.0) < 1e-9, np.inf, z.real ** 2)
-        return [spike, blow]
-    got = kernel_cells(nevanlinna.circle_averages(rows, radii, 1e-12))
-    want = [[reference_cell(lambda z, k=k: rows(z)[k], r, 1e-12)
-             for r in radii] for k in (0, 1)]
-    assert got == [want[0], want[1][:2]]
-    assert "not finite" in got[1][1] and "tolerance" in got[0][2]
+    err = kernel_error(lambda z: [row(z) for row in rows], radii, 1e-12)
+    assert isinstance(err, CertificationError) and message in str(err)
+    want = reference_kernel_error(rows, radii, 1e-12)
+    assert (type(err), str(err)) == (type(want), str(want))
 
 
-def test_kernel_exception_lands_on_the_circle_that_raised_it():
-    # 1/(z - 2) raises at the node 2 of |z| = 2, inside a call that holds
-    # all three circles: the exception stops every row on that circle
-    # only, and the other circles keep their averages
-    radii = (1.0, 2.0, 3.0)
+def test_kernel_raises_what_fn_raises_on_a_level():
+    # 1/(z - 2) raises at the node 2 of |z| = 2, inside the call that holds
+    # all three circles, while LINE's row is fine on every circle
     pole = AF.constant(GR(1)) / fn_poly(-2, 1)
-    rows = [pole.log_abs, LINE.log_norm]
-    got = kernel_cells(nevanlinna.circle_averages(
-        lambda z: [fn(z) for fn in rows], radii))
-    want = [[reference_cell(fn, r, 1e-8) for r in radii] for fn in rows]
-    raised = "ZeroDivisionError: pole at evaluation point (2+0j)"
-    assert want[0][1] == raised and isinstance(want[0][2], tuple)
-    assert got == [want[0][:2], [want[1][0], raised]]
-    with pytest.raises(ZeroDivisionError):   # no circle ever returned
-        nevanlinna.circle_averages(lambda z: [pole.log_abs(z)], [2.0])
+    rows = [LINE.log_norm, pole.log_abs]
+    err = kernel_error(lambda z: [fn(z) for fn in rows], (1.0, 2.0, 3.0))
+    assert isinstance(err, ZeroDivisionError)
+    assert str(err) == "pole at evaluation point (2+0j)"
+    assert str(reference_kernel_error(rows, (1.0, 2.0, 3.0))) == str(err)
+
+    # an fn that raises on a later level, after circle 1 has settled and
+    # only circle 2 still runs: raised as it is
+    sizes = []
+
+    def late(z):
+        sizes.append(len(z))
+        if len(sizes) == 4:
+            raise ArithmeticError("refused on the fourth level")
+        return [z.real ** 2, spike(2.0)(z)]
+    with pytest.raises(ArithmeticError, match="fourth level"):
+        nevanlinna.circle_averages(late, (1.0, 2.0), 1e-12)
+    assert sizes == [2 * 64, 2 * 64, 128, 256]
 
 
 # (1, z); target 0's coefficient z^60 overflows ||Q|| on |z| = 1000 only,
@@ -651,34 +762,54 @@ PRECEDENCE_GRID = RadialGrid(0.25, (1.5, 2.0, 1000.0))
 
 
 @pytest.mark.parametrize("targets, message", [
-    # target 0 fails on the last circle before target 1's zero near |z| = 2
-    ([BLOW_UP, X1_MINUS_2X0], "circle average on |z| = 1000.0 is not finite"),
+    # the near-circle check of target 1 runs before target 0's m row
+    ([BLOW_UP, X1_MINUS_2X0], "zero of Q(f) within 1e-9 of the circle |z| = 2"),
     ([X1_MINUS_2X0, BLOW_UP], "zero of Q(f) within 1e-9 of the circle |z| = 2"),
-    # the pole raises inside the shared integrand on |z| = 2, yet target
-    # 0 still fails first, on its own last circle
-    ([BLOW_UP, POLE], "circle average on |z| = 1000.0 is not finite"),
+    # the pole raises inside the shared m integrand on the first level,
+    # before target 0's row is checked on that level
+    ([BLOW_UP, POLE], "ZeroDivisionError: pole at evaluation point (2+0j)"),
     ([X1, POLE], "ZeroDivisionError: pole at evaluation point (2+0j)"),
-    ([X1, BLOW_UP, POLE], "circle average on |z| = 1000.0 is not finite"),
-])
-def test_profile_raises_the_first_error_of_the_per_target_order(targets,
-                                                                message):
+    ([X1, BLOW_UP], "circle average on |z| = 1000.0 is not finite"),
+], ids=["near_before_m", "near_first", "pole_before_m", "pole", "m_row"])
+def test_profile_checks_every_target_before_m(targets, message):
     family = HypersurfaceFamily(targets)
     want = reference_profile_error(LINE, family, PRECEDENCE_GRID)
     assert message in want
     assert profile_error(LINE, family, PRECEDENCE_GRID) == want
 
 
-def test_profile_raises_a_later_divisor_error_after_the_rows_before():
-    # target 1 lies in the curve: its divisor refuses after target 0's
-    # row fails, and before it when target 0 is clear
-    inside = fixed_form(2, 1, {(0, 1): 1, (1, 0): 0})
+def test_profile_raises_divisor_errors_in_target_order():
+    # the constant curve (1, 1) lies in x1 - x0: its divisor refuses
+    # before any m row, so before BLOW_UP's fails, wherever it stands
     diag = Curve((fn_poly(1), fn_poly(1)))
     diag_minus = fixed_form(2, 1, {(0, 1): 1, (1, 0): -1})
-    for targets in ([BLOW_UP, diag_minus], [inside, diag_minus]):
+    for targets, message in (([BLOW_UP, diag_minus], "hypersurface 1"),
+                             ([X1, diag_minus], "hypersurface 1"),
+                             ([diag_minus, BLOW_UP], "hypersurface 0")):
         family = HypersurfaceFamily(targets)
         want = reference_profile_error(diag, family, PRECEDENCE_GRID)
-        assert want is not None
+        assert want == f"DegenerateInputError: curve lies in {message}"
         assert profile_error(diag, family, PRECEDENCE_GRID) == want
+
+
+# (1, z^120) overflows log ||f|| on |z| = 1000; the moving line
+# x1 - z^120 x0 contains it
+STEEP = Curve((fn_poly(1), fn_poly(*[0] * 120, 1)))
+STEEP_LINE = MovingHypersurface(2, 1, {
+    Monomial((1, 0)): fn_poly(*[0] * 120, -1), Monomial((0, 1)): fn_poly(1)})
+
+
+@pytest.mark.parametrize("curve, message", [
+    (STEEP, "CertificationError: circle average on |z| = 1000.0 is not "
+            "finite"),
+    (Curve(LINE.components, 1.8),
+     "ValidationError: radius 2.0 outside the curve domain (R = 1.8)"),
+], ids=["kernel", "domain"])
+def test_profile_raises_t_before_any_target(curve, message):
+    family = HypersurfaceFamily([STEEP_LINE, BLOW_UP, X1_MINUS_2X0])
+    want = reference_profile_error(curve, family, PRECEDENCE_GRID)
+    assert want.startswith(message)
+    assert profile_error(curve, family, PRECEDENCE_GRID) == want
 
 
 def test_kernel_hands_fn_at_most_2_to_the_15_nodes():
