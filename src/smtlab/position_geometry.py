@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._lazy import np
 from .analytic import AnalyticFunction, Curve, Poly1, poly_gcd
@@ -43,7 +43,7 @@ from .errors import (
 from .exact_algebra import HomogPoly, rank_of_vectors
 from .groebner import Variety, intersection_dim
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
-from .scalars import MOD_I, MOD_PRIME, GaussianRational
+from .scalars import GaussianRational
 
 MAX_FAMILY_SIZE = 16
 # random points tried for a moving family before giving up
@@ -51,6 +51,13 @@ POINT_TRIES = 60
 # a Macaulay matrix with more cells is not built; its subset takes the
 # exact path
 MACAULAY_CELL_CAP = 250_000
+# the certificate prime q = 1 (mod 4), below 2^21 so that the deferred
+# elimination of a Macaulay matrix stays inside int64
+# (:func:`_full_rank`), and a square root of -1 modulo it: i -> CERT_I
+# maps Z[i] onto F_q, and so does every Gaussian rational whose
+# denominator q does not divide
+CERT_PRIME = 2097133
+CERT_I = 498487
 # matrices of one shape are eliminated together in numpy, in stacks of at
 # most this many cells, unless there are fewer of them than columns and
 # each has at most _SPARSE_CELLS cells: numpy's per-call cost then
@@ -83,14 +90,20 @@ def _random_gaussian_point(rng: random.Random) -> GaussianRational:
 def _specialize(family: HypersurfaceFamily, seed: int) -> List[HomogPoly]:
     """The members at the first point drawn from random.Random(seed) where
     every member is defined and not identically zero; a fixed family is
-    the same at every point.  A coefficient with an exponential term has
-    no exact value there, so it is refused, naming its member."""
+    the same at every point, so its members are read off their constant
+    coefficients with no point drawn.  A coefficient with an exponential
+    term has no exact value there, so it is refused, naming its member."""
     for k, member in enumerate(family):
         if any(fn.num is None for fn in member.coeffs.values()):
             raise ValidationError(
                 f"family member {k} has an exponential coefficient: a "
                 "moving family is specialized at an exact point, so its "
                 "coefficients must be polynomial or rational")
+    if not family.is_moving:
+        return [HomogPoly(m.num_vars, m.degree,
+                          {mono: fn.num.coeffs[0]
+                           for mono, fn in m.coeffs.items()})
+                for m in family]
     rng = random.Random(seed)
     for _ in range(POINT_TRIES):
         z = _random_gaussian_point(rng)
@@ -118,7 +131,7 @@ def _lazard_degree(degrees: Sequence[int], num_vars: int) -> int:
 
 def _substitute(terms: Terms, line: Sequence[int]) -> Terms:
     """The form in k + 1 variables with x_k = sum_i line[i] x_i, mod q."""
-    q = MOD_PRIME
+    q = CERT_PRIME
     k = len(line)
     powers: List[Terms] = [{(0,) * k: 1}]     # powers of the linear form
     out: Terms = {}
@@ -141,7 +154,7 @@ def _eliminate(rows: List[Dict[int, int]], ncols: int) -> bool:
     """True when the rows (column -> nonzero residue, consumed) span
     F_q^ncols: incremental elimination on Python ints, each pivot row at
     its lowest column and scaled to 1 there."""
-    q = MOD_PRIME
+    q = CERT_PRIME
     pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
         while row:
@@ -163,40 +176,66 @@ def _eliminate(rows: List[Dict[int, int]], ncols: int) -> bool:
     return False
 
 
+def _inverses(xs: List[int]) -> List[int]:
+    """The inverses mod CERT_PRIME of the residues xs, a zero standing for
+    1: one pow for the whole list and three products per entry
+    (Montgomery's batch inversion)."""
+    q = CERT_PRIME
+    prefix = []
+    acc = 1
+    for x in xs:
+        prefix.append(acc)
+        acc = acc * (x or 1) % q
+    inv = pow(acc, -1, q)
+    out = [0] * len(xs)
+    for k in range(len(xs) - 1, -1, -1):
+        out[k] = inv * prefix[k] % q
+        inv = inv * (xs[k] or 1) % q
+    return out
+
+
 def _full_rank(M: np.ndarray) -> np.ndarray:
     """Which matrices of a stack (B, R, C) of int64 entries in [0, q) have
-    full column rank mod q.  Fraction-free elimination: each row below the
-    pivot p becomes p * row - f * pivot row, which keeps the row space
-    since p != 0, so no inverse is taken.  q < 2^31, so both products stay
-    below 2^62 and their difference inside int64."""
-    q = MOD_PRIME
+    full column rank mod q = CERT_PRIME; M is overwritten.
+
+    Elimination with deferred reduction: at column c only that column
+    (rows c and below) and the pivot row are reduced mod q.  The pivot
+    row is scaled by the inverse of its pivot, and every row below loses
+    l times it, l its reduced entry in column c, so a step moves an entry
+    by less than q^2.  An entry in column j moves at most j times, and
+    R * C <= MACAULAY_CELL_CAP with R >= C gives C <= 500, so every entry
+    stays below q + 500 q^2 < 2^52 in magnitude and int64 never
+    overflows.  The last column needs only its pivot."""
+    q = CERT_PRIME
     B, R, C = M.shape
     if R < C:
         return np.zeros(B, dtype=bool)
     ok = np.ones(B, dtype=bool)
     stack = np.arange(B)
     for c in range(C):
-        nonzero = M[:, c:, c] != 0
-        ok &= nonzero.any(axis=1)
+        col = M[:, c:, c] % q
+        nonzero = col != 0
+        if c == C - 1:
+            return ok & nonzero.any(axis=1)
         r = nonzero.argmax(axis=1)
+        pivot = col[stack, r]
+        ok &= pivot != 0
         if r.any():                     # some matrix swaps in its pivot
-            r += c
-            top = M[stack, r]
-            M[stack, r] = M[stack, c]
-            M[stack, c] = top
+            swap = r + c
+            top = M[stack, swap, c + 1:] % q
+            M[stack, swap, c + 1:] = M[:, c, c + 1:]
+            col[stack, r] = col[:, 0]
         else:
-            top = M[:, c].copy()
+            top = M[:, c, c + 1:] % q
+        top *= np.array(_inverses(pivot.tolist()))[:, None]
+        top %= q
+        lower = col[:, 1:]
         if R - c > _STACK_DENSE_ROWS:   # skip rows with no entry to clear
-            below = c + 1 + np.flatnonzero(
-                (M[:, c + 1:, c] != 0).any(axis=0))
+            below = np.flatnonzero(lower.any(axis=0))
+            M[:, c + 1 + below, c + 1:] -= (lower[:, below, None]
+                                            * top[:, None, :])
         else:
-            below = slice(c + 1, R)
-        block = M[:, below, c:]         # a copy when below is an array
-        f = block[:, :, :1] * top[:, None, c:]
-        block *= top[:, None, c, None]
-        block -= f
-        block %= q
-        M[:, below, c:] = block
+            M[:, c + 1:, c + 1:] -= lower[:, :, None] * top[:, None, :]
     return ok
 
 
@@ -250,7 +289,7 @@ class _ModularCuts:
         """None when q divides a denominator."""
         terms: Terms = {}
         for mono, coeff in form.terms.items():
-            r = coeff.residue(MOD_PRIME, MOD_I)
+            r = coeff.residue(CERT_PRIME, CERT_I)
             if r is None:
                 return None
             if r:
@@ -261,7 +300,7 @@ class _ModularCuts:
         got = self.levels.get(lb)
         if got is None:
             k = self.num_vars - 1 - lb      # x_k is substituted
-            line = [pow(_PROBE_NODE + lb, j + 1, MOD_PRIME) for j in range(k)]
+            line = [pow(_PROBE_NODE + lb, j + 1, CERT_PRIME) for j in range(k)]
             got = self.levels[lb] = [
                 None if p is None else self._part(p[0], _substitute(p[1], line))
                 for p in self._level(lb - 1)]
@@ -281,22 +320,17 @@ class _ModularCuts:
         """The Macaulay rows at degree D of every form on level lb, as a
         stack (forms, rows, columns); forms of another degree are 0."""
         m = self.num_vars - lb - 1
-        columns = self._monomials(m, D)
-        col = {c: k for k, c in enumerate(columns)}
-        shifts = self._monomials(m, D - degree)
+        columns = np.array(self._monomials(m, D))
+        shifts = np.array(self._monomials(m, D - degree))
         level = self._level(lb)
-        cells = len(shifts) * len(columns)
-        where: List[int] = []
-        values: List[int] = []
-        for i, part in enumerate(level):
-            if part is not None and part[0] == degree:
-                for j, s in enumerate(shifts):
-                    base = i * cells + j * len(columns)
-                    where.extend(base + col[s + c] for c, _ in part[2])
-                    values.extend(r for _, r in part[2])
-        out = np.zeros(len(level) * cells, dtype=np.int64)
-        out[where] = values
-        return out.reshape(len(level), len(shifts), len(columns))
+        form, code, residue = np.array(
+            [(i, c, r) for i, part in enumerate(level)
+             if part is not None and part[0] == degree for c, r in part[2]],
+            dtype=np.int64).reshape(-1, 3).T
+        out = np.zeros((len(level), len(shifts), len(columns)), dtype=np.int64)
+        out[form, np.arange(len(shifts))[:, None],
+            np.searchsorted(columns, shifts[:, None] + code)] = residue
+        return out
 
     def bounds(self, requests: Sequence[Tuple[Sequence[int], int]]
                ) -> List[bool]:
@@ -439,15 +473,24 @@ def distributive_constant(V: Variety, family: HypersurfaceFamily,
                               exact or not family.is_moving)
 
 
+def empty_cuts(V: Variety, forms: Sequence[HomogPoly],
+               combos: Sequence[Sequence[int]]) -> Iterator[bool]:
+    """For each combo in turn, whether the forms it indexes miss V: a
+    certificate at lb = -1 (:class:`_ModularCuts`, all combos at once)
+    proves a miss, and a combo without one is cut exactly."""
+    certified = _ModularCuts(V, forms).bounds([(c, -1) for c in combos])
+    for combo, ok in zip(combos, certified):
+        yield ok or intersection_dim(V, [forms[j] for j in combo]) == -1
+
+
 def subgeneral_position(V: Variety, family: HypersurfaceFamily, ell: int,
                         seed: int = 0) -> bool:
     """True when every (ell+1)-subset misses V at the point the family is
     specialized at; empty there, each is empty at the generic point."""
     if ell + 1 > len(family):
         raise ValidationError("need at least ell+1 family members")
-    forms = _specialize(family, seed)
-    return all(intersection_dim(V, [forms[j] for j in combo]) == -1
-               for combo in combinations(range(len(family)), ell + 1))
+    return all(empty_cuts(V, _specialize(family, seed),
+                          list(combinations(range(len(family)), ell + 1))))
 
 
 def check_remark_bound(V: Variety, family: HypersurfaceFamily, ell: int,
@@ -529,7 +572,8 @@ def check_norm_domination(V: Variety, family: HypersurfaceFamily,
     """
     subfamily = HypersurfaceFamily([family[j] for j in indices])
     check_curve_on_variety(V, curve)
-    if intersection_dim(V, _specialize(subfamily, seed)) != -1:
+    if not next(empty_cuts(V, _specialize(subfamily, seed),
+                           [range(len(subfamily))])):
         raise DegenerateInputError(
             "subfamily meets the variety; domination lemma inapplicable")
 

@@ -161,8 +161,7 @@ def check_chow_lower_bound(Y: Variety, indices: Sequence[int],
     minimum, the first ell-1 hyperplanes still meet Y, and Y lies in none
     of them.  Returns e_Y(c) - (delta / Delta) sum of selected weights.
     """
-    from .groebner import intersection_dim
-    from .position_geometry import distributive_constant
+    from .position_geometry import distributive_constant, empty_cuts
 
     indices = list(indices)
     if not indices:
@@ -174,7 +173,7 @@ def check_chow_lower_bound(Y: Variety, indices: Sequence[int],
         raise ValidationError(
             "hypothesis (1) failed: last selected weight is not the minimum")
     head = [HomogPoly.variable(Y.num_vars, i) for i in indices[:-1]]
-    if head and intersection_dim(Y, head) == -1:
+    if head and next(empty_cuts(Y, head, [range(len(head))])):
         raise ValidationError(
             "hypothesis (2) failed: leading hyperplanes miss the variety")
     for i in indices:

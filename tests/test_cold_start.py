@@ -1,5 +1,6 @@
 """Cold start: a fresh process loads numpy and mpmath only once a report
-evaluates with them.
+evaluates with them; the subset scan of ``distributive`` loads numpy but
+not mpmath.
 
 ``numpy.linalg`` and ``mpmath.libmp`` enter ``sys.modules`` only when the
 library's body runs (on numpy 1.x and 2.x alike), so they tell a loaded
@@ -41,6 +42,9 @@ steps["weights"] = loaded()
 code, err = run("weights", "--scenario", bad, "--max-u", "8")
 assert code == 1 and err.startswith("error: scenario field"), err
 steps["error"] = loaded()
+for path in shipped:
+    assert run("distributive", "--scenario", path)[0] == 0
+steps["distributive"] = loaded()
 assert run("nevanlinna", "--scenario", shipped[0])[0] == 0
 steps["nevanlinna"] = loaded()
 assert run("constants", "--scenario", shipped[0])[0] == 0
@@ -70,6 +74,7 @@ def test_libraries_load_on_first_numeric_use(tmp_path):
         "import": [False, False],
         "weights": [False, False],
         "error": [False, False],
+        "distributive": [True, False],
         "nevanlinna": [True, False],
         "constants": [True, True],
     }

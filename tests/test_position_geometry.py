@@ -13,7 +13,8 @@ import pytest
 
 from smtlab.analytic import AnalyticFunction, Curve, Poly1
 from smtlab.errors import DegenerateInputError, ValidationError
-from smtlab.exact_algebra import HomogPoly, Monomial, parse_homog_poly
+from smtlab.exact_algebra import (HomogPoly, Monomial, monomials_of_degree,
+                                  parse_homog_poly)
 from smtlab.groebner import Ideal, Variety, intersection_dim
 from smtlab.hypersurfaces import (
     HypersurfaceFamily,
@@ -22,8 +23,12 @@ from smtlab.hypersurfaces import (
 )
 from smtlab import groebner
 from smtlab.position_geometry import (
+    CERT_I,
+    CERT_PRIME,
+    MACAULAY_CELL_CAP,
     _eliminate,
     _full_rank,
+    _lazard_degree,
     _ModularCuts,
     _scan_subsets,
     _specialize,
@@ -32,7 +37,7 @@ from smtlab.position_geometry import (
     distributive_constant,
     subgeneral_position,
 )
-from smtlab.scalars import MOD_PRIME, GaussianRational
+from smtlab.scalars import GaussianRational
 from smtlab.scenario import load_scenario
 
 GR = GaussianRational
@@ -103,6 +108,18 @@ def test_moving_family_generic_agreement():
     assert rep_a.value == rep_b.value == Fraction(1)
     assert rep_a.exact and rep_b.exact
     assert _specialize(fam, 0) != _specialize(fam, 991)
+
+
+def test_fixed_family_is_read_off_without_a_point(monkeypatch):
+    fam = fixed_family(3, "x0 - 1/3*x1", "x1^2 + (2+i)*x0*x2", "x2")
+    want = [parse_homog_poly(t, 3)
+            for t in ("x0 - 1/3*x1", "x1^2 + (2+i)*x0*x2", "x2")]
+
+    def no_point(self, z):
+        raise AssertionError("a fixed family was evaluated at a point")
+
+    monkeypatch.setattr(MovingHypersurface, "at", no_point)
+    assert _specialize(fam, 0) == _specialize(fam, 991) == want
 
 
 def moving_line(*polys):
@@ -379,7 +396,7 @@ def test_certified_dims_match_fresh_varieties(monkeypatch):
 
 def test_denominator_divisible_by_q_takes_the_exact_path(monkeypatch):
     P2 = projective_space(2)
-    forms = [linear([1, 0, 0]), linear([0, Fraction(1, MOD_PRIME), 1]),
+    forms = [linear([1, 0, 0]), linear([0, Fraction(1, CERT_PRIME), 1]),
              linear([1, 0, 1]), linear([2, 1, -1])]
     assert _ModularCuts(P2, forms).levels[-1][1] is None
     tried = {}
@@ -391,7 +408,7 @@ def test_denominator_divisible_by_q_takes_the_exact_path(monkeypatch):
     monkeypatch.undo()
     # in a generator of V, no subset is certified
     conic = Variety(Ideal(3, [parse_homog_poly(
-        f"x0*x2 - 1/{MOD_PRIME}*x1^2", 3)]))
+        f"x0*x2 - 1/{CERT_PRIME}*x1^2", 3)]))
     tried = {}
     got, want, _ = scan_both(conic, [forms[0], forms[2], forms[3]],
                              monkeypatch, tried)
@@ -443,27 +460,126 @@ def test_fully_certified_scan_builds_only_the_basis_of_v(monkeypatch):
     assert got == (*scan_reference(quadric, forms), True)
 
 
+def random_stack(rng, nrows, ncols, count):
+    """count matrices of residues mod q, with 0, 1 and q - 1 common, some
+    with a row or a column that is a multiple of another."""
+    q = CERT_PRIME
+    stack = []
+    for _ in range(count):
+        rows = [[rng.choice((0, 1, q - 1, rng.randrange(q)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3 and nrows > 1:       # a dependent row
+            a, b = rng.sample(range(nrows), 2)
+            f = rng.randrange(q)
+            rows[a] = [(f * v) % q for v in rows[b]]
+        if rng.random() < 0.2 and ncols > 1:       # a dependent column
+            a, b = rng.sample(range(ncols), 2)
+            f = rng.randrange(q)
+            for row in rows:
+                row[a] = (f * row[b]) % q
+        stack.append(rows)
+    return stack
+
+
+def python_ranks(stack, ncols):
+    return [_eliminate([{k: v for k, v in enumerate(row) if v}
+                        for row in rows], ncols) for rows in stack]
+
+
 def test_stacked_elimination_matches_the_python_loop():
-    # numpy's fraction-free int64 elimination of a stack against the
-    # Python-int loop, matrix by matrix, on full-rank and rank-deficient
-    # matrices with residues up to q - 1
+    # the stacked int64 elimination against the Python-int loop, matrix
+    # by matrix, on full-rank and rank-deficient matrices with residues
+    # up to q - 1
     rng = random.Random(17)
     for _ in range(60):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 9)
-        stack = []
-        for _ in range(rng.randint(1, 6)):
-            rows = [[rng.choice((0, 1, MOD_PRIME - 1,
-                                 rng.randrange(MOD_PRIME)))
-                     for _ in range(ncols)] for _ in range(nrows)]
-            if rng.random() < 0.3 and nrows > 1:   # a dependent row
-                a, b = rng.sample(range(nrows), 2)
-                f = rng.randrange(MOD_PRIME)
-                rows[a] = [(f * v) % MOD_PRIME for v in rows[b]]
-            stack.append(rows)
-        want = [_eliminate([{k: v for k, v in enumerate(row) if v}
-                            for row in rows], ncols) for rows in stack]
+        stack = random_stack(rng, nrows, ncols, rng.randint(1, 6))
+        got = _full_rank(np.array(stack, dtype=np.int64))
+        assert list(got) == python_ranks(stack, ncols)
+
+
+def test_stacked_elimination_matches_on_wide_and_sparse_stacks():
+    # more columns than one step of the deferred reduction could hide a
+    # wrong bound in (C > 64), rows past the dense-row threshold, sparse
+    # matrices whose pivots must be swapped in, and a rank one short
+    rng = random.Random(29)
+    seen = Counter()
+    for nrows, ncols, count in [(70, 66, 2), (90, 80, 1), (40, 40, 3),
+                                (33, 17, 4)]:
+        stack = random_stack(rng, nrows, ncols, count)
+        for rows in stack[:count // 2 + 1]:      # mostly zeros
+            for row in rows:
+                for k in range(ncols):
+                    if rng.random() < 0.85:
+                        row[k] = 0
+        want = python_ranks(stack, ncols)
         got = _full_rank(np.array(stack, dtype=np.int64))
         assert list(got) == want
+        seen.update(want)
+        # row 0 and column 0 made dependent: never full rank
+        for rows in stack:
+            for row in rows:
+                row[0] = row[1] * 3 % CERT_PRIME
+        got = _full_rank(np.array(stack, dtype=np.int64))
+        assert list(got) == python_ranks(stack, ncols) == [False] * count
+    assert seen[True] and seen[False]
+
+
+def dense_form(rng, num_vars, degree):
+    return HomogPoly(num_vars, degree, {
+        mono: rng.randint(-9, 9) or 1
+        for mono in monomials_of_degree(num_vars, degree)})
+
+
+def test_septic_macaulay_stack_full_rank_and_a_dependent_column():
+    # three seeded dense ternary septics: their Macaulay matrix at
+    # Lazard's degree 19 has 3 * 91 rows and 210 columns
+    rng = random.Random(7)
+    septics = [dense_form(rng, 3, 7) for _ in range(3)]
+    cuts = _ModularCuts(projective_space(2), septics)
+    D = _lazard_degree([7, 7, 7], 3)
+    M = cuts._blocks(-1, D, 7).reshape(1, -1, len(cuts._monomials(3, D)))
+    assert M.shape == (1, 273, 210)
+    rows = [{k: int(v) for k, v in enumerate(row) if v} for row in M[0]]
+    assert _full_rank(M.copy())[0] and _eliminate(rows, 210)
+    dependent = M.copy()
+    dependent[0, :, 100] = (5 * M[0, :, 3] + 7 * M[0, :, 150]) % CERT_PRIME
+    rows = [{k: int(v) for k, v in enumerate(row) if v}
+            for row in dependent[0]]
+    assert not _full_rank(dependent.copy())[0]
+    assert not _eliminate(rows, 210)
+    assert cuts.bounds([((0, 1, 2), -1), ((0, 1), 0)]) == [True, True]
+
+
+def test_blocks_match_a_per_shift_reference():
+    rng = random.Random(11)
+    quadric = Variety(Ideal(4, [parse_homog_poly("x0*x3 - x1*x2", 4)]))
+    forms = [dense_form(rng, 4, d) for d in (1, 2, 2, 3)]
+    cuts = _ModularCuts(quadric, forms)
+    for lb in (-1, 0, 1):
+        m = 4 - lb - 1
+        level = cuts._level(lb)
+        for degree in (1, 2, 3):
+            D = _lazard_degree([2, 2, degree, 3], m)
+            columns = cuts._monomials(m, D)
+            shifts = cuts._monomials(m, D - degree)
+            want = [[[0] * len(columns) for _ in shifts] for _ in level]
+            for i, part in enumerate(level):
+                if part[0] == degree:
+                    for j, s in enumerate(shifts):
+                        for c, r in part[2]:
+                            want[i][j][columns.index(s + c)] = r
+            assert cuts._blocks(lb, D, degree).tolist() == want
+
+
+def test_deferred_elimination_stays_inside_int64():
+    # an entry of column j moves at most j times, each time by less than
+    # q^2; R >= C and R * C <= MACAULAY_CELL_CAP bound C
+    q = CERT_PRIME
+    c_max = math.isqrt(MACAULAY_CELL_CAP)
+    assert q + c_max * (q - 1) ** 2 < 2 ** 52 < 2 ** 63
+    assert q % 4 == 1 and (CERT_I ** 2 + 1) % q == 0
+    assert all(q % p for p in range(2, math.isqrt(q) + 1))
 
 
 def test_family_size_guard():
@@ -500,6 +616,71 @@ def test_subgeneral_on_conic_matches_cross_product_oracle():
                 expect = False
     assert got == expect
     assert got  # these four lines were chosen to avoid the conic
+
+
+def count_cuts(monkeypatch):
+    built = []
+    cut = Variety.cut
+
+    def counting_cut(self, more):
+        built.append(more)
+        return cut(self, more)
+
+    monkeypatch.setattr(Variety, "cut", counting_cut)
+    return built
+
+
+def random_families(rng):
+    """(V, family) pairs of lines, conics and planes with small integer
+    coefficients, so that some subsets meet and some miss, and a moving
+    family."""
+    quadric = Variety(Ideal(4, [parse_homog_poly("x0*x3 - x1*x2", 4)]))
+    for _ in range(12):
+        V = rng.choice([projective_space(2), CONIC, quadric,
+                        projective_space(3)])
+        n = V.num_vars
+        members = []
+        for _ in range(rng.randint(n, n + 2)):
+            degree = rng.choice((1, 1, 2)) if n == 3 else 1
+            terms = {mono: rng.randint(-2, 2)
+                     for mono in monomials_of_degree(n, degree)
+                     if rng.random() < 0.6}
+            terms = {m: c for m, c in terms.items() if c} or {
+                Monomial((degree,) + (0,) * (n - 1)): 1}
+            members.append(MovingHypersurface.from_homog(
+                HomogPoly(n, degree, terms)))
+        yield V, HypersurfaceFamily(members)
+    yield projective_space(2), next(iter(moving_line_families()))[1]
+
+
+def test_subgeneral_matches_the_exact_only_reference():
+    rng = random.Random(31)
+    outcomes = Counter()
+    for V, fam in random_families(rng):
+        forms = _specialize(fam, 5)
+        for ell in range(V.dim, len(fam)):
+            want = all(intersection_dim(V, [forms[j] for j in combo]) == -1
+                       for combo in combinations(range(len(fam)), ell + 1))
+            assert subgeneral_position(V, fam, ell, seed=5) == want
+            outcomes[want] += 1
+    assert outcomes[True] >= 5 and outcomes[False] >= 5
+
+
+def test_general_position_is_certified_without_a_cut(monkeypatch):
+    rng = random.Random(8)
+    P2 = projective_space(2)
+    lines = HypersurfaceFamily([MovingHypersurface.from_homog(linear(h))
+                                for h in general_lines(rng, 7)])
+    built = count_cuts(monkeypatch)
+    assert subgeneral_position(P2, lines, 2)
+    assert not built
+    rows = check_norm_domination(P2, lines, [1, 4, 6],
+                                 curve_poly([1], [0, 1], [0, 0, 1]), [2.0],
+                                 theta_samples=8)
+    assert len(rows) == 1 and not built
+    # a subset that meets V is cut exactly
+    assert not subgeneral_position(P2, lines, 1)
+    assert built
 
 
 def test_remark_bound_frozen_margins():
@@ -563,6 +744,29 @@ def test_domination_requires_empty_intersection():
     with pytest.raises(DegenerateInputError):
         check_norm_domination(projective_space(1), fam, [0],
                               curve_poly([1], [0, 1]), [1.0])
+
+
+def test_domination_hypothesis_matches_the_exact_only_reference():
+    rng = random.Random(12)
+    curve = curve_poly([1, 2], [0, 1], [3, 0, 1])
+    outcomes = Counter()
+    for _ in range(15):
+        fam = HypersurfaceFamily([
+            MovingHypersurface.from_homog(linear(
+                [rng.randint(-2, 2) or 1 for _ in range(3)]))
+            for _ in range(5)])
+        indices = rng.sample(range(5), 3)
+        forms = _specialize(HypersurfaceFamily([fam[j] for j in indices]), 0)
+        meets = intersection_dim(projective_space(2), forms) != -1
+        try:
+            check_norm_domination(projective_space(2), fam, indices, curve,
+                                  [0.5], theta_samples=4)
+            refused = False
+        except DegenerateInputError as exc:
+            refused = "meets the variety" in str(exc)
+        assert refused == meets
+        outcomes[meets] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_domination_on_conic():

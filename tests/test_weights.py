@@ -393,6 +393,59 @@ def test_chow_lower_bound_conic():
     assert margin >= 0
 
 
+class _Passed(Exception):
+    pass
+
+
+def test_chow_leading_hyperplanes_match_the_exact_only_reference(
+        monkeypatch):
+    # hypothesis (2) through the certificate against intersection_dim;
+    # a check that gets past the hypotheses stops at the distributive
+    # constant
+    from smtlab import position_geometry
+    from smtlab.groebner import intersection_dim
+
+    def passed(*args, **kwargs):
+        raise _Passed
+
+    built = []
+    cut = Variety.cut
+
+    def counting_cut(self, more):
+        built.append(more)
+        return cut(self, more)
+
+    monkeypatch.setattr(position_geometry, "distributive_constant", passed)
+    monkeypatch.setattr(Variety, "cut", counting_cut)
+    rng = random.Random(6)
+    varieties = [projective_space(2), conic(), twisted_cubic(),
+                 projective_space(3)]
+    outcomes = []
+    for _ in range(30):
+        Y = rng.choice(varieties)
+        n = Y.num_vars
+        indices = rng.sample(range(n), rng.randint(2, n)) + [
+            rng.randrange(n)]
+        c = WeightVector([rng.randint(1, 4) for _ in range(n)])
+        c = WeightVector([0 if i == indices[-1] else w
+                          for i, w in enumerate(c)])
+        head = [HomogPoly.variable(n, i) for i in indices[:-1]]
+        misses = intersection_dim(Y, head) == -1
+        del built[:]
+        try:
+            check_chow_lower_bound(Y, indices, c, u_max=8)
+            raise AssertionError("the check got past the distributive stub")
+        except _Passed:
+            got = False
+        except ValidationError as exc:
+            got = "(2)" in str(exc)
+        assert got == misses
+        if misses:      # a miss is certified, no cut built
+            assert not built
+        outcomes.append(misses)
+    assert any(outcomes) and not all(outcomes)
+
+
 def test_chow_lower_bound_hypothesis_failures():
     P2 = projective_space(2)
     with pytest.raises(ValidationError, match=r"\(1\)"):
