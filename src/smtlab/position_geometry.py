@@ -3,15 +3,18 @@ curve's hypotheses.
 
 The distributive constant maxes #Gamma / (dim V - dim(V cut by Gamma)) over
 nonempty subsets Gamma of the family, with the empty intersection counting
-as ratio 0.  Each subset's dimension is first certified modulo a prime
-(:class:`_ModularCuts`): its parents bound it from below, and a Macaulay
-matrix of full rank mod q bounds it from above.  Only a subset whose
-certificate fails gets a Groebner basis: V cut by the subset is the cut by
-its prefix cut once more (:meth:`~smtlab.groebner.Variety.cut`), whose
-basis is seeded with the prefix's reduced basis.  A moving family is
-specialized at one exact Gaussian-rational point z0.  Fibre dimension is
-upper semicontinuous, so each dimension at z0 is at least the generic one
-and the constant at z0 bounds the generic constant from above; the report
+as ratio 0.  Each subset's dimension is first certified modulo the prime
+CERT_PRIME (:class:`_ModularCuts`): its parents bound it from below, and a
+Macaulay matrix of full rank mod q bounds it from above.  Only a subset
+whose certificate fails gets a Groebner basis: V cut by the subset is the
+cut by its prefix cut once more (:meth:`~smtlab.groebner.Variety.cut`),
+whose basis is seeded with the prefix's reduced basis.  The position
+checks ask the same certificate whether an intersection is empty
+(:func:`empty_cuts`) and cut only where it fails.  A moving family is
+specialized at one exact Gaussian-rational point z0; a fixed family is
+read off its constant coefficients.  Fibre dimension is upper
+semicontinuous, so each dimension at z0 is at least the generic one and
+the constant at z0 bounds the generic constant from above; the report
 says whether the scan also proved the two equal.  An intersection empty
 at z0 is empty at the generic point, so a position check that passes at
 z0 passes generically.
@@ -52,7 +55,7 @@ POINT_TRIES = 60
 # exact path
 MACAULAY_CELL_CAP = 250_000
 # the certificate prime q = 1 (mod 4), below 2^21 so that the deferred
-# elimination of a Macaulay matrix stays inside int64
+# elimination of a Macaulay matrix keeps every entry below 2^52
 # (:func:`_full_rank`), and a square root of -1 modulo it: i -> CERT_I
 # maps Z[i] onto F_q, and so does every Gaussian rational whose
 # denominator q does not divide
@@ -252,20 +255,23 @@ class _ModularCuts:
     at some degree D (every form times every monomial of the
     complementary degree, against the degree-D monomials) has full column
     rank: then their ideal holds every degree-D form.  Full rank mod
-    q = MOD_PRIME (i -> MOD_I) implies full rank over Q(i), since a
-    nonzero minor mod q lifts to a nonzero minor; D is Lazard's degree,
-    where forms with no common zero always reach full rank, so a generic
-    cut is certified there.  A coefficient whose denominator q divides, a
-    rank that falls short or a matrix past MACAULAY_CELL_CAP gives no
-    certificate, never a wrong one.
+    q = CERT_PRIME implies full rank over Q(i): for any prime q = 1
+    (mod 4), sending i to a square root of -1 (CERT_I) maps the Gaussian
+    rationals whose denominators q does not divide onto F_q as a ring, so
+    a minor nonzero mod q is the image of a nonzero minor.  D is Lazard's
+    degree, where forms with no common zero always reach full rank, so a
+    generic cut is certified there.  A coefficient whose denominator q
+    divides, a rank that falls short or a matrix past MACAULAY_CELL_CAP
+    gives no certificate, never a wrong one.
 
     Residues are computed once per form, and each substitution once per
     form and lb.  Monomials are coded as integers in a radix above every
     exponent used, so a product of monomials is a sum of codes.  The
     requests of one call that share lb and part degrees share a matrix
-    shape and are eliminated as one numpy stack (:func:`_full_rank`),
-    unless there are fewer of them than columns and they are small
-    (:func:`_eliminate`, on Python ints).
+    shape; their rows are gathered from one numpy block per degree
+    (:meth:`_blocks`) and eliminated as one int64 stack with deferred
+    reduction (:func:`_full_rank`), unless there are fewer of them than
+    columns and they are small (:func:`_eliminate`, on Python ints).
     """
 
     def __init__(self, V: Variety, forms: Sequence[HomogPoly]):
