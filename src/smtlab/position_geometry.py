@@ -222,7 +222,9 @@ def _full_rank(M: np.ndarray) -> np.ndarray:
             return ok & nonzero.any(axis=1)
         r = nonzero.argmax(axis=1)
         pivot = col[stack, r]
-        ok &= pivot != 0
+        pivots = pivot.tolist()
+        if 0 in pivots:                 # some matrix is short of rank
+            ok &= pivot != 0
         if r.any():                     # some matrix swaps in its pivot
             swap = r + c
             top = M[stack, swap, c + 1:] % q
@@ -230,7 +232,7 @@ def _full_rank(M: np.ndarray) -> np.ndarray:
             col[stack, r] = col[:, 0]
         else:
             top = M[:, c, c + 1:] % q
-        top *= np.array(_inverses(pivot.tolist()))[:, None]
+        top *= np.array(_inverses(pivots))[:, None]
         top %= q
         lower = col[:, 1:]
         if R - c > _STACK_DENSE_ROWS:   # skip rows with no entry to clear
