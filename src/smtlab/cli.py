@@ -80,14 +80,13 @@ def _cmd_distributive(scenario: Scenario, args: argparse.Namespace) -> Report:
         "value": str(report.value),
         "witness": list(report.witness),
         "value_kind": "exact" if report.exact else "upper bound",
-        "table": [{"subset": list(subset), "dim": dim, "ratio": str(ratio)}
-                  for subset, dim, ratio in report.table],
+        "table": _Table(report.table),
     }
 
     def rows() -> List[List[Any]]:
         return [["subset", "dim", "ratio"]] + [
-            [" ".join(map(str, row["subset"])), row["dim"], row["ratio"]]
-            for row in payload["table"]]
+            [" ".join(map(str, subset)), dim, str(ratio)]
+            for subset, dim, ratio in report.table]
     return payload, rows, 0
 
 
@@ -248,6 +247,30 @@ def _scalar(x: Any) -> Optional[str]:
     return None
 
 
+class _Table:
+    """The rows of a ``distributive`` subset table as a payload value,
+    which :func:`_table_json` writes as {"subset", "dim", "ratio"} dicts."""
+
+    def __init__(self, rows: Tuple[Tuple[Tuple[int, ...], int, Any], ...]):
+        self.rows = rows
+
+
+def _table_json(table: _Table, indent: str) -> str:
+    """The text ``_write`` gives the table's list of dicts, with one
+    format string per row (subsets are nonempty).  A ratio's text is made
+    once per ratio object, which the table keeps alive."""
+    i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
+    sep, row = "," + i3, ("{" + i2 + '"subset": [' + i3 + "%s" + i2 + "],"
+                          + i2 + '"dim": %d,' + i2 + '"ratio": %s' + i1 + "}")
+    ratios: Dict[int, str] = {}
+    out = []
+    for subset, dim, ratio in table.rows:
+        text = ratios.get(id(ratio)) or ratios.setdefault(
+            id(ratio), _quote(str(ratio)))
+        out.append(row % (sep.join(map(str, subset)), dim, text))
+    return "[" + i1 + ("," + i1).join(out) + indent + "]" if out else "[]"
+
+
 def _write(x: Any, out: List[str], indent: str) -> None:
     """Append the JSON pieces of the list, tuple or dict x to out;
     ``indent`` is a newline and the indentation of x's own line."""
@@ -276,7 +299,8 @@ def _write(x: Any, out: List[str], indent: str) -> None:
             return
         sep = "{" + inner
         for key, v in x.items():
-            text = _scalar(v)
+            text = (_table_json(v, inner) if type(v) is _Table
+                    else _scalar(v))
             if text is None:
                 out.append(sep + _quote(key) + ": ")
                 _write(v, out, inner)
@@ -297,13 +321,24 @@ def _to_json(x: Any) -> str:
     return "".join(out)
 
 
+def _refuse_nan(x: Any) -> None:
+    """The NaN refusal of ``_scalar`` over x, with no text built."""
+    if isinstance(x, float) and x != x:
+        raise CertificationError(NAN_REPORT)
+    if isinstance(x, (list, tuple, dict)):
+        for v in x.values() if isinstance(x, dict) else x:
+            _refuse_nan(v)
+
+
 def _emit(payload: Dict[str, Any], rows: Callable[[], List[List[Any]]],
           args: argparse.Namespace) -> None:
-    text = _to_json(payload) + "\n"   # also refuses a NaN in a CSV run
     if args.format == "csv":
+        _refuse_nan(payload)
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows())
         text = buf.getvalue()
+    else:
+        text = _to_json(payload) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return

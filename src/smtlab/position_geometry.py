@@ -396,16 +396,19 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
     value, its witness, the table and whether every subset that was not
     pruned has d = lb.
 
-    Subsets go size by size, each size in lexicographic order.  A subset
-    contains an empty one exactly when one of its parents (the subsets one
-    member smaller, all scanned one size earlier; V for a single member)
-    is empty; such a subset is pruned.  Otherwise each parent P bounds its
+    Subsets go size by size, each size in lexicographic order: a size is
+    the previous size's subsets, each extended by every member above its
+    last one (its prefix).  A subset contains an empty one exactly when
+    one of its parents (the subsets one member smaller, all scanned one
+    size earlier; V for a single member) is empty; such a subset is
+    pruned, at once when its prefix is empty.  Once every subset of a
+    size is empty, every larger subset is pruned and written straight
+    from ``combinations``.  Otherwise each parent P bounds a subset's
     dimension d from below by dim P - 1 (Krull), so lb = max dim P - 1,
     and a certificate of d <= lb (:class:`_ModularCuts`, for all subsets
     of one size at once) gives d = lb.  A subset whose certificate fails
-    is cut exactly: V cut by its prefix
-    (all but its last member), built on demand the same way and kept for
-    the scan, cut once more.
+    is cut exactly: V cut by its prefix, built on demand the same way
+    and kept for the scan, cut once more.
 
     When the forms are a moving family at a point z0, each dimension is at
     least the generic one (upper semicontinuity of fibre dimension), so
@@ -418,8 +421,8 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
         raise ValidationError(f"variety must have dimension >= 1, got {n}")
     q = len(forms)
     modular = _ModularCuts(V, forms)
-    dims: Dict[int, int] = {}    # subset as a bit mask -> dimension
-    best = Fraction(0)
+    dims: Dict[int, int] = {}    # nonempty subset as a bit mask -> dimension
+    zero = best = Fraction(0)
     witness: Tuple[int, ...] = ()
     table: List[Tuple[Tuple[int, ...], int, Fraction]] = []
     cuts: Dict[Tuple[int, ...], Variety] = {(): V}
@@ -431,36 +434,49 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
             got = cuts[combo] = cut(combo[:-1]).cut([forms[combo[-1]]])
         return got
 
+    level = [((), 0, n)]         # (subset, bit mask, dimension) of a size
     for size in range(1, q + 1):
-        level = []
-        for combo in combinations(range(q), size):
-            s = sum(1 << j for j in combo)
-            parents = [dims[s ^ 1 << j] for j in combo] if size > 1 else [n]
-            level.append((combo, s, parents, max(parents) - 1))
-        certified = iter(modular.bounds([(combo, lb) for combo, _, parents, lb
-                                         in level if -1 not in parents]))
-        for combo, s, parents, lb in level:
-            if -1 in parents:
-                dims[s] = -1
-                table.append((combo, -1, Fraction(0)))
-                continue
-            d = lb if next(certified) else cut(combo).dim
-            if any(d > p for p in parents):
-                raise CertificationError(
-                    "intersection dimension grew under refinement")
-            dims[s] = d
-            exact = exact and d == lb
+        if all(d == -1 for _, _, d in level):
+            for rest in range(size, q + 1):
+                table.extend((combo, -1, zero)
+                             for combo in combinations(range(q), rest))
+            break
+        scan = []                # (subset, bit mask, parent dims or None)
+        for combo, mask, d in level:
+            for j in range(combo[-1] + 1 if combo else 0, q):
+                s = mask | 1 << j
+                parents = [d] if d == -1 else [
+                    d, *[dims.get(s ^ 1 << i, -1) for i in combo]]
+                scan.append((combo + (j,), s,
+                             None if -1 in parents else parents))
+        requests = [(combo, max(parents) - 1)
+                    for combo, _, parents in scan if parents]
+        certified = iter(modular.bounds(requests) if requests else ())
+        level, ratios = [], {}
+        for combo, s, parents in scan:
+            d = -1
+            if parents:
+                lb = max(parents) - 1
+                d = lb if next(certified) else cut(combo).dim
+                if any(d > p for p in parents):
+                    raise CertificationError(
+                        "intersection dimension grew under refinement")
+                if d >= n:
+                    raise DegenerateInputError(
+                        f"members {combo} contain the variety; "
+                        "distributive constant undefined")
+                exact = exact and d == lb
+            level.append((combo, s, d))
             if d == -1:
-                table.append((combo, -1, Fraction(0)))
+                table.append((combo, -1, zero))
                 continue
-            if d >= n:
-                raise DegenerateInputError(
-                    f"members {combo} contain the variety; "
-                    "distributive constant undefined")
-            ratio = Fraction(size, n - d)
+            dims[s] = d
+            ratio = ratios.get(d)
+            if ratio is None:    # later subsets of this size and d tie it
+                ratio = ratios[d] = Fraction(size, n - d)
+                if ratio > best:
+                    best, witness = ratio, combo
             table.append((combo, d, ratio))
-            if ratio > best:
-                best, witness = ratio, combo
     return best, witness, table, exact
 
 

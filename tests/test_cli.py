@@ -1,6 +1,7 @@
 """Dispatch, emission, and exit-code behavior of the command line tool."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 from smtlab import cli, nevanlinna
 from smtlab.analytic import Curve
 from smtlab.errors import NAN_REPORT, CertificationError
+from smtlab.scenario import load_scenario
 from smtlab.smt_verifier import SMTConstants, SMTReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -752,6 +754,80 @@ def test_writer_matches_json_dumps():
         items = [_random_value(rng)]
         assert cli._to_json(items) == json.dumps(
             _reference_scrub(items), indent=2, allow_nan=False)
+
+
+def _table_dicts(rows):
+    """The subset table as the list of dicts the JSON report stands for."""
+    return [{"subset": list(s), "dim": d, "ratio": str(r)} for s, d, r in rows]
+
+
+def _ten_lines(tmp_path):
+    """A scenario of ten lines x0 + k x1 + k^2 x2 of P^2, no three through
+    one point: 1023 table rows, the triples and everything above empty."""
+    data = json.loads(Path(CONIC).read_text())
+    data["variety_generators"] = []
+    data["hypersurfaces"] = [
+        {"degree": 1, "coefficients": {"x0": "1", "x1": str(k),
+                                       "x2": str(k * k)}}
+        for k in range(1, 11)]
+    path = tmp_path / "ten_lines.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_table_writer_matches_json_dumps(tmp_path):
+    half = Fraction(3, 2)
+    scenario_table = load_scenario(_ten_lines(tmp_path)).distributive().table
+    tables = [
+        (),
+        (((0,), 1, Fraction(1)),),
+        (((0,), 0, Fraction(1)), ((1,), 0, Fraction(1)),
+         ((0, 1), 0, Fraction(2)), ((0, 1, 2), 0, half),
+         ((0, 2, 3), 0, Fraction(3, 2)), ((1, 2), -1, Fraction(0)),
+         ((0, 1, 2, 3), -1, Fraction(0)), ((12, 15), 3, half)),
+        scenario_table,
+    ]
+    assert len(scenario_table) == 1023
+    for rows in tables:
+        assert cli._table_json(cli._Table(rows), "\n") == json.dumps(
+            _table_dicts(rows), indent=2)
+        payload = {"value": "1", "table": _table_dicts(rows), "kind": "x"}
+        expected = json.dumps(payload, indent=2)
+        payload["table"] = cli._Table(rows)
+        assert cli._to_json(payload) == expected
+        assert cli._to_json({"nested": payload}) == json.dumps(
+            {"nested": json.loads(expected)}, indent=2)
+
+
+def test_distributive_table_on_ten_lines(tmp_path, capsys):
+    path = _ten_lines(tmp_path)
+    code, out, _ = run(capsys, "distributive", "--scenario", path)
+    assert code == 0
+    data = json.loads(out)
+    assert out == json.dumps(data, indent=2) + "\n"
+    assert len(data["table"]) == 1023
+    assert data["table"][-1] == {"subset": list(range(10)), "dim": -1,
+                                 "ratio": "0"}
+    code, out, _ = run(capsys, "distributive", "--scenario", path,
+                       "--format", "csv")
+    assert code == 0
+    rows = [["subset", "dim", "ratio"]] + [
+        [" ".join(map(str, row["subset"])), row["dim"], row["ratio"]]
+        for row in data["table"]]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert out == buf.getvalue()
+
+
+def test_csv_report_builds_no_json_text(monkeypatch, capsys):
+    def refuse(payload):
+        raise AssertionError("JSON text built for a CSV report")
+    monkeypatch.setattr(cli, "_to_json", refuse)
+    monkeypatch.setattr(cli, "_table_json", refuse)
+    for command in ("distributive", "constants"):
+        code, out, _ = run(capsys, command, "--scenario", CONIC,
+                           "--format", "csv")
+        assert code == 0 and out.count("\n") > 2
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

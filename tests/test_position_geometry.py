@@ -320,6 +320,93 @@ def test_scan_prunes_exactly_below_empty_parents(monkeypatch):
         assert built == len(prefix_closure(failed))
         monkeypatch.undo()
 
+
+def brute_force_scan(V, forms):
+    """(value, witness, table, exact, requests) with nothing pruned: every
+    subset in ``combinations`` order, size by size, its dimension from
+    ``intersection_dim`` on a fresh variety.  ``requests`` holds, per size,
+    the (subset, lower bound) of each subset with no empty parent, and
+    exact says whether each of those has its lower bound as dimension."""
+    n = V.dim
+    dims = {(): n}
+    best, witness, table, exact, requests = Fraction(0), (), [], True, []
+    for size in range(1, len(forms) + 1):
+        asked = []
+        for combo in combinations(range(len(forms)), size):
+            d = intersection_dim(Variety(V.ideal), [forms[j] for j in combo])
+            dims[combo] = d
+            parents = [dims[combo[:k] + combo[k + 1:]] for k in range(size)]
+            if -1 not in parents:
+                asked.append((combo, max(parents) - 1))
+                exact = exact and d == max(parents) - 1
+            ratio = Fraction(0) if d == -1 else Fraction(size, n - d)
+            table.append((combo, d, ratio))
+            if ratio > best:
+                best, witness = ratio, combo
+        requests.append(asked)
+    return best, witness, table, exact, requests
+
+
+def brute_force_families():
+    """(name, V, forms): distinct points of P^1, whose pairs are all empty;
+    ten general lines of P^2, whose triples are; concurrent lines, where
+    the triples and the quadruples are only partly empty; a repeated
+    line, whose pair is a line while the other pairs holding either copy
+    are points; a family on a conic."""
+    one, other = Monomial((1, 0)), Monomial((0, 1))
+    yield "points", projective_space(1), [
+        HomogPoly(2, 1, {one: 1, other: -r} if r else {one: 1})
+        for r in (0, 1, -2, 3, Fraction(1, 2))]
+    yield "lines", projective_space(2), [
+        linear(h) for h in general_lines(random.Random(10), 10)]
+    yield "concurrent", projective_space(2), [
+        parse_homog_poly(t, 3)
+        for t in ("x0", "x1", "x0 + x1", "x0 - 2*x1", "x2", "x1 + x2")]
+    yield "repeated", projective_space(2), [
+        parse_homog_poly(t, 3) for t in ("x0", "2*x0", "x1", "x1 + x2", "x2")]
+    yield "conic", CONIC, [
+        parse_homog_poly(t, 3)
+        for t in ("x0", "x2", "x1", "x0 + x1 + x2", "x0 - x2", "x1 - x2")]
+
+
+@pytest.mark.parametrize("name", ["points", "lines", "concurrent",
+                                  "repeated", "conic"])
+def test_scan_matches_a_brute_force_reference(name, monkeypatch):
+    V, forms = next((V, forms) for label, V, forms in brute_force_families()
+                    if label == name)
+    asked = []
+    bounds = _ModularCuts.bounds
+
+    def spy(self, requests):
+        asked.append([(tuple(c), lb) for c, lb in requests])
+        return bounds(self, requests)
+
+    monkeypatch.setattr(_ModularCuts, "bounds", spy)
+    rep = distributive_constant(
+        V, HypersurfaceFamily([MovingHypersurface.from_homog(f)
+                               for f in forms]))
+    monkeypatch.undo()
+    value, witness, table, exact, requests = brute_force_scan(V, forms)
+    assert len(rep.table) == len(table) == 2 ** len(forms) - 1
+    for got, want in zip(rep.table, table):
+        assert got == want
+    assert (rep.value, rep.witness, rep.exact) == (value, witness, True)
+    assert _scan_subsets(V, forms)[3] == exact
+    # one certificate call per size with a subset that is not pruned,
+    # asking for exactly those subsets in lexicographic order
+    assert asked == [r for r in requests if r]
+    assert all(asked)
+    if name in ("points", "lines"):
+        # sizes past the first all-empty one ask nothing
+        first_empty = next(k for k, r in enumerate(requests, 1) if not r)
+        assert len(asked) == first_empty - 1 < len(forms)
+
+
+def test_scan_raises_on_the_first_member_containing_the_variety():
+    fam = fixed_family(3, "x0", "x0*x2 - x1^2", "x1", "2*x0*x2 - 2*x1^2")
+    with pytest.raises(DegenerateInputError, match=r"members \(1,\)"):
+        distributive_constant(CONIC, fam)
+
 # -- modular certificates ----------------------------------------------------
 
 def linear(coeffs):
