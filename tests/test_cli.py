@@ -820,7 +820,7 @@ def test_distributive_table_on_ten_lines(tmp_path, capsys):
 
 
 def test_csv_report_builds_no_json_text(monkeypatch, capsys):
-    def refuse(payload):
+    def refuse(*args):
         raise AssertionError("JSON text built for a CSV report")
     monkeypatch.setattr(cli, "_to_json", refuse)
     monkeypatch.setattr(cli, "_table_json", refuse)
