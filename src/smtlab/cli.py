@@ -80,13 +80,15 @@ def _cmd_distributive(scenario: Scenario, args: argparse.Namespace) -> Report:
         "value": str(report.value),
         "witness": list(report.witness),
         "value_kind": "exact" if report.exact else "upper bound",
-        "table": _Table(report.table),
+        "members": len(scenario.family),
+        "table": [{"subset": list(subset), "dim": dim, "ratio": str(ratio)}
+                  for subset, dim, ratio in report.table],
     }
 
     def rows() -> List[List[Any]]:
         return [["subset", "dim", "ratio"]] + [
-            [" ".join(map(str, subset)), dim, str(ratio)]
-            for subset, dim, ratio in report.table]
+            [" ".join(map(str, row["subset"])), row["dim"], row["ratio"]]
+            for row in payload["table"]]
     return payload, rows, 0
 
 
@@ -247,30 +249,6 @@ def _scalar(x: Any) -> Optional[str]:
     return None
 
 
-class _Table:
-    """The rows of a ``distributive`` subset table as a payload value,
-    which :func:`_table_json` writes as {"subset", "dim", "ratio"} dicts."""
-
-    def __init__(self, rows: Tuple[Tuple[Tuple[int, ...], int, Any], ...]):
-        self.rows = rows
-
-
-def _table_json(table: _Table, indent: str) -> str:
-    """The text ``_write`` gives the table's list of dicts, with one
-    format string per row (subsets are nonempty).  A ratio's text is made
-    once per ratio object, which the table keeps alive."""
-    i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
-    sep, row = "," + i3, ("{" + i2 + '"subset": [' + i3 + "%s" + i2 + "],"
-                          + i2 + '"dim": %d,' + i2 + '"ratio": %s' + i1 + "}")
-    ratios: Dict[int, str] = {}
-    out = []
-    for subset, dim, ratio in table.rows:
-        text = ratios.get(id(ratio)) or ratios.setdefault(
-            id(ratio), _quote(str(ratio)))
-        out.append(row % (sep.join(map(str, subset)), dim, text))
-    return "[" + i1 + ("," + i1).join(out) + indent + "]" if out else "[]"
-
-
 def _write(x: Any, out: List[str], indent: str) -> None:
     """Append the JSON pieces of the list, tuple or dict x to out;
     ``indent`` is a newline and the indentation of x's own line."""
@@ -299,8 +277,7 @@ def _write(x: Any, out: List[str], indent: str) -> None:
             return
         sep = "{" + inner
         for key, v in x.items():
-            text = (_table_json(v, inner) if type(v) is _Table
-                    else _scalar(v))
+            text = _scalar(v)
             if text is None:
                 out.append(sep + _quote(key) + ": ")
                 _write(v, out, inner)

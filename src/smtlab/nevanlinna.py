@@ -384,17 +384,16 @@ class DefectEstimate:
 
 def defect(curve: Curve, Q: MovingHypersurface, k: Union[int, float],
            grid: RadialGrid, tol: float = 1e-8,
-           divisor: Optional[Divisor] = None,
            strict_origin: bool = False) -> DefectEstimate:
-    """Truncated defect 1 - max of N^[k]/(d T) over the grid's top decile.
+    """Truncated defect 1 - max of N^[k]/(d T) over the grid's top decile,
+    with T and the divisor of Q(f) read from a :class:`GridSession`.
 
     A grid cannot realize a limsup; the last three raw ratios ride along
     so non-convergence stays visible.
     """
-    if divisor is None:
-        divisor = _divisor_with_pad(_compose(curve, Q), grid.values[-1])
-    N = counting(divisor, grid, k, strict_origin)
-    T = _characteristic_row(curve, grid.values, tol)
+    session = GridSession(curve, HypersurfaceFamily([Q]), grid)
+    N = counting(session.divisor(0), grid, k, strict_origin)
+    T = session.characteristic(tol)
     if min(T) <= 0:
         raise ValidationError("characteristic must be positive on the grid")
     tail = tuple((grid.values[i], N[i] / (Q.degree * T[i]))

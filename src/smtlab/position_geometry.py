@@ -3,9 +3,10 @@ curve's hypotheses.
 
 The distributive constant maxes #Gamma / (dim V - dim(V cut by Gamma)) over
 nonempty subsets Gamma of the family, with the empty intersection counting
-as ratio 0.  Each subset's dimension is first certified modulo the prime
-CERT_PRIME (:class:`_ModularCuts`): its parents bound it from below, and a
-Macaulay matrix of full rank mod q bounds it from above.  Only a subset
+as ratio 0, so only the subsets that meet V are listed.  Each subset's
+dimension is first certified modulo the prime MOD_PRIME
+(:class:`_ModularCuts`): its parents bound it from below, and a Macaulay
+matrix of full rank mod q bounds it from above.  Only a subset
 whose certificate fails gets a Groebner basis: V cut by the subset is the
 cut by its prefix cut once more (:meth:`~smtlab.groebner.Variety.cut`),
 whose basis is seeded with the prefix's reduced basis.  The position
@@ -46,21 +47,16 @@ from .errors import (
 from .exact_algebra import HomogPoly, rank_of_vectors
 from .groebner import Variety, intersection_dim
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
-from .scalars import GaussianRational
+from .scalars import MOD_I, MOD_PRIME, GaussianRational
 
-MAX_FAMILY_SIZE = 16
+# subsets whose parents are all nonempty examined before a scan is
+# refused; every family of at most 16 members stays under it
+MAX_SUBSETS = 2 ** 16 - 1
 # random points tried for a moving family before giving up
 POINT_TRIES = 60
 # a Macaulay matrix with more cells is not built; its subset takes the
 # exact path
 MACAULAY_CELL_CAP = 250_000
-# the certificate prime q = 1 (mod 4), below 2^21 so that the deferred
-# elimination of a Macaulay matrix keeps every entry below 2^52
-# (:func:`_full_rank`), and a square root of -1 modulo it: i -> CERT_I
-# maps Z[i] onto F_q, and so does every Gaussian rational whose
-# denominator q does not divide
-CERT_PRIME = 2097133
-CERT_I = 498487
 # matrices of one shape are eliminated together in numpy, in stacks of at
 # most this many cells, unless there are fewer of them than columns and
 # each has at most _SPARSE_CELLS cells: numpy's per-call cost then
@@ -78,6 +74,10 @@ _PROBE_NODE = 10_001
 
 @dataclass(frozen=True)
 class DistributiveReport:
+    """Delta_V, the first subset that attains it, and the table: (subset,
+    dim, ratio) for each subset that meets V, size by size, each size in
+    lexicographic order.  A subset not listed misses V: dim -1, ratio 0."""
+
     value: Fraction
     witness: Tuple[int, ...]
     table: Tuple[Tuple[Tuple[int, ...], int, Fraction], ...]
@@ -134,7 +134,7 @@ def _lazard_degree(degrees: Sequence[int], num_vars: int) -> int:
 
 def _substitute(terms: Terms, line: Sequence[int]) -> Terms:
     """The form in k + 1 variables with x_k = sum_i line[i] x_i, mod q."""
-    q = CERT_PRIME
+    q = MOD_PRIME
     k = len(line)
     powers: List[Terms] = [{(0,) * k: 1}]     # powers of the linear form
     out: Terms = {}
@@ -157,7 +157,7 @@ def _eliminate(rows: List[Dict[int, int]], ncols: int) -> bool:
     """True when the rows (column -> nonzero residue, consumed) span
     F_q^ncols: incremental elimination on Python ints, each pivot row at
     its lowest column and scaled to 1 there."""
-    q = CERT_PRIME
+    q = MOD_PRIME
     pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
         while row:
@@ -180,10 +180,10 @@ def _eliminate(rows: List[Dict[int, int]], ncols: int) -> bool:
 
 
 def _inverses(xs: List[int]) -> List[int]:
-    """The inverses mod CERT_PRIME of the residues xs, a zero standing for
+    """The inverses mod MOD_PRIME of the residues xs, a zero standing for
     1: one pow for the whole list and three products per entry
     (Montgomery's batch inversion)."""
-    q = CERT_PRIME
+    q = MOD_PRIME
     prefix = []
     acc = 1
     for x in xs:
@@ -199,7 +199,7 @@ def _inverses(xs: List[int]) -> List[int]:
 
 def _full_rank(M: np.ndarray) -> np.ndarray:
     """Which matrices of a stack (B, R, C) of int64 entries in [0, q) have
-    full column rank mod q = CERT_PRIME; M is overwritten.
+    full column rank mod q = MOD_PRIME; M is overwritten.
 
     Elimination with deferred reduction: at column c only that column
     (rows c and below) and the pivot row are reduced mod q.  The pivot
@@ -209,7 +209,7 @@ def _full_rank(M: np.ndarray) -> np.ndarray:
     R * C <= MACAULAY_CELL_CAP with R >= C gives C <= 500, so every entry
     stays below q + 500 q^2 < 2^52 in magnitude and int64 never
     overflows.  The last column needs only its pivot."""
-    q = CERT_PRIME
+    q = MOD_PRIME
     B, R, C = M.shape
     if R < C:
         return np.zeros(B, dtype=bool)
@@ -257,8 +257,8 @@ class _ModularCuts:
     at some degree D (every form times every monomial of the
     complementary degree, against the degree-D monomials) has full column
     rank: then their ideal holds every degree-D form.  Full rank mod
-    q = CERT_PRIME implies full rank over Q(i): for any prime q = 1
-    (mod 4), sending i to a square root of -1 (CERT_I) maps the Gaussian
+    q = MOD_PRIME implies full rank over Q(i): for any prime q = 1
+    (mod 4), sending i to a square root of -1 (MOD_I) maps the Gaussian
     rationals whose denominators q does not divide onto F_q as a ring, so
     a minor nonzero mod q is the image of a nonzero minor.  D is Lazard's
     degree, where forms with no common zero always reach full rank, so a
@@ -297,7 +297,7 @@ class _ModularCuts:
         """None when q divides a denominator."""
         terms: Terms = {}
         for mono, coeff in form.terms.items():
-            r = coeff.residue(CERT_PRIME, CERT_I)
+            r = coeff.residue(MOD_PRIME, MOD_I)
             if r is None:
                 return None
             if r:
@@ -308,7 +308,7 @@ class _ModularCuts:
         got = self.levels.get(lb)
         if got is None:
             k = self.num_vars - 1 - lb      # x_k is substituted
-            line = [pow(_PROBE_NODE + lb, j + 1, CERT_PRIME) for j in range(k)]
+            line = [pow(_PROBE_NODE + lb, j + 1, MOD_PRIME) for j in range(k)]
             got = self.levels[lb] = [
                 None if p is None else self._part(p[0], _substitute(p[1], line))
                 for p in self._level(lb - 1)]
@@ -392,29 +392,29 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
                   ) -> Tuple[Fraction, Tuple[int, ...],
                              List[Tuple[Tuple[int, ...], int, Fraction]],
                              bool]:
-    """Exhaustive subset scan with superset-of-empty pruning; returns the
-    value, its witness, the table and whether every subset that was not
-    pruned has d = lb.
+    """Scan of the subsets that meet V; returns the value, its witness,
+    the table of those subsets and whether each has d = lb.
 
     Subsets go size by size, each size in lexicographic order: a size is
-    the previous size's subsets, each extended by every member above its
-    last one (its prefix).  A subset contains an empty one exactly when
-    one of its parents (the subsets one member smaller, all scanned one
-    size earlier; V for a single member) is empty; such a subset is
-    pruned, at once when its prefix is empty.  Once every subset of a
-    size is empty, every larger subset is pruned and written straight
-    from ``combinations``.  Otherwise each parent P bounds a subset's
-    dimension d from below by dim P - 1 (Krull), so lb = max dim P - 1,
-    and a certificate of d <= lb (:class:`_ModularCuts`, for all subsets
-    of one size at once) gives d = lb.  A subset whose certificate fails
-    is cut exactly: V cut by its prefix, built on demand the same way
-    and kept for the scan, cut once more.
+    the previous size's nonempty subsets, each extended by every member
+    above its last one (its prefix).  A subset contains an empty one
+    exactly when one of its parents (the subsets one member smaller, all
+    scanned one size earlier; V for a single member) is empty, so a
+    candidate with a parent not found nonempty is empty: it is neither
+    certified nor listed.  The scan stops at the first size with no
+    candidate, and refuses a family once more than MAX_SUBSETS candidates
+    are built.  Each parent P bounds a candidate's dimension d from below
+    by dim P - 1 (Krull), so lb = max dim P - 1, and a certificate of
+    d <= lb (:class:`_ModularCuts`, for all candidates of one size at
+    once) gives d = lb.  A candidate whose certificate fails is cut
+    exactly: V cut by its prefix, built on demand the same way and kept
+    for the scan, cut once more.
 
     When the forms are a moving family at a point z0, each dimension is at
     least the generic one (upper semicontinuity of fibre dimension), so
-    the value bounds the generic value from above.  If every subset that
-    was not pruned has d = lb, induction over subset size gives
-    lb <= d_gen <= d(z0) = lb for each, and the value is the generic one.
+    the value bounds the generic value from above.  If every candidate has
+    d = lb, induction over subset size gives lb <= d_gen <= d(z0) = lb for
+    each, and the value is the generic one.
     """
     n = V.dim
     if n < 1:
@@ -422,11 +422,12 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
     q = len(forms)
     modular = _ModularCuts(V, forms)
     dims: Dict[int, int] = {}    # nonempty subset as a bit mask -> dimension
-    zero = best = Fraction(0)
+    best = Fraction(0)
     witness: Tuple[int, ...] = ()
     table: List[Tuple[Tuple[int, ...], int, Fraction]] = []
     cuts: Dict[Tuple[int, ...], Variety] = {(): V}
     exact = True
+    room = MAX_SUBSETS
 
     def cut(combo: Tuple[int, ...]) -> Variety:
         got = cuts.get(combo)
@@ -436,40 +437,37 @@ def _scan_subsets(V: Variety, forms: List[HomogPoly]
 
     level = [((), 0, n)]         # (subset, bit mask, dimension) of a size
     for size in range(1, q + 1):
-        if all(d == -1 for _, _, d in level):
-            for rest in range(size, q + 1):
-                table.extend((combo, -1, zero)
-                             for combo in combinations(range(q), rest))
-            break
-        scan = []                # (subset, bit mask, parent dims or None)
+        scan = []                # (subset, bit mask, parent dims)
         for combo, mask, d in level:
             for j in range(combo[-1] + 1 if combo else 0, q):
                 s = mask | 1 << j
-                parents = [d] if d == -1 else [
-                    d, *[dims.get(s ^ 1 << i, -1) for i in combo]]
-                scan.append((combo + (j,), s,
-                             None if -1 in parents else parents))
-        requests = [(combo, max(parents) - 1)
-                    for combo, _, parents in scan if parents]
-        certified = iter(modular.bounds(requests) if requests else ())
+                parents = [d, *[dims.get(s ^ 1 << i, -1) for i in combo]]
+                if -1 not in parents:
+                    scan.append((combo + (j,), s, parents))
+            if len(scan) > room:
+                raise ValidationError(
+                    f"subset scan limited to {MAX_SUBSETS} subsets whose "
+                    "parents are all nonempty")
+        if not scan:
+            break
+        room -= len(scan)
+        certified = modular.bounds([(combo, max(parents) - 1)
+                                    for combo, _, parents in scan])
         level, ratios = [], {}
-        for combo, s, parents in scan:
-            d = -1
-            if parents:
-                lb = max(parents) - 1
-                d = lb if next(certified) else cut(combo).dim
-                if any(d > p for p in parents):
-                    raise CertificationError(
-                        "intersection dimension grew under refinement")
-                if d >= n:
-                    raise DegenerateInputError(
-                        f"members {combo} contain the variety; "
-                        "distributive constant undefined")
-                exact = exact and d == lb
-            level.append((combo, s, d))
+        for (combo, s, parents), ok in zip(scan, certified):
+            lb = max(parents) - 1
+            d = lb if ok else cut(combo).dim
+            if any(d > p for p in parents):
+                raise CertificationError(
+                    "intersection dimension grew under refinement")
+            if d >= n:
+                raise DegenerateInputError(
+                    f"members {combo} contain the variety; "
+                    "distributive constant undefined")
+            exact = exact and d == lb
             if d == -1:
-                table.append((combo, -1, zero))
                 continue
+            level.append((combo, s, d))
             dims[s] = d
             ratio = ratios.get(d)
             if ratio is None:    # later subsets of this size and d tie it
@@ -486,12 +484,9 @@ def distributive_constant(V: Variety, family: HypersurfaceFamily,
 
     A fixed family is scanned as given, a moving one at one point drawn
     from `seed`; the report says whether the value is the generic one
-    (always, for a fixed family) or an upper bound on it.  All-empty
-    scans yield 0 and signal a degenerate family.
+    (always, for a fixed family) or an upper bound on it.  A family that
+    misses V yields 0 and an empty table.
     """
-    if len(family) > MAX_FAMILY_SIZE:
-        raise ValidationError(
-            f"subset scan limited to {MAX_FAMILY_SIZE} members")
     value, witness, table, exact = _scan_subsets(V, _specialize(family, seed))
     return DistributiveReport(value, witness, tuple(table),
                               exact or not family.is_moving)

@@ -228,12 +228,14 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-# A prime q = 1 (mod 4), below 2^31 so that a product of two residues fits
-# in a signed 64-bit integer, and a square root of -1 modulo it: Z[i] maps
-# onto F_q by i -> MOD_I, and so does every Gaussian rational whose
-# denominator q does not divide (:meth:`GaussianRational.residue`).
-MOD_PRIME = 2147483629
-MOD_I = 1518275076
+# A prime q = 1 (mod 4), below 2^21 so that the deferred elimination of a
+# Macaulay matrix keeps every entry below 2^52 in int64
+# (:func:`smtlab.position_geometry._full_rank`), and a square root of -1
+# modulo it: Z[i] maps onto F_q by i -> MOD_I, and so does every Gaussian
+# rational whose denominator q does not divide
+# (:meth:`GaussianRational.residue`).
+MOD_PRIME = 2097133
+MOD_I = 498487
 
 # literal grammar: "3/2", "-1/3+2i", "i", "2-i", "3i"; a plain integer
 # ("-4") takes the _INT_RE shortcut

@@ -17,8 +17,10 @@ from pathlib import Path
 import pytest
 
 from smtlab import cli, nevanlinna
+from smtlab import scenario as scenario_mod
 from smtlab.analytic import Curve
 from smtlab.errors import NAN_REPORT, CertificationError
+from smtlab.position_geometry import DistributiveReport
 from smtlab.scenario import load_scenario
 from smtlab.smt_verifier import SMTConstants, SMTReport
 
@@ -168,19 +170,18 @@ def test_distributive_table(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["value"] == "1"
-    assert len(data["table"]) == 15  # nonempty subsets of 4 members
-    pairs = [t for t in data["table"] if len(t["subset"]) == 2]
-    assert all(t["dim"] == -1 for t in pairs)
+    assert data["members"] == 4
+    # the conic meets each line, and no two lines on it: only the four
+    # single lines are listed
+    assert [t["subset"] for t in data["table"]] == [[0], [1], [2], [3]]
 
 
 def test_distributive_json_pinned(capsys):
     # the conic meets each line in two points and no two lines on it;
-    # triples and the full set are pruned as supersets of empty pairs
+    # the empty pairs and their supersets are not listed
     table = [([j], 0, "1") for j in range(4)]
-    table += [(list(s), -1, "0") for s in
-              ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-               (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2, 3))]
     payload = {"value": "1", "witness": [0], "value_kind": "exact",
+               "members": 4,
                "table": [{"subset": s, "dim": d, "ratio": r}
                          for s, d, r in table]}
     code, out, _ = run(capsys, "distributive", "--scenario", CONIC)
@@ -756,58 +757,29 @@ def test_writer_matches_json_dumps():
             _reference_scrub(items), indent=2, allow_nan=False)
 
 
-def _table_dicts(rows):
-    """The subset table as the list of dicts the JSON report stands for."""
-    return [{"subset": list(s), "dim": d, "ratio": str(r)} for s, d, r in rows]
-
-
-def _ten_lines(tmp_path):
-    """A scenario of ten lines x0 + k x1 + k^2 x2 of P^2, no three through
-    one point: 1023 table rows, the triples and everything above empty."""
+def _lines(tmp_path, count):
+    """A scenario of the lines x0 + k x1 + k^2 x2 of P^2, k = 1..count, no
+    three through one point: the lines and pairs are listed, and the
+    triples and everything above are empty."""
     data = json.loads(Path(CONIC).read_text())
     data["variety_generators"] = []
     data["hypersurfaces"] = [
         {"degree": 1, "coefficients": {"x0": "1", "x1": str(k),
                                        "x2": str(k * k)}}
-        for k in range(1, 11)]
-    path = tmp_path / "ten_lines.json"
+        for k in range(1, count + 1)]
+    path = tmp_path / f"{count}_lines.json"
     path.write_text(json.dumps(data))
     return str(path)
 
 
-def test_table_writer_matches_json_dumps(tmp_path):
-    half = Fraction(3, 2)
-    scenario_table = load_scenario(_ten_lines(tmp_path)).distributive().table
-    tables = [
-        (),
-        (((0,), 1, Fraction(1)),),
-        (((0,), 0, Fraction(1)), ((1,), 0, Fraction(1)),
-         ((0, 1), 0, Fraction(2)), ((0, 1, 2), 0, half),
-         ((0, 2, 3), 0, Fraction(3, 2)), ((1, 2), -1, Fraction(0)),
-         ((0, 1, 2, 3), -1, Fraction(0)), ((12, 15), 3, half)),
-        scenario_table,
-    ]
-    assert len(scenario_table) == 1023
-    for rows in tables:
-        assert cli._table_json(cli._Table(rows), "\n") == json.dumps(
-            _table_dicts(rows), indent=2)
-        payload = {"value": "1", "table": _table_dicts(rows), "kind": "x"}
-        expected = json.dumps(payload, indent=2)
-        payload["table"] = cli._Table(rows)
-        assert cli._to_json(payload) == expected
-        assert cli._to_json({"nested": payload}) == json.dumps(
-            {"nested": json.loads(expected)}, indent=2)
-
-
 def test_distributive_table_on_ten_lines(tmp_path, capsys):
-    path = _ten_lines(tmp_path)
+    path = _lines(tmp_path, 10)
     code, out, _ = run(capsys, "distributive", "--scenario", path)
     assert code == 0
     data = json.loads(out)
     assert out == json.dumps(data, indent=2) + "\n"
-    assert len(data["table"]) == 1023
-    assert data["table"][-1] == {"subset": list(range(10)), "dim": -1,
-                                 "ratio": "0"}
+    assert len(data["table"]) == 55
+    assert data["table"][-1] == {"subset": [8, 9], "dim": 0, "ratio": "1"}
     code, out, _ = run(capsys, "distributive", "--scenario", path,
                        "--format", "csv")
     assert code == 0
@@ -819,11 +791,50 @@ def test_distributive_table_on_ten_lines(tmp_path, capsys):
     assert out == buf.getvalue()
 
 
+def test_distributive_table_on_24_lines(tmp_path, capsys):
+    # past the 16 members the scan once refused: 24 lines and 276 pairs
+    # are listed, and the 2024 empty triples only certified
+    code, out, _ = run(capsys, "distributive", "--scenario",
+                       _lines(tmp_path, 24))
+    assert code == 0
+    data = json.loads(out)
+    assert (data["value"], data["members"]) == ("1", 24)
+    assert len(data["table"]) == 300
+
+
+def test_subset_cap_refuses_400_lines_at_once(tmp_path, capsys):
+    # 400 lines and 79,800 nonempty pairs: the cap on subsets examined is
+    # met while the pairs are built, before any of them is certified
+    path = _lines(tmp_path, 400)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "distributive", "--scenario", path)
+    elapsed = time.perf_counter() - t0
+    assert_one_error_line(code, out, err)
+    assert "65535" in err
+    assert elapsed < 1
+
+
+def test_distributive_report_of_a_family_missing_v(monkeypatch, capsys):
+    # a form of positive degree meets every V of dimension >= 1, so no
+    # scenario family misses V: the scan's answer for one is stubbed in
+    monkeypatch.setattr(scenario_mod, "distributive_constant",
+                        lambda V, family, seed: DistributiveReport(
+                            Fraction(0), (), (), True))
+    code, out, _ = run(capsys, "distributive", "--scenario", CONIC)
+    assert code == 0
+    assert json.loads(out) == {"value": "0", "witness": [],
+                               "value_kind": "exact", "members": 4,
+                               "table": []}
+    assert '"table": []' in out
+    code, out, _ = run(capsys, "distributive", "--scenario", CONIC,
+                       "--format", "csv")
+    assert (code, out) == (0, "subset,dim,ratio\n")
+
+
 def test_csv_report_builds_no_json_text(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("JSON text built for a CSV report")
     monkeypatch.setattr(cli, "_to_json", refuse)
-    monkeypatch.setattr(cli, "_table_json", refuse)
     for command in ("distributive", "constants"):
         code, out, _ = run(capsys, command, "--scenario", CONIC,
                            "--format", "csv")
@@ -897,7 +908,6 @@ def test_strict_jensen_flag_threads(capsys):
 def test_budget_exhaustion_exits_one(tmp_path, monkeypatch, capsys):
     from functools import partial
 
-    from smtlab import scenario as scenario_mod
     from smtlab.groebner import Variety
     data = json.loads(Path(CONIC).read_text())
     data.update(

@@ -17,6 +17,7 @@ from smtlab.errors import (
 from smtlab.exact_algebra import Monomial
 from smtlab.hypersurfaces import MovingHypersurface, HypersurfaceFamily
 from smtlab.nevanlinna import (
+    GridSession,
     RadialGrid,
     build_profile,
     characteristic,
@@ -390,6 +391,25 @@ def test_defect_requires_growth():
     grid = RadialGrid(0.5, (2.0,))
     with pytest.raises(ValidationError):
         defect(flat, X0, math.inf, grid)
+
+
+def test_defect_reads_a_grid_session():
+    # T and the divisor come from one session over the grid, and a curve
+    # inside Q is refused as fmt_residual refuses it
+    grid = RadialGrid.geometric(2.0, 1000.0, 12, r0=0.5)
+    session = GridSession(LINE, HypersurfaceFamily([X1_MINUS_X0]), grid)
+    N = counting(session.divisor(0), grid, 1)
+    T = session.characteristic(1e-8)
+    est = defect(LINE, X1_MINUS_X0, 1, grid)
+    assert est.value == nevanlinna._top_decile_defect(grid, N, T, 1)
+    assert est.tail == tuple((grid.values[i], N[i] / T[i])
+                             for i in range(len(T))[-3:])
+    diag = Curve((fn_poly(1), fn_poly(1)))
+    for check in (lambda: defect(diag, X1_MINUS_X0, math.inf, grid),
+                  lambda: fmt_residual(diag, X1_MINUS_X0, grid)):
+        with pytest.raises(DegenerateInputError,
+                           match="^curve lies in hypersurface 0$"):
+            check()
 
 
 # -- hyperplane margin check -----------------------------------------------------

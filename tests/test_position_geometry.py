@@ -23,8 +23,6 @@ from smtlab.hypersurfaces import (
 )
 from smtlab import groebner
 from smtlab.position_geometry import (
-    CERT_I,
-    CERT_PRIME,
     MACAULAY_CELL_CAP,
     _eliminate,
     _full_rank,
@@ -37,7 +35,7 @@ from smtlab.position_geometry import (
     distributive_constant,
     subgeneral_position,
 )
-from smtlab.scalars import GaussianRational
+from smtlab.scalars import MOD_I, MOD_PRIME, GaussianRational
 from smtlab.scenario import load_scenario
 
 GR = GaussianRational
@@ -69,9 +67,10 @@ def test_general_position_lines():
                                 fixed_family(3, "x0", "x1", "x2"))
     assert rep.value == Fraction(1)
     assert rep.exact
-    # triple intersection is empty and contributes ratio 0
-    triple = [row for row in rep.table if row[0] == (0, 1, 2)]
-    assert triple == [((0, 1, 2), -1, Fraction(0))]
+    # the triple intersection is empty: it contributes ratio 0 and is
+    # not listed
+    assert [row[0] for row in rep.table] == [(0,), (1,), (2,), (0, 1),
+                                             (0, 2), (1, 2)]
 
 
 def test_concurrent_lines():
@@ -86,8 +85,8 @@ def test_three_points_on_line():
     fam = fixed_family(2, "x0", "x1 - x0", "x1 + x0")
     rep = distributive_constant(projective_space(1), fam)
     assert rep.value == Fraction(1)
-    pairs = [row for row in rep.table if len(row[0]) == 2]
-    assert all(dim == -1 for _, dim, _ in pairs)
+    # every pair is empty, so only the points are listed
+    assert [row[0] for row in rep.table] == [(0,), (1,), (2,)]
 
 
 def test_member_containing_variety_is_degenerate():
@@ -224,10 +223,16 @@ def scan_reference(V, forms):
     return best, witness, table
 
 
+def listed(table):
+    """The rows of a full subset table that a scan lists: those of the
+    subsets that meet V."""
+    return [row for row in table if row[1] != -1]
+
+
 def scan_both(V, forms, monkeypatch, certificates=None):
-    """(scan, reference, number of cuts the scan built); each modular
-    certificate the scan tried lands in ``certificates`` as
-    {subset: certified}."""
+    """(scan, reference with its listed rows, number of cuts the scan
+    built); each modular certificate the scan tried lands in
+    ``certificates`` as {subset: certified}."""
     built = []
     cut = Variety.cut
     bounds = _ModularCuts.bounds
@@ -246,7 +251,8 @@ def scan_both(V, forms, monkeypatch, certificates=None):
     monkeypatch.setattr(Variety, "cut", counting_cut)
     monkeypatch.setattr(_ModularCuts, "bounds", recorded_bounds)
     got = _scan_subsets(V, forms)
-    return got[:3], scan_reference(Variety(V.ideal), forms), len(built)
+    best, witness, table = scan_reference(Variety(V.ideal), forms)
+    return got[:3], (best, witness, listed(table)), len(built)
 
 
 def prefix_closure(combos):
@@ -289,12 +295,12 @@ def test_scan_matches_fresh_varieties_with_pruning(monkeypatch):
                                               "x1 + x2")]
     got, want, built = scan_both(projective_space(2), forms, monkeypatch)
     assert got == want
-    assert built < len(want[2])
+    assert built < 2 ** len(forms) - 1
     on_conic = [parse_homog_poly(t, 3) for t in ("x0", "x2", "x1",
                                                  "x0 + x1 + x2")]
     got, want, built = scan_both(CONIC, on_conic, monkeypatch)
     assert got == want
-    assert built < len(want[2])
+    assert built < 2 ** len(on_conic) - 1
 
 
 
@@ -315,11 +321,13 @@ def test_scan_prunes_exactly_below_empty_parents(monkeypatch):
         got, want, built = scan_both(projective_space(1), forms, monkeypatch,
                                      tried)
         assert got == want
-        dims = {frozenset(c): d for c, d, _ in want[2]}
-        assert any(d == -1 for c, d, _ in want[2] if len(c) == 2)
+        nonempty = {frozenset(c) for c, _, _ in want[2]}
+        subsets = [frozenset(c) for size in range(1, len(forms) + 1)
+                   for c in combinations(range(len(forms)), size)]
+        assert any(len(c) == 2 and c not in nonempty for c in subsets)
         assert {frozenset(c) for c in tried} == {
-            c for c in dims
-            if all(dims[c - {j}] != -1 for j in c if len(c) > 1)}
+            c for c in subsets
+            if all(c - {j} in nonempty for j in c if len(c) > 1)}
         failed = [c for c, ok in tried.items() if not ok]
         assert built == len(prefix_closure(failed))
         monkeypatch.undo()
@@ -391,9 +399,12 @@ def test_scan_matches_a_brute_force_reference(name, monkeypatch):
                                for f in forms]))
     monkeypatch.undo()
     value, witness, table, exact, requests = brute_force_scan(V, forms)
-    assert len(rep.table) == len(table) == 2 ** len(forms) - 1
-    for got, want in zip(rep.table, table):
-        assert got == want
+    assert len(table) == 2 ** len(forms) - 1
+    assert list(rep.table) == listed(table)
+    # nothing is lost: every subset not listed is empty, with ratio 0
+    rows = {row[0]: row for row in rep.table}
+    assert [rows.get(combo, (combo, -1, Fraction(0)))
+            for combo, _, _ in table] == table
     assert (rep.value, rep.witness, rep.exact) == (value, witness, True)
     assert _scan_subsets(V, forms)[3] == exact
     # one certificate call per size with a subset that is not pruned,
@@ -482,7 +493,7 @@ def test_certified_dims_match_fresh_varieties(monkeypatch):
 
 def test_denominator_divisible_by_q_takes_the_exact_path(monkeypatch):
     P2 = projective_space(2)
-    forms = [linear([1, 0, 0]), linear([0, Fraction(1, CERT_PRIME), 1]),
+    forms = [linear([1, 0, 0]), linear([0, Fraction(1, MOD_PRIME), 1]),
              linear([1, 0, 1]), linear([2, 1, -1])]
     assert _ModularCuts(P2, forms).levels[-1][1] is None
     tried = {}
@@ -494,7 +505,7 @@ def test_denominator_divisible_by_q_takes_the_exact_path(monkeypatch):
     monkeypatch.undo()
     # in a generator of V, no subset is certified
     conic = Variety(Ideal(3, [parse_homog_poly(
-        f"x0*x2 - 1/{CERT_PRIME}*x1^2", 3)]))
+        f"x0*x2 - 1/{MOD_PRIME}*x1^2", 3)]))
     tried = {}
     got, want, _ = scan_both(conic, [forms[0], forms[2], forms[3]],
                              monkeypatch, tried)
@@ -528,7 +539,7 @@ def test_products_of_lines_certified_in_under_a_second(degree, monkeypatch):
     rep = distributive_constant(projective_space(2), family)
     elapsed = time.perf_counter() - t0
     assert rep.value == 1
-    assert [d for _, d, _ in rep.table] == [1, 1, 1, 0, 0, 0, -1]
+    assert [d for _, d, _ in rep.table] == [1, 1, 1, 0, 0, 0]
     assert len(calls) == 1     # V's basis; every cut is certified
     assert elapsed < 1
 
@@ -543,13 +554,14 @@ def test_fully_certified_scan_builds_only_the_basis_of_v(monkeypatch):
     got = _scan_subsets(quadric, forms)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert got == (*scan_reference(quadric, forms), True)
+    best, witness, table = scan_reference(quadric, forms)
+    assert got == (best, witness, listed(table), True)
 
 
 def random_stack(rng, nrows, ncols, count):
     """count matrices of residues mod q, with 0, 1 and q - 1 common, some
     with a row or a column that is a multiple of another."""
-    q = CERT_PRIME
+    q = MOD_PRIME
     stack = []
     for _ in range(count):
         rows = [[rng.choice((0, 1, q - 1, rng.randrange(q)))
@@ -605,7 +617,7 @@ def test_stacked_elimination_matches_on_wide_and_sparse_stacks():
         # row 0 and column 0 made dependent: never full rank
         for rows in stack:
             for row in rows:
-                row[0] = row[1] * 3 % CERT_PRIME
+                row[0] = row[1] * 3 % MOD_PRIME
         got = _full_rank(np.array(stack, dtype=np.int64))
         assert list(got) == python_ranks(stack, ncols) == [False] * count
     assert seen[True] and seen[False]
@@ -629,7 +641,7 @@ def test_septic_macaulay_stack_full_rank_and_a_dependent_column():
     rows = [{k: int(v) for k, v in enumerate(row) if v} for row in M[0]]
     assert _full_rank(M.copy())[0] and _eliminate(rows, 210)
     dependent = M.copy()
-    dependent[0, :, 100] = (5 * M[0, :, 3] + 7 * M[0, :, 150]) % CERT_PRIME
+    dependent[0, :, 100] = (5 * M[0, :, 3] + 7 * M[0, :, 150]) % MOD_PRIME
     rows = [{k: int(v) for k, v in enumerate(row) if v}
             for row in dependent[0]]
     assert not _full_rank(dependent.copy())[0]
@@ -661,17 +673,11 @@ def test_blocks_match_a_per_shift_reference():
 def test_deferred_elimination_stays_inside_int64():
     # an entry of column j moves at most j times, each time by less than
     # q^2; R >= C and R * C <= MACAULAY_CELL_CAP bound C
-    q = CERT_PRIME
+    q = MOD_PRIME
     c_max = math.isqrt(MACAULAY_CELL_CAP)
     assert q + c_max * (q - 1) ** 2 < 2 ** 52 < 2 ** 63
-    assert q % 4 == 1 and (CERT_I ** 2 + 1) % q == 0
+    assert q % 4 == 1 and (MOD_I ** 2 + 1) % q == 0
     assert all(q % p for p in range(2, math.isqrt(q) + 1))
-
-
-def test_family_size_guard():
-    fam = fixed_family(3, *(["x0"] * 17))
-    with pytest.raises(ValidationError):
-        distributive_constant(projective_space(2), fam)
 
 
 # -- subgeneral position -------------------------------------------------------
