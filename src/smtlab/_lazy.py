@@ -1,11 +1,18 @@
-"""numpy and mpmath, imported on first use.
+"""Modules imported on first use: numpy, mpmath and smtlab's own.
 
-The two libraries take most of a fresh process's start-up, yet the exact
-algebra never touches them.  ``lazy_import`` follows the
-``importlib.util.LazyLoader`` recipe of the standard library
-documentation.  ``LazyLoader`` is not thread-safe on Python 3.10 and
-3.11 (two threads touching a module first at once can both run its
-body); smtlab is single-threaded.
+numpy and mpmath take most of a fresh process's start-up, yet the exact
+algebra never touches them.  smtlab's analytic and verification modules
+(``nevanlinna``, ``position_geometry``, ``smt_verifier``, ``weights``)
+are bound the same way in ``cli`` and ``scenario``, so loading a scenario
+runs only the loader's modules and each report adds the ones it calls.
+A bound module is in ``sys.modules`` at once and runs its body on the
+first attribute access.
+
+``lazy_import`` follows the ``importlib.util.LazyLoader`` recipe of the
+standard library documentation, and binds a submodule on its package as
+the import statement does.  ``LazyLoader`` is not thread-safe on Python
+3.10 and 3.11 (two threads touching a module first at once can both run
+its body); smtlab is single-threaded.
 """
 
 import importlib.util
@@ -25,6 +32,9 @@ def lazy_import(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
     return module
 
 

@@ -48,6 +48,7 @@ from .errors import (
     DegenerateInputError,
     ExactEvalUnavailableError,
     UnsupportedOperationError,
+    ValidationError,
 )
 from .exact_algebra import _split_terms
 from .scalars import MOD_I, MOD_PRIME, GaussianRational, parse_gaussian
@@ -706,6 +707,57 @@ class Curve:
                 f"all components vanish at z = {_first_where(z, vanish)}; "
                 "representation not reduced")
         return 0.5 * (m + ops.log(sum(ops.exp(v - m) for v in logs)))
+
+
+@dataclass(frozen=True)
+class RadialGrid:
+    """Radii r0 < r_1 < ... < r_max < R used by every grid-valued report;
+    R is the domain radius of the curve they sample."""
+
+    r0: float
+    values: Tuple[float, ...]
+    R: float = math.inf
+
+    def __post_init__(self):
+        if self.r0 <= 0:
+            raise ValidationError("r0 must be positive")
+        vals = tuple(float(v) for v in self.values)
+        if not vals:
+            raise ValidationError("grid needs at least one radius")
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ValidationError("grid radii must be strictly increasing")
+        if vals[0] <= self.r0:
+            raise ValidationError("grid must start above r0")
+        if vals[-1] >= self.R:
+            raise ValidationError("grid must stay inside the domain radius")
+        object.__setattr__(self, "values", vals)
+
+    @staticmethod
+    def geometric(r_min: float = 2.0, r_max: float = 1e3, points: int = 40,
+                  r0: float = 1.0) -> "RadialGrid":
+        ratio = (r_max / r_min) ** (1.0 / (points - 1)) if points > 1 else 1.0
+        vals = [r_min * ratio ** j for j in range(points)]
+        vals[-1] = r_max
+        return RadialGrid(r0, tuple(vals), math.inf)
+
+    @staticmethod
+    def finite(R: float, points: int = 20,
+               r0: Optional[float] = None) -> "RadialGrid":
+        """Circles at R(1 - 2^-j), j = 1..points.  These round to R from
+        j = 54 at R = 2 on, so a longer grid is refused."""
+        vals = tuple(R * (1 - 2.0 ** (-j)) for j in range(1, points + 1))
+        fits = next((j for j, v in enumerate(vals)
+                     if v >= R or (j and v <= vals[j - 1])), points)
+        if fits < points:
+            raise ValidationError(
+                f"a finite grid of {points} points does not fit below R = "
+                f"{R}: at most {fits} circles R(1 - 2^-j) stay distinct")
+        return RadialGrid(R / 4 if r0 is None else r0, vals, R)
+
+    def top_decile(self) -> Tuple[int, ...]:
+        """Indices of the last tenth of the grid (at least one point)."""
+        count = max(1, len(self.values) // 10)
+        return tuple(range(len(self.values) - count, len(self.values)))
 
 
 # ---------------------------------------------------------------------------

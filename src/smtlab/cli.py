@@ -22,17 +22,15 @@ from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ._lazy import lazy_import
 from .errors import NAN_REPORT, CertificationError, SmtlabError
 from .exact_algebra import WeightVector
-from .nevanlinna import _fmt_residuals
 from .scenario import Scenario, load_scenario
-from .smt_verifier import (
-    SMTConstants,
-    _scenario_constants,
-    defect_relation_report,
-    verify_main_inequality,
-)
-from .weights import check_evertse_ferretti, chow_weight_estimate
+
+# run on the first report that calls them
+nevanlinna = lazy_import("smtlab.nevanlinna")
+smt_verifier = lazy_import("smtlab.smt_verifier")
+weights = lazy_import("smtlab.weights")
 
 # L is echoed verbatim only when any JSON consumer can hold it exactly;
 # the magnitude always travels as log10_L
@@ -42,7 +40,7 @@ _JSON_L_BITS = 63
 Report = Tuple[Dict[str, Any], Callable[[], List[List[Any]]], int]
 
 
-def _constants_to_dict(c: SMTConstants) -> Dict[str, Any]:
+def _constants_to_dict(c: smt_verifier.SMTConstants) -> Dict[str, Any]:
     out: Dict[str, Any] = {"variant": c.variant, "u": c.u}
     if c.L is not None and c.L.bit_length() <= _JSON_L_BITS:
         out["L"] = c.L
@@ -56,7 +54,7 @@ def _constants_to_dict(c: SMTConstants) -> Dict[str, Any]:
 def _cmd_constants(scenario: Scenario, args: argparse.Namespace) -> Report:
     """Truncation constants for the scenario's variant, with the slower
     bound alongside for comparison."""
-    primary, other = _scenario_constants(scenario)
+    primary, other = smt_verifier._scenario_constants(scenario)
     improvement = other.log10_L - primary.log10_L
     payload = {
         "constants": _constants_to_dict(primary),
@@ -100,9 +98,9 @@ def _cmd_weights(scenario: Scenario, args: argparse.Namespace) -> Report:
     """
     X = scenario.variety
     c = WeightVector(range(1, X.num_vars + 1))
-    estimate = chow_weight_estimate(X, c, u_max=args.max_u)
+    estimate = weights.chow_weight_estimate(X, c, u_max=args.max_u)
     u_last = estimate.sequence[-1][0]
-    margin = check_evertse_ferretti(X, u_last, c, estimate)
+    margin = weights.check_evertse_ferretti(X, u_last, c, estimate)
     k, delta = X.dim_degree()
     payload = {
         "dim": k,
@@ -139,7 +137,8 @@ def _cmd_fmt_check(scenario: Scenario, args: argparse.Namespace) -> Report:
     """Residuals d T - m - N per hypersurface, read off the grid profile
     (T once per radius, each divisor once)."""
     profile = scenario.session.profile(math.inf, tol=args.quad_tol)
-    columns, spreads = zip(*_fmt_residuals(profile, scenario.family.degrees))
+    columns, spreads = zip(*nevanlinna._fmt_residuals(
+        profile, scenario.family.degrees))
     residual_rows: List[List[Any]] = [
         [r, *row] for r, row in zip(scenario.grid.values, zip(*columns))]
     header = ["r"] + [f"residual_{j}" for j in range(len(scenario.family))]
@@ -148,8 +147,8 @@ def _cmd_fmt_check(scenario: Scenario, args: argparse.Namespace) -> Report:
 
 
 def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> Report:
-    report = verify_main_inequality(scenario, quad_tol=args.quad_tol,
-                                    strict_origin=args.strict_jensen)
+    report = smt_verifier.verify_main_inequality(
+        scenario, quad_tol=args.quad_tol, strict_origin=args.strict_jensen)
     payload = {
         "constants": _constants_to_dict(report.constants),
         "columns": ["r", "lhs", "rhs", "margin"],
@@ -165,7 +164,8 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> Report:
 
 
 def _cmd_defects(scenario: Scenario, args: argparse.Namespace) -> Report:
-    report = defect_relation_report(scenario, quad_tol=args.quad_tol)
+    report = smt_verifier.defect_relation_report(scenario,
+                                                 quad_tol=args.quad_tol)
     payload = {
         "constants": _constants_to_dict(report.constants),
         "u_bound": report.u_bound,

@@ -313,6 +313,11 @@ class WeightVector:
     def max_entry(self) -> Fraction:
         return max(self.entries)
 
+    def scaled(self) -> Tuple[Tuple[int, ...], int]:
+        """(numerators, denominator): the entries as integers over their
+        least common denominator."""
+        return self._scaled, self._scale
+
     def __eq__(self, other):
         if not isinstance(other, WeightVector):
             return NotImplemented

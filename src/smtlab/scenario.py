@@ -5,9 +5,11 @@ float ever contaminates the algebraic side.  Radii and tolerances are
 plain numbers.
 
 A loaded Scenario is also the session its reports share: the
-distributive-constant scan, the check of the curve's hypotheses and,
-through ``session``, T, Q_j(f), the divisors and the proximity rows are
-computed once each, on first use.
+distributive-constant scan, the check of the curve's hypotheses, the
+truncation constants and, through ``session``, T, Q_j(f), the divisors
+and the proximity rows are computed once each, on first use.  Loading
+runs neither ``nevanlinna`` nor ``position_geometry``; the first report
+that asks for one of these quantities does.
 ``load_scenario`` keeps the last scenario it loaded and hands it out
 again while the file's bytes stay the same.
 """
@@ -18,20 +20,18 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
-from .analytic import Curve, parse_function, poles
+from ._lazy import lazy_import
+from .analytic import Curve, RadialGrid, parse_function, poles
 from .errors import BudgetExceededError, ValidationError
 from .exact_algebra import parse_homog_poly
 from .groebner import Ideal, Variety
 from .hypersurfaces import HypersurfaceFamily, parse_hypersurface
-from .nevanlinna import GridSession, RadialGrid
-from .position_geometry import (
-    DistributiveReport,
-    check_curve_on_variety,
-    check_nondegenerate,
-    distributive_constant,
-)
+
+nevanlinna = lazy_import("smtlab.nevanlinna")
+position_geometry = lazy_import("smtlab.position_geometry")
 
 # grid points a scenario may ask for; shipped scenarios use at most 40
 MAX_GRID_POINTS = 1000
@@ -49,20 +49,29 @@ class Scenario:
     truncation: Optional[int]
     seed: int
     growth_model: Optional[Fraction]
-    session: GridSession = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "session",
-                           GridSession(self.curve, self.family, self.grid))
+    @cached_property
+    def session(self) -> nevanlinna.GridSession:
+        """The grid quantities of the curve and family, built on first use."""
+        return nevanlinna.GridSession(self.curve, self.family, self.grid)
+
+    def once(self, key, compute):
+        """compute(), run on the first request for key and then kept."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def domain_radius(self) -> float:
         return self.curve.domain_radius
 
-    def distributive(self) -> DistributiveReport:
+    def distributive(self) -> position_geometry.DistributiveReport:
         """The distributive-constant scan, run once."""
-        return self.session.once("scan", lambda: distributive_constant(
-            self.variety, self.family, seed=self.seed))
+        scan = position_geometry.distributive_constant
+        return self.once("scan", lambda: scan(self.variety, self.family,
+                                              seed=self.seed))
 
     def check_curve(self) -> None:
         """Refuse a curve outside the hypotheses of the second main
@@ -71,9 +80,9 @@ class Scenario:
         def check():
             for j in range(len(self.family)):
                 self.session.composed(j)
-            check_curve_on_variety(self.variety, self.curve)
-            check_nondegenerate(self.variety, self.curve)
-        self.session.once("curve", check)
+            position_geometry.check_curve_on_variety(self.variety, self.curve)
+            position_geometry.check_nondegenerate(self.variety, self.curve)
+        self.once("curve", check)
 
 
 def _field(data: dict, name: str, required: bool = True, default=None):

@@ -273,7 +273,7 @@ def _scenario_constants(scenario: Scenario
                         ) -> Tuple[SMTConstants, SMTConstants]:
     """The constants of the theorem variant a scenario falls under (plane
     domain, else moving or fixed targets on the disc) and of Theorem B;
-    computed once in the scenario's session."""
+    computed once per scenario."""
     def compute():
         n, degV = scenario.variety.dim_degree()
         if n < 1:
@@ -289,7 +289,7 @@ def _scenario_constants(scenario: Scenario
         else:
             primary = constants_fixed(n, degV, d, delta, eps, q=q)
         return primary, constants_theoremB(n, degV, d, q, delta, eps)
-    return scenario.session.once("constants", compute)
+    return scenario.once("constants", compute)
 
 
 # -- scenario verification ------------------------------------------------------

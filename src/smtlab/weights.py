@@ -24,7 +24,7 @@ from .exact_algebra import (HomogPoly, Monomial, WeightVector, _tuple_new,
 from .groebner import Variety, normal_form
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
 
-WeightedNumerator = Dict[int, Tuple[int, Fraction]]
+WeightedNumerator = Dict[int, Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,18 @@ class ChowEstimate:
 
 def _weighted_numerator(X: Variety, c: WeightVector) -> WeightedNumerator:
     """The numerator K of in_c(I) by degree: d -> (sum of K_a, sum of
-    K_a c.a) over |a| = d.  Its Hilbert series must be that of I (a flat
-    degeneration keeps it), or :class:`CertificationError` is raised."""
+    K_a c'.a) over |a| = d, where c' are the integer numerators of
+    :meth:`WeightVector.scaled`.  Its Hilbert series must be that of I (a
+    flat degeneration keeps it), or :class:`CertificationError` is
+    raised."""
     if len(c) != X.num_vars:
         raise ValidationError(
             f"weight vector has {len(c)} entries, ambient needs {X.num_vars}")
+    scaled, _ = c.scaled()
     out: WeightedNumerator = {}
     for a, v in X.numerator(c).items():
         k, w = out.get(d := sum(a), (0, 0))
-        out[d] = (k + v, w + v * c.dot(a))
+        out[d] = (k + v, w + v * sum(e * s for e, s in zip(a, scaled)))
     if {d: k for d, (k, _) in out.items() if k} != X.coarse_numerator():
         raise CertificationError(
             "in_c(I) and the grevlex leading ideal have different "
@@ -67,11 +70,13 @@ def _weighted_numerator(X: Variety, c: WeightVector) -> WeightedNumerator:
 def _weight_sum(K: WeightedNumerator, c: WeightVector, u: int) -> Fraction:
     """S_X(u, c) from :func:`_weighted_numerator`, exact for every u >= 0:
     the standard monomials are the a + b, |b| = m = u - |a|, with sign K_a,
-    and in n variables each entry of b sums to C(m+n-1, n) over those b."""
-    n, total = len(c), c.total()
-    return sum((w * math.comb(u - d + n - 1, n - 1)
-                + total * k * math.comb(u - d + n - 1, n)
-                for d, (k, w) in K.items() if d <= u), Fraction(0))
+    and in n variables each entry of b sums to C(m+n-1, n) over those b.
+    The sum is taken in c's integer numerators, over their denominator."""
+    scaled, scale = c.scaled()
+    n, total = len(scaled), sum(scaled)
+    return Fraction(sum(w * math.comb(u - d + n - 1, n - 1)
+                        + total * k * math.comb(u - d + n - 1, n)
+                        for d, (k, w) in K.items() if d <= u), scale)
 
 
 def hilbert_weight(X: Variety, u: int, c: WeightVector) -> HilbertWeightResult:

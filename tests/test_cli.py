@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from smtlab import cli, nevanlinna
+from smtlab import cli, nevanlinna, position_geometry, smt_verifier
 from smtlab import scenario as scenario_mod
 from smtlab.analytic import Curve
 from smtlab.errors import NAN_REPORT, CertificationError
@@ -663,7 +663,7 @@ def _fake_report(flags):
 
 def test_falsification_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli, "verify_main_inequality",
+        smt_verifier, "verify_main_inequality",
         lambda scenario, **kw: _fake_report(
             ("falsification event at r = 2.0: margin = -5.000e-01",)))
     code, out, _ = run(capsys, "verify", "--scenario", THREE_POINTS)
@@ -674,7 +674,7 @@ def test_falsification_exits_two(monkeypatch, capsys):
 def test_report_still_written_on_falsification(monkeypatch, tmp_path,
                                                capsys):
     monkeypatch.setattr(
-        cli, "verify_main_inequality",
+        smt_verifier, "verify_main_inequality",
         lambda scenario, **kw: _fake_report(
             ("falsification event at r = 2.0: margin = -5.000e-01",)))
     target = tmp_path / "report.csv"
@@ -817,7 +817,7 @@ def test_subset_cap_refuses_400_lines_at_once(tmp_path, capsys):
 def test_distributive_report_of_a_family_missing_v(monkeypatch, capsys):
     # a form of positive degree meets every V of dimension >= 1, so no
     # scenario family misses V: the scan's answer for one is stubbed in
-    monkeypatch.setattr(scenario_mod, "distributive_constant",
+    monkeypatch.setattr(position_geometry, "distributive_constant",
                         lambda V, family, seed: DistributiveReport(
                             Fraction(0), (), (), True))
     code, out, _ = run(capsys, "distributive", "--scenario", CONIC)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from smtlab import cli, hypersurfaces, nevanlinna, smt_verifier
+from smtlab import (cli, hypersurfaces, nevanlinna, position_geometry,
+                    smt_verifier)
 from smtlab import scenario as scenario_mod
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,7 +62,7 @@ def counted(monkeypatch):
     wrap(nevanlinna, "circle_averages", "kernel")
     wrap(hypersurfaces.MovingHypersurface, "compose", "compose")
     wrap(nevanlinna, "_divisor_with_pad", "divisor")
-    wrap(scenario_mod, "distributive_constant", "distributive")
+    wrap(position_geometry, "distributive_constant", "distributive")
     return calls, radii
 
 
@@ -102,13 +103,13 @@ def test_curve_checked_once_for_both_reports(monkeypatch):
     calls = Counter()
 
     def wrap(name):
-        inner = getattr(scenario_mod, name)
+        inner = getattr(position_geometry, name)
 
         def counting(*args):
             calls[name] += 1
             return inner(*args)
 
-        monkeypatch.setattr(scenario_mod, name, counting)
+        monkeypatch.setattr(position_geometry, name, counting)
 
     wrap("check_curve_on_variety")
     wrap("check_nondegenerate")
@@ -133,7 +134,7 @@ def test_truncation_constants_once_per_scenario(monkeypatch):
     for name in ("constants_plane", "constants_moving", "constants_fixed",
                  "constants_theoremB"):
         wrap(smt_verifier, name)
-    wrap(scenario_mod, "distributive_constant")
+    wrap(position_geometry, "distributive_constant")
     disc = str(ROOT / "scenarios" / "disc_model_growth.json")
     for path, variant in ((CONIC, "constants_plane"),
                           (disc, "constants_fixed")):
