@@ -11,7 +11,7 @@ quadrature, the zero counting, and the bookkeeping all at once.
 import math
 
 from smtlab import Curve, RadialGrid, characteristic, fmt_residual
-from smtlab.analytic import AnalyticFunction, Poly1
+from smtlab.functions import AnalyticFunction, Poly1
 from smtlab.exact_algebra import Monomial
 from smtlab.hypersurfaces import MovingHypersurface
 from smtlab.scalars import GaussianRational as GR

@@ -9,7 +9,7 @@ The second half drives a classical margin to radius 1000.
 """
 
 from smtlab import Curve, RadialGrid, check_ru_sibony, distributive_constant
-from smtlab.analytic import AnalyticFunction, Poly1
+from smtlab.functions import AnalyticFunction, Poly1
 from smtlab.groebner import Ideal, Variety
 from smtlab.hypersurfaces import HypersurfaceFamily, MovingHypersurface
 from smtlab.exact_algebra import parse_homog_poly

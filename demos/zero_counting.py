@@ -10,7 +10,7 @@ The two paths are compared on the same function along the way.
 import math
 
 from smtlab import AnalyticFunction, RadialGrid, counting, zeros_in_disc
-from smtlab.analytic import Poly1
+from smtlab.functions import Poly1
 from smtlab.scalars import GaussianRational as GR
 
 # e^z - 1 vanishes at 2 pi i k; three of those lie in |z| <= 7

@@ -17,12 +17,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "analytic": "AnalyticFunction Curve Divisor RadialGrid wronskian "
-                    "zeros_in_disc",
+        "analytic": "Divisor wronskian zeros_in_disc",
         "errors": "CertificationError DegenerateInputError "
                   "ExactEvalUnavailableError ValidationError",
-        "exact_algebra": "HomogPoly Monomial monomials_of_degree",
-        "groebner": "Ideal Variety",
+        "exact_algebra": "HomogPoly Ideal Monomial monomials_of_degree",
+        "functions": "AnalyticFunction Curve RadialGrid",
+        "groebner": "Variety",
         "hypersurfaces": "HypersurfaceFamily MovingHypersurface",
         "nevanlinna": "NevanlinnaProfile build_profile characteristic "
                       "check_ru_sibony circle_average counting defect "

@@ -1,10 +1,10 @@
 """Modules imported on first use: numpy, mpmath and smtlab's own.
 
 numpy and mpmath take most of a fresh process's start-up, yet the exact
-algebra never touches them.  smtlab's analytic and verification modules
-(``nevanlinna``, ``position_geometry``, ``smt_verifier``, ``weights``)
-are bound the same way in ``cli`` and ``scenario``, so loading a scenario
-runs only the loader's modules and each report adds the ones it calls.
+algebra never touches them.  smtlab's Groebner engine, zero finder and
+verification modules are bound the same way in ``cli`` and ``scenario``,
+so loading a scenario runs only the loader's modules and each report
+adds the ones it calls.
 A bound module is in ``sys.modules`` at once and runs its body on the
 first attribute access.
 

@@ -27,7 +27,9 @@ from .errors import NAN_REPORT, CertificationError, SmtlabError
 from .exact_algebra import WeightVector
 from .scenario import Scenario, load_scenario
 
-# run on the first report that calls them
+# run on the first report that calls them; analytic too, which only they
+# call, so that every module a report runs is in sys.modules from the start
+analytic = lazy_import("smtlab.analytic")
 nevanlinna = lazy_import("smtlab.nevanlinna")
 smt_verifier = lazy_import("smtlab.smt_verifier")
 weights = lazy_import("smtlab.weights")

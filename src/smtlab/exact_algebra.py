@@ -22,7 +22,9 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, GaussianRational, parse_gaussian
+from .errors import ValidationError
+from .scalars import (ONE, ZERO, GaussianRational, parse_fraction,
+                      parse_gaussian)
 
 _tuple_new = tuple.__new__
 
@@ -275,6 +277,25 @@ def _homog(num_vars: int, degree: int,
     return p
 
 
+class Ideal:
+    """Homogeneous ideal given by generators in a common ambient ring."""
+
+    __slots__ = ("num_vars", "generators")
+
+    def __init__(self, num_vars: int, generators: Iterable[HomogPoly]):
+        gens = [g for g in generators if not g.is_zero()]
+        for g in gens:
+            if g.num_vars != num_vars:
+                raise ValidationError(
+                    f"generator in {g.num_vars} variables, ambient has {num_vars}")
+        self.num_vars = num_vars
+        self.generators = tuple(gens)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(str(g) for g in self.generators) or "0"
+        return f"Ideal({self.num_vars}; {inner})"
+
+
 class WeightVector:
     """Non-negative rational weights, one per variable.
 
@@ -431,7 +452,7 @@ def _parse_term(chunk: str, num_vars: int):
             m = _NUM_RE.match(factor)
             if not m:
                 raise ValueError(f"cannot parse factor {factor!r}")
-            value = GaussianRational(Fraction(m.group(1)))
+            value = GaussianRational(parse_fraction(m.group(1)))
             if m.group(2):
                 value = value * GaussianRational(0, 1)
         coeff = value if coeff is ONE else coeff * value

@@ -20,12 +20,12 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, ValidationError
 from .exact_algebra import (
     HomogPoly,
+    Ideal,
     Monomial,
     WeightVector,
     _homog,
@@ -36,25 +36,6 @@ from .exact_algebra import (
 from .scalars import ONE
 
 DEFAULT_REDUCTION_BUDGET = 10 ** 6
-
-
-class Ideal:
-    """Homogeneous ideal given by generators in a common ambient ring."""
-
-    __slots__ = ("num_vars", "generators")
-
-    def __init__(self, num_vars: int, generators: Iterable[HomogPoly]):
-        gens = [g for g in generators if not g.is_zero()]
-        for g in gens:
-            if g.num_vars != num_vars:
-                raise ValidationError(
-                    f"generator in {g.num_vars} variables, ambient has {num_vars}")
-        self.num_vars = num_vars
-        self.generators = tuple(gens)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(g) for g in self.generators) or "0"
-        return f"Ideal({self.num_vars}; {inner})"
 
 
 class _Budget:
@@ -260,29 +241,35 @@ def _numerator(n: int, gens: FrozenSet[Monomial], memo: Dict) -> Numerator:
     generators and I : x a smaller total degree.  Entries depend only on
     their generator set, so one memo serves every ideal in n variables.
     """
-    got = memo.get(gens)
-    if got is not None:
-        return got
-    counts = [sum(map(bool, column)) for column in zip(*gens)]
-    if not any(counts):
-        out = {} if gens else {(0,) * n: 1}     # K(<1>) = 0, K(<>) = 1
-    else:
-        x = counts.index(max(counts))
-        without = frozenset(g for g in gens if not g[x])
-        lowered = [_tuple_new(Monomial, g[:x] + (g[x] - 1,) + g[x + 1:])
-                   for g in gens if g[x]]
-        # of minimal gens, only one without x can be a multiple of a g / x
-        quot = frozenset(lowered).union(
-            g for g in without if not any(h.divides(g) for h in lowered))
-        low = _numerator(n, without, memo)
-        out = dict(low)
-        for part, sign in ((low, -1), (_numerator(n, quot, memo), 1)):
-            for a, v in part.items():
-                b = a[:x] + (a[x] + 1,) + a[x + 1:]
-                out[b] = out.get(b, 0) + sign * v
-    out = {a: v for a, v in out.items() if v}
-    memo[gens] = out
-    return out
+    # splits run on a stack of (ideal, None), then (ideal, (x, J, I : x)),
+    # combined once the parts above it are done: degree d is d splits deep
+    stack: List[Tuple[FrozenSet[Monomial], Optional[Tuple]]] = [(gens, None)]
+    while stack:
+        ideal, split = stack.pop()
+        if split is not None:
+            x, without, quot = split
+            low = memo[without]
+            out = dict(low)
+            for part, sign in ((low, -1), (memo[quot], 1)):
+                for a, v in part.items():
+                    b = a[:x] + (a[x] + 1,) + a[x + 1:]
+                    out[b] = out.get(b, 0) + sign * v
+            memo[ideal] = {a: v for a, v in out.items() if v}
+        elif ideal not in memo:
+            counts = [sum(map(bool, column)) for column in zip(*ideal)]
+            if not any(counts):   # K(<1>) = 0, K(<>) = 1
+                memo[ideal] = {} if ideal else {(0,) * n: 1}
+                continue
+            x = counts.index(max(counts))
+            without = frozenset(g for g in ideal if not g[x])
+            lowered = [_tuple_new(Monomial, g[:x] + (g[x] - 1,) + g[x + 1:])
+                       for g in ideal if g[x]]
+            # of minimal gens, only one without x can be a multiple of a g / x
+            quot = frozenset(lowered).union(
+                g for g in without if not any(h.divides(g) for h in lowered))
+            stack += [(ideal, (x, without, quot)), (quot, None),
+                      (without, None)]
+    return memo[gens]
 
 
 def _by_degree(K: Numerator) -> Dict[int, int]:

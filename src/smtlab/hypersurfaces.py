@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .analytic import AnalyticFunction, _ops, parse_function
+from .functions import AnalyticFunction, _ops, parse_function
 from .errors import DegenerateInputError, ValidationError
 from .exact_algebra import (
     HomogPoly,
@@ -193,20 +193,29 @@ def _parse_monomial_key(key: str, num_vars: int) -> Monomial:
 
 
 def parse_hypersurface(num_vars: int, degree: int,
-                       coefficients: Dict[str, str]) -> MovingHypersurface:
+                       coefficients: Dict[str, str],
+                       literals: Optional[dict] = None) -> MovingHypersurface:
     """Build a hypersurface from scenario-file fields.
 
     Keys are monomial strings like "x0^2*x1"; values are either constants
-    ("3/2", "i") or tagged function literals ("poly: 1 - z").
+    ("3/2", "i") or tagged function literals ("poly: 1 - z").  literals,
+    one load's memo, keeps each parsed monomial (under (key, num_vars))
+    and coefficient (under its text); a literal that fails is not kept.
     """
+    literals = {} if literals is None else literals
     coeffs: Dict[Monomial, AnalyticFunction] = {}
     for key, value in coefficients.items():
-        mono = _parse_monomial_key(key, num_vars)
+        mono = literals.get((key, num_vars))
+        if mono is None:
+            mono = literals[key, num_vars] = _parse_monomial_key(key, num_vars)
         if mono.degree != degree:
             raise ValidationError(
                 f"monomial {key!r} has degree {mono.degree}, "
                 f"hypersurface declares {degree}")
         if mono in coeffs:
             raise ValidationError(f"monomial {key!r} listed twice")
-        coeffs[mono] = parse_function(value)
+        fn = literals.get(value)
+        if fn is None:
+            fn = literals[value] = parse_function(value)
+        coeffs[mono] = fn
     return MovingHypersurface(num_vars, degree, coeffs)

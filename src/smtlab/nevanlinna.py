@@ -28,13 +28,13 @@ from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ._lazy import np
-from .analytic import (AnalyticFunction, Curve, Divisor, RadialGrid,
-                       wronskian, zeros_in_disc)
+from .analytic import Divisor, wronskian, zeros_in_disc
 from .errors import (
     CertificationError,
     DegenerateInputError,
     ValidationError,
 )
+from .functions import AnalyticFunction, Curve, RadialGrid
 from .hypersurfaces import HypersurfaceFamily, MovingHypersurface
 from .exact_algebra import monomials_of_degree, rank_of_vectors
 from .scalars import GaussianRational

@@ -38,7 +38,7 @@ from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._lazy import np
-from .analytic import AnalyticFunction, Curve, Poly1, poly_gcd
+from .functions import AnalyticFunction, Curve, Poly1, poly_gcd
 from .errors import (
     CertificationError,
     DegenerateInputError,
@@ -316,13 +316,15 @@ class _ModularCuts:
 
     def _monomials(self, m: int, degree: int) -> List[int]:
         """Codes of the monomials of the given degree in x_0..x_{m-1},
-        ascending."""
-        key = (m, degree)
-        if key not in self.layers:
-            self.layers[key] = [0] if degree == 0 else sorted(
-                {c + w for c in self._monomials(m, degree - 1)
-                 for w in self.codes[:m]})
-        return self.layers[key]
+        ascending; built degree by degree in a loop, not by recursion."""
+        d = degree
+        while d > 0 and (m, d) not in self.layers:
+            d -= 1
+        got = self.layers.setdefault((m, d), [0])   # missing only at d = 0
+        for d in range(d + 1, degree + 1):
+            got = self.layers[m, d] = sorted(
+                {c + w for c in got for w in self.codes[:m]})
+        return got
 
     def _blocks(self, lb: int, D: int, degree: int) -> np.ndarray:
         """The Macaulay rows at degree D of every form on level lb, as a
@@ -359,8 +361,9 @@ class _ModularCuts:
         for (lb, degrees), batch in groups.items():
             m = self.num_vars - lb - 1
             D = _lazard_degree(degrees, m)
-            C = len(self._monomials(m, D))
-            R = sum(len(self._monomials(m, D - d)) for d in degrees)
+            # the monomial counts, without listing monomials past the cap
+            C = math.comb(D + m - 1, m - 1)
+            R = sum(math.comb(D - d + m - 1, m - 1) for d in degrees)
             if R * C > MACAULAY_CELL_CAP:
                 continue
             if len(batch) < C and R * C <= _SPARSE_CELLS:

@@ -246,6 +246,14 @@ _GAUSS_RE = re.compile(
 )
 
 
+def parse_fraction(literal) -> Fraction:
+    """Fraction(literal); a zero denominator is a ValueError naming it."""
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {literal!r}") from None
+
+
 def _parse_part(text: str) -> tuple[RationalLike, bool]:
     """Return (value, is_imaginary) for one signed literal chunk; an int
     unless the chunk is a fraction."""
@@ -258,7 +266,7 @@ def _parse_part(text: str) -> tuple[RationalLike, bool]:
     elif text == "-":
         value = -1
     elif "/" in text:
-        value = Fraction(text)
+        value = parse_fraction(text)
     else:
         value = int(text)
     return value, imag

@@ -4,12 +4,14 @@ Exact data (rationals, polynomial coefficients) travels as strings so no
 float ever contaminates the algebraic side.  Radii and tolerances are
 plain numbers.
 
-A loaded Scenario is also the session its reports share: the
-distributive-constant scan, the check of the curve's hypotheses, the
-truncation constants and, through ``session``, T, Q_j(f), the divisors
-and the proximity rows are computed once each, on first use.  Loading
-runs neither ``nevanlinna`` nor ``position_geometry``; the first report
-that asks for one of these quantities does.
+A loaded Scenario is also the session its reports share: the variety
+and its Groebner basis, the distributive-constant scan, the check of the
+curve's hypotheses, the truncation constants and, through ``session``, T,
+Q_j(f), the divisors and the proximity rows are computed once each, on
+first use.  Loading parses the file into exact data (the generators as an
+``Ideal``, each distinct literal of the family once) and runs none of
+``groebner``, ``analytic``, ``nevanlinna`` or ``position_geometry``; the
+first report that asks for one of these quantities does.
 ``load_scenario`` keeps the last scenario it loaded and hands it out
 again while the file's bytes stay the same.
 """
@@ -24,12 +26,13 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from ._lazy import lazy_import
-from .analytic import Curve, RadialGrid, parse_function, poles
 from .errors import BudgetExceededError, ValidationError
-from .exact_algebra import parse_homog_poly
-from .groebner import Ideal, Variety
+from .exact_algebra import Ideal, parse_homog_poly
+from .functions import Curve, RadialGrid, parse_function, poles
 from .hypersurfaces import HypersurfaceFamily, parse_hypersurface
+from .scalars import parse_fraction
 
+groebner = lazy_import("smtlab.groebner")
 nevanlinna = lazy_import("smtlab.nevanlinna")
 position_geometry = lazy_import("smtlab.position_geometry")
 
@@ -40,7 +43,7 @@ MAX_GRID_POINTS = 1000
 @dataclass(frozen=True)
 class Scenario:
     ambient_N: int
-    variety: Variety
+    ideal: Ideal
     curve: Curve
     family: HypersurfaceFamily
     epsilon: Fraction
@@ -51,6 +54,11 @@ class Scenario:
     growth_model: Optional[Fraction]
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+
+    @cached_property
+    def variety(self) -> groebner.Variety:
+        """V, cut out by the scenario's ideal, built on first use."""
+        return groebner.Variety(self.ideal)
 
     @cached_property
     def session(self) -> nevanlinna.GridSession:
@@ -116,8 +124,8 @@ def _rational(value, name: str) -> Fraction:
     try:
         if isinstance(value, (bool, float)):
             raise TypeError("write exact rationals as strings")
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as err:
+        return parse_fraction(value)
+    except (ValueError, TypeError) as err:
         raise ValidationError(f"scenario field {name!r}: {err}")
 
 
@@ -232,9 +240,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             gens.append(parse_homog_poly(text, N + 1))
         except (ValueError, ValidationError, ZeroDivisionError) as err:
             raise ValidationError(f"scenario field {name!r}: {err}")
-    variety = Variety(Ideal(N + 1, gens))
+    ideal = Ideal(N + 1, gens)
 
-    members = []
+    members, literals = [], {}
     for i, spec in enumerate(_typed(_field(data, "hypersurfaces"), list,
                                     "hypersurfaces")):
         name = f"hypersurfaces[{i}]"
@@ -249,7 +257,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError(
                 f"scenario field {name + '.moving'!r} must be true or false")
         try:
-            member = parse_hypersurface(N + 1, degree, coefficients)
+            member = parse_hypersurface(N + 1, degree, coefficients, literals)
         except (BudgetExceededError, KeyError, TypeError, ValueError,
                 ValidationError, ZeroDivisionError) as err:
             raise ValidationError(f"scenario field {name!r}: {err}")
@@ -287,7 +295,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError(
                 "scenario field 'growth_model.lambda' must be positive")
 
-    return Scenario(N, variety, curve, family, epsilon, epsilon_prime,
+    return Scenario(N, ideal, curve, family, epsilon, epsilon_prime,
                     grid, truncation, seed, growth_model)
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smtlab import analytic
+from smtlab import analytic, functions
 from smtlab.scalars import MOD_I, MOD_PRIME, GaussianRational
 from smtlab.analytic import (
     AnalyticFunction,
@@ -131,8 +131,8 @@ def test_squarefree_certificate_falls_back_to_yun(monkeypatch, f, want):
         calls.append(1)
         return poly_gcd(a, b)
 
-    assert not analytic._squarefree_mod_q(f.monic())
-    monkeypatch.setattr(analytic, "poly_gcd", counting_gcd)
+    assert not functions._squarefree_mod_q(f.monic())
+    monkeypatch.setattr(functions, "poly_gcd", counting_gcd)
     assert squarefree_decomposition(f) == want
     assert calls   # Yun ran
 
@@ -144,8 +144,8 @@ def test_squarefree_certificate_skips_exact_gcd(monkeypatch):
     def no_gcd(a, b):
         raise AssertionError("exact gcd called")
 
-    assert analytic._squarefree_mod_q(f.monic())
-    monkeypatch.setattr(analytic, "poly_gcd", no_gcd)
+    assert functions._squarefree_mod_q(f.monic())
+    monkeypatch.setattr(functions, "poly_gcd", no_gcd)
     assert squarefree_decomposition(f) == [(f.monic(), 1)]
     assert (MOD_I ** 2 + 1) % _Q == 0 and _Q % 4 == 1 and _Q < 2 ** 31
 
@@ -361,8 +361,8 @@ def test_array_evaluation_matches_points(kind, radius):
 def test_input_type_picks_point_or_node_evaluation(z):
     # Python and numpy scalars take math/cmath, arrays numpy; either way
     # the values are those of a point evaluation at complex(z)
-    nodes = analytic._nodes()
-    ops = analytic._ops(z)
+    nodes = functions._nodes()
+    ops = functions._ops(z)
     curve = Curve(tuple(PLAN_CASES.values()))
     if isinstance(z, np.ndarray):
         assert ops is nodes
@@ -371,7 +371,7 @@ def test_input_type_picks_point_or_node_evaluation(z):
             want = curve.log_norm(complex(point))
             assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want))
         return
-    assert ops is analytic._POINT
+    assert ops is functions._POINT
     for f in PLAN_CASES.values():
         assert f.eval_scaled(z) == f.eval_scaled(complex(z))
         assert f.eval_complex(z) == f.eval_complex(complex(z))

@@ -151,6 +151,41 @@ def test_weights_report_on_x0_power(tmp_path, capsys):
     assert data["chow_weight"] == "50"
 
 
+def test_degree_1000_variety_exits_one_without_a_traceback(tmp_path,
+                                                           capsys):
+    # the Hilbert numerator splits a degree-1000 generator 1000 times,
+    # on a stack of its own rather than Python's
+    data = json.loads(Path(CONIC).read_text())
+    data["variety_generators"] = ["x0^1000 - x1^1000"]
+    path = tmp_path / "degree_1000.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weights", "--scenario", str(path),
+                         "--max-u", "8")
+    assert (code, out, err) == (1, "", "error: need u > degree = 1000\n")
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("epsilon", {"epsilon": "1/0"}),
+    ("growth_model.lambda", {"growth_model": {"lambda": "1/0"}}),
+    ("hypersurfaces[1]",
+     {"hypersurfaces": [{"degree": 1, "coefficients": {"x0": "1"}},
+                        {"degree": 1, "coefficients": {"x1": "1",
+                                                       "x0": "1/0"}}]}),
+    ("curve.components[1]",
+     {"curve": {"components": ["poly: 1", "poly: 1/0*z"],
+                "domain_R": "inf"}}),
+    ("variety_generators[0]", {"variety_generators": ["1/0*x0 - x1"]}),
+])
+def test_zero_denominator_names_the_literal(tmp_path, capsys, field, fields):
+    path = _scenario_file(tmp_path, **fields)
+    code, out, err = run(capsys, "weights", "--scenario", path)
+    assert (code, out) == (1, "")
+    assert err == (f"error: scenario field {field!r}: zero denominator in "
+                   "'1/0'\n")
+
+
 def test_weights_large_max_u(capsys):
     # the ladder and the weight check read the closed form, never a basis
     t0 = time.perf_counter()
@@ -257,6 +292,34 @@ def test_seed_override_changes_nothing_fixed(capsys):
                          "--seed", "8")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_seed_override_reports_as_the_seed_field(tmp_path, capsys):
+    # --seed gives the bytes of the same file with that seed written in:
+    # the moving family's specialization point is drawn from it, and the
+    # replaced scenario builds its own variety from the shared ideal
+    fields = {"ambient_N": 2,
+              "curve": {"components": ["poly: 1", "poly: z", "poly: z^2"],
+                        "domain_R": "inf"},
+              "variety_generators": ["x0*x2 - x1^2"],
+              "hypersurfaces": [_line(True, x0="poly: z", x2="-1"),
+                                _line(True, x0="1", x1="poly: z"),
+                                _line(x0="1", x1="1", x2="1"),
+                                _line(x0="1", x1="2", x2="3")]}
+    path = _scenario_file(tmp_path, **fields)
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(dict(json.loads(Path(path).read_text()),
+                                      seed=5)))
+    codes = []
+    for command in sorted(cli._COMMANDS):
+        for fmt in ("json", "csv"):
+            want = run(capsys, command, "--scenario", str(seeded),
+                       "--format", fmt)
+            got = run(capsys, command, "--scenario", path, "--format", fmt,
+                      "--seed", "5")
+            assert got == want, (command, fmt)
+            codes.append(got[0])
+    assert codes.count(0) >= 10   # all but defects and fmt-check report
 
 
 def test_parser_reuse_leaks_no_options(capsys):
@@ -907,6 +970,7 @@ def test_strict_jensen_flag_threads(capsys):
 
 def test_budget_exhaustion_exits_one(tmp_path, monkeypatch, capsys):
     from functools import partial
+    from types import SimpleNamespace
 
     from smtlab.groebner import Variety
     data = json.loads(Path(CONIC).read_text())
@@ -918,7 +982,8 @@ def test_budget_exhaustion_exits_one(tmp_path, monkeypatch, capsys):
         hypersurfaces=[{"degree": 1, "coefficients": {"x0": "1", "x3": "1"}}])
     path = tmp_path / "twisted_cubic.json"
     path.write_text(json.dumps(data))
-    monkeypatch.setattr(scenario_mod, "Variety", partial(Variety, budget=1))
+    monkeypatch.setattr(scenario_mod, "groebner",
+                        SimpleNamespace(Variety=partial(Variety, budget=1)))
     code, out, err = run(capsys, "weights", "--scenario", str(path),
                          "--max-u", "6")
     assert code == 1

@@ -1,7 +1,8 @@
 """Cold start: a fresh process loads numpy and mpmath only once a report
 evaluates with them; the subset scan of ``distributive`` loads numpy but
-not mpmath.  smtlab's own analytic and verification modules run their
-body only once a report calls them.
+not mpmath.  smtlab's own Groebner engine, zero finder and verification
+modules run their body only once a report calls them: loading a scenario
+runs none of them, ``weights`` and ``distributive`` not the zero finder.
 
 ``numpy.linalg`` and ``mpmath.libmp`` enter ``sys.modules`` only when the
 library's body runs (on numpy 1.x and 2.x alike), so they tell a loaded
@@ -31,7 +32,8 @@ from smtlab.scenario import load_scenario
 
 # a module bound for later is an attribute of the package at once
 assert all(getattr(smtlab, name) is sys.modules["smtlab." + name] for name
-           in ("nevanlinna", "position_geometry", "smt_verifier", "weights"))
+           in ("analytic", "groebner", "nevanlinna", "position_geometry",
+               "smt_verifier", "weights"))
 
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -74,7 +76,8 @@ print(json.dumps(steps))
 """
 
 # the smtlab modules that loading a scenario does not run
-LAZY = ["nevanlinna", "position_geometry", "smt_verifier", "weights"]
+LAZY = ["analytic", "groebner", "nevanlinna", "position_geometry",
+        "smt_verifier", "weights"]
 
 # every public name resolves to its defining module's object, through
 # getattr, dir and a star import; importing the package runs no submodule
@@ -134,9 +137,11 @@ def test_libraries_load_on_first_numeric_use(tmp_path):
     }
     # a report runs only the smtlab modules its command calls
     assert modules["load"] == LAZY
-    assert modules["weights"] == LAZY[:3]
-    assert modules["error"] == LAZY[:3]
-    assert modules["distributive"] == ["nevanlinna", "smt_verifier"]
+    assert modules["weights"] == [
+        "analytic", "nevanlinna", "position_geometry", "smt_verifier"]
+    assert modules["error"] == modules["weights"]
+    assert modules["distributive"] == [
+        "analytic", "nevanlinna", "smt_verifier"]
     assert modules["nevanlinna"] == ["smt_verifier"]
     assert modules["constants"] == []
 

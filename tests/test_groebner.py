@@ -529,6 +529,14 @@ def test_dim_degree_conic():
     assert Variety(CONIC).dim_degree() == (1, 2)
 
 
+def test_dim_degree_of_a_degree_1000_curve():
+    # I : x0 is one degree below I, so the Hilbert numerator splits this
+    # ideal 1000 times in a row, past Python's default recursion limit
+    X = Variety(ideal(3, "x0^1000 - x1^1000"))
+    assert X.coarse_numerator() == {0: 1, 1000: -1}
+    assert X.dim_degree() == (1, 1000)
+
+
 def test_dim_degree_projective_plane():
     assert Variety(ideal(3)).dim_degree() == (2, 1)
 

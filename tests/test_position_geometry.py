@@ -670,6 +670,21 @@ def test_blocks_match_a_per_shift_reference():
             assert cuts._blocks(lb, D, degree).tolist() == want
 
 
+def test_degree_1000_cuts_list_no_monomials_past_the_cap():
+    # three curves of degree 1000 have Lazard degree 2998: the Macaulay
+    # matrix is refused from binomial counts, with no monomial listed;
+    # codes are built degree by degree, past Python's recursion limit
+    forms = [parse_homog_poly(text, 3) for text in (
+        "x0^1000 - x1^1000", "x1^1000 - x2^1000", "x0^1000 + x2^1000")]
+    cuts = _ModularCuts(projective_space(2), forms)
+    assert cuts.bounds([((0, 1, 2), -1)]) == [False]
+    assert cuts.layers == {}
+    radix = cuts.codes[1]
+    assert cuts._monomials(2, 1200) == [(1200 - a) + a * radix
+                                        for a in range(1201)]
+    assert len(cuts._monomials(3, 40)) == math.comb(42, 2)
+
+
 def test_deferred_elimination_stays_inside_int64():
     # an entry of column j moves at most j times, each time by less than
     # q^2; R >= C and R * C <= MACAULAY_CELL_CAP bound C

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from smtlab.errors import ValidationError
+from smtlab.hypersurfaces import parse_hypersurface
 from smtlab.scenario import MAX_GRID_POINTS, load_scenario, scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -300,6 +301,53 @@ def test_integer_and_boolean_fields_are_typed(mutate, path):
     with pytest.raises(ValidationError,
                        match=re.escape(f"scenario field '{path}' must be")):
         scenario_from_dict(data)
+
+
+def _family(*coefficient_maps):
+    data = minimal()
+    data["hypersurfaces"] = [
+        {"degree": 1, "coefficients": c,
+         "moving": any(v.startswith("poly:") for v in c.values())}
+        for c in coefficient_maps]
+    return data
+
+
+def test_repeated_literals_load_as_each_parsed_alone():
+    data = _family({"x0": "poly: 1 - z", "x1": "3/2"},
+                   {"x0": "3/2", "x1": "poly: 1 - z"},
+                   {"x1": "3/2", "x0": "-i"},
+                   {"x0": "poly: 1 - z"})
+    family = scenario_from_dict(data).family
+    for member, spec in zip(family, data["hypersurfaces"]):
+        want = parse_hypersurface(2, 1, spec["coefficients"])
+        assert member == want
+        assert [str(fn) for fn in member.coeffs.values()] == \
+            [str(fn) for fn in want.coeffs.values()]
+    # one object per distinct key and per distinct value, shared
+    assert len({id(m) for member in family for m in member.coeffs}) == 2
+    assert len({id(fn) for member in family
+                for fn in member.coeffs.values()}) == 3
+
+
+@pytest.mark.parametrize("bad, repeat, message", [
+    ({"x0": "2", "x1": "2/"}, {"x1": "2/"},
+     "malformed Gaussian rational literal: '2/'"),
+    ({"x1": "2", "x9": "2"}, {"x9": "2"},
+     "variable x9 out of range for 2 variables"),
+])
+def test_bad_literal_after_valid_duplicates_fails_where_it_stands(
+        bad, repeat, message):
+    # a literal that fails is not kept: its first member is named, and a
+    # later member repeating it fails the same way
+    data = _family({"x0": "2", "x1": "2"}, {"x1": "2", "x0": "2"}, bad,
+                   repeat)
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == f"scenario field 'hypersurfaces[2]': {message}"
+    data["hypersurfaces"][2] = data["hypersurfaces"][0]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == f"scenario field 'hypersurfaces[3]': {message}"
 
 
 def test_non_object_rejected():
