@@ -1,5 +1,5 @@
 """Zero extraction on closed discs, derivatives and Wronskians of the
-functions of :mod:`smtlab.functions` (whose names import from here too).
+functions of :mod:`smtlab.functions`.
 
 Zero extraction is dual-path.  Polynomial (and rational-numerator) zeros
 are the roots of the exact square-free factors, found as poles are.
@@ -26,9 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ._lazy import np
 from .errors import CertificationError, DegenerateInputError
-from .functions import (  # noqa: F401  (public names, re-exported)
-    _ONE, AnalyticFunction, Curve, Poly1, RadialGrid, _poly_zeros,
-    parse_function, poles, poly_gcd, squarefree_decomposition)
+from .functions import _ONE, AnalyticFunction, _poly_zeros
 
 
 def derivative(f: AnalyticFunction, order: int = 1) -> AnalyticFunction:

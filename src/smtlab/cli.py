@@ -18,7 +18,6 @@ import functools
 import io
 import math
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -27,8 +26,7 @@ from .errors import NAN_REPORT, CertificationError, SmtlabError
 from .exact_algebra import WeightVector
 from .scenario import Scenario, load_scenario
 
-# run on the first report that calls them; analytic too, which only they
-# call, so that every module a report runs is in sys.modules from the start
+# run on the first report that calls them (analytic too: in sys.modules now)
 analytic = lazy_import("smtlab.analytic")
 nevanlinna = lazy_import("smtlab.nevanlinna")
 smt_verifier = lazy_import("smtlab.smt_verifier")
@@ -359,7 +357,7 @@ def main(argv: List[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+            scenario = scenario.with_seed(args.seed)
         payload, rows, code = _COMMANDS[args.command][0](scenario, args)
         _emit(payload, rows, args)
     except (SmtlabError, OSError) as exc:

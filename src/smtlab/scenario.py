@@ -8,19 +8,17 @@ A loaded Scenario is also the session its reports share: the variety
 and its Groebner basis, the distributive-constant scan, the check of the
 curve's hypotheses, the truncation constants and, through ``session``, T,
 Q_j(f), the divisors and the proximity rows are computed once each, on
-first use.  Loading parses the file into exact data (the generators as an
-``Ideal``, each distinct literal of the family once) and runs none of
-``groebner``, ``analytic``, ``nevanlinna`` or ``position_geometry``; the
-first report that asks for one of these quantities does.
-``load_scenario`` keeps the last scenario it loaded and hands it out
-again while the file's bytes stay the same.
+first use.  Loading parses the file into exact data, each distinct
+literal of the family once, and runs none of ``groebner``, ``analytic``,
+``nevanlinna`` or ``position_geometry``.  ``load_scenario`` keeps the
+last scenario it loaded and hands it out while the file's bytes stay the same.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
@@ -64,6 +62,13 @@ class Scenario:
     def session(self) -> nevanlinna.GridSession:
         """The grid quantities of the curve and family, built on first use."""
         return nevanlinna.GridSession(self.curve, self.family, self.grid)
+
+    def with_seed(self, seed: int) -> "Scenario":
+        """This scenario with another seed and the variety built so far."""
+        seeded = replace(self, seed=seed)
+        if "variety" in self.__dict__:
+            seeded.__dict__["variety"] = self.variety
+        return seeded
 
     def once(self, key, compute):
         """compute(), run on the first request for key and then kept."""

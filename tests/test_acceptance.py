@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from smtlab.analytic import AnalyticFunction, Curve, Poly1, zeros_in_disc
+from smtlab.analytic import zeros_in_disc
+from smtlab.functions import AnalyticFunction, Curve, Poly1
 from smtlab.exact_algebra import (
     HomogPoly,
     Monomial,

@@ -10,17 +10,14 @@ import pytest
 
 from smtlab import analytic, functions
 from smtlab.scalars import MOD_I, MOD_PRIME, GaussianRational
-from smtlab.analytic import (
+from smtlab.analytic import derivative, winding_circle, wronskian, zeros_in_disc
+from smtlab.functions import (
     AnalyticFunction,
     Curve,
     Poly1,
-    derivative,
     parse_function,
     poly_gcd,
     squarefree_decomposition,
-    winding_circle,
-    wronskian,
-    zeros_in_disc,
 )
 from smtlab.errors import (
     BudgetExceededError,

@@ -18,7 +18,7 @@ import pytest
 
 from smtlab import cli, nevanlinna, position_geometry, smt_verifier
 from smtlab import scenario as scenario_mod
-from smtlab.analytic import Curve
+from smtlab.functions import Curve
 from smtlab.errors import NAN_REPORT, CertificationError
 from smtlab.position_geometry import DistributiveReport
 from smtlab.scenario import load_scenario

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smtlab.analytic import AnalyticFunction, Poly1, parse_function
+from smtlab.functions import AnalyticFunction, Poly1, parse_function
 from smtlab.errors import DegenerateInputError, ValidationError
 from smtlab.exact_algebra import Monomial, parse_homog_poly
 from smtlab.hypersurfaces import (

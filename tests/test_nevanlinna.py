@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from smtlab import nevanlinna
-from smtlab.analytic import AnalyticFunction, Curve, Divisor, Poly1, wronskian
+from smtlab.analytic import Divisor, wronskian
+from smtlab.functions import AnalyticFunction, Curve, Poly1
 from smtlab.errors import (
     CertificationError,
     DegenerateInputError,

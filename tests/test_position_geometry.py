@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smtlab.analytic import AnalyticFunction, Curve, Poly1
+from smtlab.functions import AnalyticFunction, Curve, Poly1
 from smtlab.errors import DegenerateInputError, ValidationError
 from smtlab.exact_algebra import (HomogPoly, Monomial, monomials_of_degree,
                                   parse_homog_poly)

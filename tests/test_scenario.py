@@ -180,6 +180,10 @@ def test_load_keeps_one_scenario_by_bytes(tmp_path):
     # a replaced seed starts its own session
     seeded = replace(again, seed=5)
     assert seeded.session is not again.session
+    # and shares the variety and its basis once they are built
+    assert again.with_seed(5).variety is not again.variety
+    assert again.with_seed(6).variety is again.variety
+    assert again.with_seed(6).session is not again.session
 
 
 def test_non_utf8_file_rejected(tmp_path):

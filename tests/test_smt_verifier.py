@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp, mpf
 
 from smtlab import position_geometry
-from smtlab.analytic import AnalyticFunction, Poly1, parse_function
+from smtlab.functions import AnalyticFunction, Poly1, parse_function
 from smtlab.errors import (
     CertificationError,
     DegenerateInputError,
